@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import selftest as _selftest
-from .cache import cached_group_structure
 from .conjugacy import (bluher_root_count, fixed_point_count,
                         solve_conjugation, tau_eval, theta_fixed_points,
                         verify_conjugation)
-from .curves import catalog_length_sets, curve_from_map, cycle_catalog
+from .curves import (catalog_length_sets, curve_from_map, cycle_catalog,
+                     group_structure)
 from .fields import (BinaryField, FieldElement, FieldMismatchError,
                      InvariantViolationError, ResourceLimitError,
                      quadratic_extension)
@@ -54,24 +54,19 @@ class JobConfig:
     b: str | None = None
     k: int = 2
     format: str = "text"
-    cache_dir: str | None = None
-    jobs: int = 1
     quick: bool = False
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "JobConfig":
-        modulus = getattr(args, "modulus", None)
         return cls(
             command=args.command,
             degree=getattr(args, "degree", 0),
-            modulus=int(modulus, 16) if modulus is not None else None,
+            modulus=getattr(args, "modulus", None),
             map_kind=getattr(args, "map_kind", "theta"),
             a=getattr(args, "a", None),
             b=getattr(args, "b", None),
             k=getattr(args, "k", 2),
             format=getattr(args, "format", "text"),
-            cache_dir=getattr(args, "cache_dir", None),
-            jobs=getattr(args, "jobs", 1),
             quick=getattr(args, "quick", False),
         )
 
@@ -86,14 +81,11 @@ class JobConfig:
         elif self.a is not None:
             out += ["--a", self.a]
         out += ["--k", str(self.k), "--format", self.format]
-        if self.cache_dir is not None:
-            out += ["--cache-dir", self.cache_dir]
-        out += ["--jobs", str(self.jobs)]
         return out
 
     def echo(self) -> dict:
         out = {"command": self.command, "degree": self.degree,
-               "k": self.k, "format": self.format, "jobs": self.jobs}
+               "k": self.k, "format": self.format}
         if self.modulus is not None:
             out["modulus"] = f"{self.modulus:#x}"
         if self.command in ("orbits", "curve", "conjugate"):
@@ -102,8 +94,6 @@ class JobConfig:
             out["a"] = self.a
         if self.b is not None:
             out["b"] = self.b
-        if self.cache_dir is not None:
-            out["cache_dir"] = self.cache_dir
         return out
 
 
@@ -212,8 +202,8 @@ def run_curve(cfg: JobConfig) -> str:
     mp = _map(cfg, field)
     curve = curve_from_map(mp.a, mp.b)
     emb = quadratic_extension(field)
-    gs1 = cached_group_structure(curve, field, cfg.cache_dir, cfg.jobs)
-    gs2 = cached_group_structure(curve, emb.ext, cfg.cache_dir, cfg.jobs)
+    gs1 = group_structure(curve, field)
+    gs2 = group_structure(curve, emb.ext)
     cat1, cat2 = cycle_catalog(gs1), cycle_catalog(gs2)
 
     cs = mp.cycle_structure()
@@ -333,6 +323,13 @@ def run_bluher(cfg: JobConfig) -> str:
 # -- argument parsing ----------------------------------------------------------------
 
 
+def _hex_int(text: str) -> int:
+    try:
+        return int(text, 16)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid hex value {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="f2dyn",
@@ -343,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, with_map: bool, kind: str) -> None:
         p.add_argument("--degree", type=int, required=True, metavar="N",
                        help="field degree: work over F_{2^N}")
-        p.add_argument("--modulus", metavar="HEX",
+        p.add_argument("--modulus", type=_hex_int, metavar="HEX",
                        help="irreducible modulus bits (default: built-in)")
         if with_map:
             p.add_argument("--map", dest="map_kind", choices=("theta", "psi"),
@@ -356,10 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Frobenius exponent: the map uses x^(2^K)")
         p.add_argument("--format", choices=("text", "dot", "json"),
                        default="text", help="output format")
-        p.add_argument("--cache-dir", dest="cache_dir", metavar="DIR",
-                       help="cache directory for curve computations")
-        p.add_argument("--jobs", type=int, default=1, metavar="W",
-                       help="parallel workers for point counting")
 
     p = sub.add_parser("orbits", help="cycle decomposition of the map")
     common(p, with_map=True, kind="theta")

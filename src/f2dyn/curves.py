@@ -8,9 +8,8 @@ which this module computes and catalogs.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import lcm
+from math import isqrt, lcm
 
 from .fields import (
     BinaryField,
@@ -22,8 +21,7 @@ from .fields import (
     extension_of,
     quadratic_extension,
 )
-
-_FULL_SCAN_LIMIT = 1 << 16  # verify group exponent against every point below this
+from .gf2x import factorize
 
 
 @dataclass(frozen=True)
@@ -221,41 +219,74 @@ def _curve_over(curve: CurveSpec, field: BinaryField | None) -> CurveSpec:
     return curve.extended(emb)
 
 
-def _count_chunk(degree: int, modulus: int, a1: int, a2: int,
-                 start: int, stop: int) -> int:
-    """Number of x in [start, stop) whose quadratic is solvable (worker-safe)."""
-    field = BinaryField(degree, modulus)
-    inv_sq = field.inv(field.mul(a1, a1))
-    count = 0
-    for x in range(start, stop):
-        rhs = field.mul(field.mul(x, x), x) ^ field.mul(a2, x)
-        if field.trace(field.mul(rhs, inv_sq)) == 0:
-            count += 1
-    return count
+def _zero_count(field: BinaryField, c: int, a2: int) -> int:
+    """Number of x in field with Q(x) = Tr(c*(x^3 + a2*x)) = 0.
+
+    Q is a quadratic form over GF(2) with polar form
+    B(x, y) = Q(x+y) + Q(x) + Q(y) = Tr(c*x^2*y) + Tr(c*x*y^2).  Symplectic
+    reduction of B on the polynomial basis splits the space into p
+    hyperbolic pairs plus a radical of dimension w; when Q vanishes on the
+    radical the count is 2^w * (2^(2p-1) + (-1)^Arf * 2^(p-1)), where Arf is
+    the sum of Q(u)*Q(v) over the pairs, and otherwise it is 2^(n-1)
+    (Lidl-Niederreiter, Finite Fields, ch. 6).
+    """
+    n, mul, tr = field.degree, field.mul, field.trace
+    gen = field.gen.bits
+
+    def q(x: int) -> int:
+        return tr(mul(c, mul(x, mul(x, x) ^ a2)))
+
+    # Tr(v*x^j) = parity(v & (traces >> j)), bit k of traces being Tr(x^k)
+    traces, power = 0, 1
+    for k in range(2 * n - 1):
+        traces |= tr(power) << k
+        power = mul(power, gen)
+    # a[i][j] = Tr(c*e_i^2*e_j) for e_i = x^i; B is a + a^T
+    a, v = [], c
+    gen_sq = mul(gen, gen)
+    for _ in range(n):
+        a.append([(v & (traces >> j)).bit_count() & 1 for j in range(n)])
+        v = mul(v, gen_sq)
+    # each vector carries its B-image: bit j of bu is B(u, e_j)
+    basis = [(1 << i, sum((a[i][j] ^ a[j][i]) << j for j in range(n)))
+             for i in range(n)]
+    pairs = arf = radical_dim = radical_q = 0
+    while basis:
+        u, bu = basis.pop()
+        partner = next((k for k, (w, _) in enumerate(basis)
+                        if (w & bu).bit_count() & 1), None)
+        if partner is None:  # u is orthogonal to everything: a radical vector
+            radical_dim += 1
+            radical_q |= q(u)
+            continue
+        v, bv = basis.pop(partner)
+        pairs += 1
+        arf ^= q(u) & q(v)
+        for k, (w, bw) in enumerate(basis):  # project off the plane <u, v>
+            on_u, on_v = (w & bu).bit_count() & 1, (w & bv).bit_count() & 1
+            if on_v:
+                w, bw = w ^ u, bw ^ bu
+            if on_u:
+                w, bw = w ^ v, bw ^ bv
+            basis[k] = (w, bw)
+    if radical_q:
+        return 1 << (n - 1)
+    sign = -1 if arf else 1  # with no pairs (n = 1) this is 2^w
+    return (1 << (radical_dim + pairs - 1)) * ((1 << pairs) + sign)
 
 
-def point_count(curve: CurveSpec, field: BinaryField | None = None,
-                jobs: int = 1) -> int:
+def point_count(curve: CurveSpec, field: BinaryField | None = None) -> int:
     """|E(field)| = 1 + twice the number of x with solvable quadratic.
 
     y^2 + a1*y = rhs becomes z^2 + z = rhs/a1^2 after y = a1*z, which has two
-    solutions when Tr(rhs/a1^2) = 0 and none otherwise.
+    solutions when Tr(rhs/a1^2) = 0 and none otherwise; the x with trace 0
+    are the zeros of a quadratic form, counted by its Arf invariant in
+    O(n^2) field operations.
     """
     cur = _curve_over(curve, field)
     f = cur.field
-    args = (f.degree, f.modulus, cur.a1.bits, cur.a2.bits)
-    if jobs <= 1 or f.order < 1 << 12:
-        solvable = _count_chunk(*args, 0, f.order)
-    else:
-        step = -(-f.order // jobs)
-        chunks = [(*args, lo, min(lo + step, f.order))
-                  for lo in range(0, f.order, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            solvable = sum(pool.map(_count_chunk, *zip(*chunks)))
-    total = 1 + 2 * solvable
-    if total % 2 == 0:  # pragma: no cover
-        raise InvariantViolationError("point count must be odd")
-    return total
+    c = f.inv(f.mul(cur.a1.bits, cur.a1.bits))
+    return 1 + 2 * _zero_count(f, c, cur.a2.bits)
 
 
 # -- group structure ---------------------------------------------------------------
@@ -270,18 +301,14 @@ class GroupStructure:
     n2: int
 
 
-def _factorize(m: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk-scale inputs)."""
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    return factors
+def _divisor_phis(m: int) -> dict[int, int]:
+    """Every positive divisor of m mapped to its Euler phi, from a single
+    factorization of m (cycle_catalog's orders reach 2^64)."""
+    out = {1: 1}
+    for p, e in factorize(m).items():
+        out = {d * p**i: phi * (p**i - p**(i - 1) if i else 1)
+               for d, phi in out.items() for i in range(e + 1)}
+    return out
 
 
 def divisors(m: int) -> list[int]:
@@ -289,77 +316,48 @@ def divisors(m: int) -> list[int]:
     if m < 1:
         raise ValueError("m must be positive")
     out = [1]
-    for p, e in _factorize(m).items():
+    for p, e in factorize(m).items():
         out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)
 
 
 def euler_phi(m: int) -> int:
-    """Euler's totient via trial-division factorization."""
+    """Euler's totient from the prime factorization."""
     if m < 1:
         raise ValueError("m must be positive")
     out = m
-    for p in _factorize(m):
+    for p in factorize(m):
         out = out // p * (p - 1)
     return out
 
 
-def _point_order(p: CurvePoint, group_order: int,
-                 factors: dict[int, int]) -> int:
-    order = group_order
-    for prime in factors:
-        while order % prime == 0 and scalar_mul(order // prime, p).is_identity:
-            order //= prime
-    return order
-
-
-def _rational_points(curve: CurveSpec):
-    """One representative per {P, -P} pair, in ascending x order."""
-    field = curve.field
-    inv_sq = (curve.a1 * curve.a1).inv()
-    for xbits in range(field.order):
-        x = field.element(xbits)
-        rhs = x * x * x + curve.a2 * x
-        w = rhs * inv_sq
-        if w.trace() == 0:
-            z = min(_halves(field, w), key=lambda e: e.bits)
-            yield CurvePoint(curve, x, curve.a1 * z)
-
-
-def group_structure(curve: CurveSpec, field: BinaryField | None = None,
-                    jobs: int = 1) -> GroupStructure:
+def group_structure(curve: CurveSpec,
+                    field: BinaryField | None = None) -> GroupStructure:
     """Compute (order, n1, n2) with E(field) = Z/n1 x Z/n2 and n1 | n2.
 
-    n2 is the group exponent: the lcm of point orders, grown until it covers
-    a sample (and, for fields small enough to sweep, every point).
+    These curves are supersingular, so the trace t = q + 1 - #E has
+    t^2 in {0, q, 2q, 4q}.  By Schoof's theorem ("Nonsingular plane cubic
+    curves over finite fields", JCTA 1987) E is (Z/s)^2 with s = sqrt(#E)
+    when t^2 = 4q, and cyclic otherwise (#E is odd, which rules out the
+    Z/2 x Z/((q+1)/2) case).
     """
     cur = _curve_over(curve, field)
-    f = cur.field
-    total = point_count(cur, jobs=jobs)
-    factors = _factorize(total)
-    exponent = 1
-    sample_budget = 48
-    points = _rational_points(cur)
-    for p, _ in zip(points, range(sample_budget)):
-        exponent = lcm(exponent, _point_order(p, total, factors))
-        if exponent == total:
-            break
-    if exponent < total and f.order <= _FULL_SCAN_LIMIT:
-        for p in _rational_points(cur):
-            if not scalar_mul(exponent, p).is_identity:
-                exponent = lcm(exponent, _point_order(p, total, factors))
-                if exponent == total:
-                    break
-    n2 = exponent
-    if total % n2:
+    q = cur.field.order
+    total = point_count(cur)
+    t = q + 1 - total
+    if t * t not in (0, q, 2 * q, 4 * q):
+        raise InvariantViolationError(
+            f"trace {t} is not that of a supersingular curve over F_{q}")
+    n1 = isqrt(total) if t * t == 4 * q else 1
+    n2 = total // n1
+    if total != n1 * n2:
         raise InvariantViolationError("group exponent does not divide the order")
-    n1 = total // n2
     if n2 % n1:
         raise InvariantViolationError(
             f"structure Z/{n1} x Z/{n2} is not of the required shape")
-    if (f.order - 1) % n1:
+    if (q - 1) % n1:
         raise InvariantViolationError(
-            f"n1 = {n1} does not divide the multiplicative order {f.order - 1}")
+            f"n1 = {n1} does not divide the multiplicative order {q - 1}")
     return GroupStructure(order=total, n1=n1, n2=n2)
 
 
@@ -451,15 +449,16 @@ def cycle_catalog(gs: GroupStructure) -> list[CycleCatalogEntry]:
     (length, d1, d2).  The (m1, m2) = (1, 1) entry is the identity point,
     whose x-coordinate is the fixed point at infinity."""
     entries = []
-    for d1 in divisors(gs.n1):
+    phi1, phi2 = _divisor_phis(gs.n1), _divisor_phis(gs.n2)
+    for d1 in sorted(phi1):
         m1 = gs.n1 // d1
-        for d2 in divisors(gs.n2):
+        for d2 in sorted(phi2):
             m2 = gs.n2 // d2
             joint = lcm(m1, m2)
             k_plus, k_minus = _signed_exponents(joint)
             length = k_plus if k_minus is None else min(k_plus, k_minus)
             possible = tuple(sorted({k_plus, k_minus} - {None}))
-            points = euler_phi(m1) * euler_phi(m2)
+            points = phi1[m1] * phi2[m2]
             if m1 == 1 and m2 == 1:
                 cycles = 1
             else:

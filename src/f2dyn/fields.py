@@ -36,20 +36,6 @@ class ResourceLimitError(RuntimeError):
     """A bounded search or enumeration exhausted its configured budget."""
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class BinaryField:
     """The field F_{2^degree} presented as GF(2)[x] modulo an irreducible."""
 
@@ -223,7 +209,7 @@ class BinaryField:
 
     def _factors_of_mult_order(self) -> list[int]:
         if self._mult_factors is None:
-            self._mult_factors = _prime_factors(self.mult_order)
+            self._mult_factors = list(gf2x.factorize(self.mult_order))
         return self._mult_factors
 
     def _order_of(self, a: int) -> int:

@@ -2,10 +2,13 @@
 
 Bit i of the integer is the coefficient of x^i, so 0b100101 encodes
 x^5 + x^2 + 1.  Addition is XOR; these helpers supply the rest of the ring
-structure plus irreducibility testing, which is all the field layer needs.
+structure plus irreducibility testing, which is all the field layer needs,
+and the one integer factorizer the field and curve layers share.
 """
 
 from __future__ import annotations
+
+from math import gcd as _int_gcd, isqrt
 
 # Default moduli for the small degrees: the Conway polynomials, which are
 # primitive and norm-compatible between a field and its subfields, so labels
@@ -104,18 +107,99 @@ def _frob_iter(t: int, m: int, times: int) -> int:
     return t
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+# -- integer factorization ------------------------------------------------------
+#
+# Group orders 2^n - 1 and curve orders near 4^n reach 2^64 and beyond, so
+# trial division stops at a small bound and Pollard rho splits what is left.
+
+def _primes_below(bound: int) -> list[int]:
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+    return [p for p in range(bound) if sieve[p]]
+
+
+_SMALL_PRIMES = _primes_below(1 << 10)
+# Miller-Rabin with these bases is exact below 3.3 * 10^24
+_WITNESSES = _SMALL_PRIMES[:13]
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for n with no prime factor below 2^10."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _split(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard rho with Brent's
+    cycle finding, taking gcds over batches of 128 steps."""
+    for c in range(1, n):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = _int_gcd(acc, n)
+                k += 128
+            r <<= 1
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = _int_gcd(abs(x - saved), n)
+        if g != n:
+            return g
+    raise AssertionError("no factor found")  # unreachable for composite n
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, ascending in p: trial division
+    by the primes below 2^10, then Miller-Rabin and Pollard rho."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            if n > 1:
+                out[n] = 1
+            return out
+        if not n % p:
+            n //= p
+            e = 1
+            while not n % p:
+                n //= p
+                e += 1
+            out[p] = e
+    pending = [n] if n > 1 else []  # no prime factor of n is below 2^10
+    while pending:
+        m = pending.pop()
+        if m < 1 << 20 or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _split(m)
+            pending += [d, m // d]
+    return dict(sorted(out.items()))
 
 
 def is_irreducible(f: int) -> bool:
@@ -134,7 +218,7 @@ def is_irreducible(f: int) -> bool:
     x = mod(2, f)
     if _frob_iter(x, f, n) != x:
         return False
-    for p in _prime_factors(n):
+    for p in factorize(n):
         h = _frob_iter(x, f, n // p)
         if gcd(h ^ x, f) != 1:
             return False

@@ -1,10 +1,12 @@
-"""End-to-end command-line behavior: output documents, exit codes, caching."""
+"""End-to-end command-line behavior: output documents, exit codes, and the
+curve report against the scan oracles."""
 
 import json
 
 import pytest
+from test_curves import sampled_group_structure
 
-from f2dyn import BinaryField
+from f2dyn import BinaryField, cli, extension_of
 from f2dyn.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                        JobConfig, UsageError, build_parser, emit_graph, main,
                        parse_element, run)
@@ -38,7 +40,7 @@ def test_job_config_round_trip():
     for cfg in (
         JobConfig(command="orbits", degree=5, a="g", b="g^3", k=2),
         JobConfig(command="curve", degree=5, modulus=0x25, a="g", b="g^3",
-                  k=2, format="json", cache_dir="/tmp/c", jobs=4),
+                  k=2, format="json"),
         JobConfig(command="conjugate", degree=5, map_kind="psi", a="g",
                   b="g^2", k=2),
         JobConfig(command="bluher", degree=3, a="g^3", k=2),
@@ -107,39 +109,39 @@ def test_curve_report_contents(capsys):
     assert any("catalog matches" in n for n in doc["notes"])
 
 
-def test_curve_cache_cold_and_warm_agree(tmp_path, capsys):
+def test_curve_cache_cold_and_warm_agree(capsys):
+    # extension_of memoizes the extension field, and with it the lazily
+    # built trace mask, across runs in one process.
     argv = ["curve", "--degree", "5", "--a", "g^3", "--b", "g^15",
-            "--cache-dir", str(tmp_path), "--format", "json"]
+            "--format", "json"]
+    extension_of.cache_clear()
     code, cold, err = invoke(argv, capsys)
     assert code == EXIT_OK and err == ""
-    entries = list(tmp_path.glob("*.json"))
-    assert entries  # the cold run populated the cache
+    assert extension_of.cache_info().currsize  # the cold run populated the cache
+    hits = extension_of.cache_info().hits
     code, warm, err = invoke(argv, capsys)
     assert code == EXIT_OK and err == ""
+    assert extension_of.cache_info().hits > hits
     assert warm == cold
 
 
-def test_curve_cache_corruption_is_recovered(tmp_path, capsys):
-    argv = ["curve", "--degree", "5", "--a", "g", "--b", "g^3",
-            "--cache-dir", str(tmp_path), "--format", "json"]
-    code, baseline, _ = invoke(argv, capsys)
-    assert code == EXIT_OK
-    for entry in tmp_path.glob("*.json"):
-        entry.write_text("{ not json")
-    code, out, err = invoke(argv, capsys)
-    assert code == EXIT_OK
-    assert out == baseline
-    assert "cache" in err.lower()
+def oracle_group_structure(curve, field=None):
+    """The scan-and-sample group structure, in group_structure's signature."""
+    if field is not None and field != curve.field:
+        emb = extension_of(curve.field, field.degree // curve.field.degree)
+        curve = curve.extended(emb)
+    return sampled_group_structure(curve)
 
 
-def test_curve_jobs_do_not_change_output(capsys):
-    base = ["curve", "--degree", "5", "--a", "g", "--b", "g^3",
-            "--format", "json"]
-    _, one, _ = invoke(base + ["--jobs", "1"], capsys)
-    _, four, _ = invoke(base + ["--jobs", "4"], capsys)
-    one_doc, four_doc = json.loads(one), json.loads(four)
-    del one_doc["config"], four_doc["config"]  # echoes differ in jobs only
-    assert one_doc == four_doc
+def test_curve_report_matches_scan_oracle(monkeypatch):
+    cases = [(n, "g", "g^3") for n in range(3, 9)]
+    cases += [(n, "g^3", "g") for n in (4, 5, 6)]  # t = 0: E(F_q^2) = (Z/s)^2
+    for degree, a, b in cases:
+        cfg = JobConfig(command="curve", degree=degree, a=a, b=b, k=2)
+        fast = run(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "group_structure", oracle_group_structure)
+            assert run(cfg) == fast, (degree, a, b)
 
 
 def test_conjugate_transcript(capsys):
@@ -212,6 +214,16 @@ def test_usage_errors_exit_two(capsys):
         code, out, err = invoke(argv, capsys)
         assert code == EXIT_USAGE, argv
         assert "error" in err
+
+
+def test_malformed_modulus_exits_two_with_usage(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["orbits", "--degree", "5", "--modulus", "zz", "--a", "g",
+              "--b", "g"])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "--modulus: invalid hex value 'zz'" in err
 
 
 def test_unknown_flags_exit_two(capsys):

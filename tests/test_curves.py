@@ -1,19 +1,112 @@
-"""Curves behind the quartic maps: group law, counting, orbit prediction."""
+"""Curves behind the quartic maps: group law, counting, orbit prediction.
+
+The production routes are poly(n): point counts come from the Arf invariant
+of a quadratic form and group shapes from Schoof's theorem.  The scans they
+replaced live on here as oracles: scan_point_count tests every x, and
+sampled_group_structure grows the group exponent from point orders.
+"""
 
 import math
 import random
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from f2dyn import (BinaryField, CurveSpec, FieldMismatchError, MapSpec,
-                   ProjPoint, catalog_length_sets, curve_from_map,
+from f2dyn import (BinaryField, CurvePoint, CurveSpec, ExtensionEmbedding,
+                   FieldMismatchError, GroupStructure, LinearizedPoly,
+                   MapSpec, ProjPoint, catalog_length_sets, curve_from_map,
                    cycle_catalog, divisors, duplication_x, euler_phi,
                    extension_of, group_structure, half_multiple_relation,
                    lift_x, map_coefficients, point_count,
-                   predict_orbit_length, scalar_mul)
+                   predict_orbit_length, quadratic_extension, scalar_mul)
+from f2dyn.gf2x import factorize
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
+
+
+# -- oracles: the exponential scans --------------------------------------------
+
+
+def scan_point_count(curve):
+    """1 + 2 * #{x : Tr((x^3 + a2*x)/a1^2) = 0}, testing every x."""
+    field = curve.field
+    inv_sq = field.inv(field.mul(curve.a1.bits, curve.a1.bits))
+    a2 = curve.a2.bits
+    solvable = 0
+    for x in range(field.order):
+        rhs = field.mul(field.mul(x, x), x) ^ field.mul(a2, x)
+        if field.trace(field.mul(rhs, inv_sq)) == 0:
+            solvable += 1
+    return 1 + 2 * solvable
+
+
+def _rational_points(curve):
+    """One representative per {P, -P} pair, in ascending x order."""
+    field = curve.field
+    halves = LinearizedPoly(2, [field.one, field.one])  # z^2 + z
+    inv_sq = (curve.a1 * curve.a1).inv()
+    for xbits in range(field.order):
+        x = field.element(xbits)
+        w = (x * x * x + curve.a2 * x) * inv_sq
+        if w.trace() == 0:
+            z = min(halves.solve(w), key=lambda e: e.bits)
+            yield CurvePoint(curve, x, curve.a1 * z)
+
+
+def _point_order(p, group_order, primes):
+    order = group_order
+    for prime in primes:
+        while order % prime == 0 and scalar_mul(order // prime, p).is_identity:
+            order //= prime
+    return order
+
+
+def sampled_group_structure(curve):
+    """E = Z/n1 x Z/n2 with n2 the group exponent: the lcm of the orders of
+    48 sampled points, then checked against every point of the curve."""
+    total = scan_point_count(curve)
+    primes = list(factorize(total))
+    exponent = 1
+    for p, _ in zip(_rational_points(curve), range(48)):
+        exponent = math.lcm(exponent, _point_order(p, total, primes))
+        if exponent == total:
+            break
+    if exponent < total:
+        for p in _rational_points(curve):
+            if not scalar_mul(exponent, p).is_identity:
+                exponent = math.lcm(exponent, _point_order(p, total, primes))
+                if exponent == total:
+                    break
+    return GroupStructure(order=total, n1=total // exponent, n2=exponent)
+
+
+def random_curve(rng, field):
+    return curve_from_map(field.element(rng.randrange(1, field.order)),
+                          field.element(rng.randrange(field.order)))
+
+
+def subfield_tower(n):
+    """F_2^n inside F_2^(2n), with F_2^n's modulus the minimal polynomial of
+    an element of the subfield, so the embedding needs no root finding."""
+    big = BinaryField(2 * n)
+    for alpha in range(2, big.order):
+        gamma = big.pow(alpha, (1 << n) + 1)  # a norm: it lies in F_2^n
+        rows, power = {}, 1  # pivot bit -> (vector, combination of powers)
+        for i in range(n + 1):
+            vec, comb = power, 1 << i
+            while vec and vec.bit_length() - 1 in rows:
+                pivot_vec, pivot_comb = rows[vec.bit_length() - 1]
+                vec, comb = vec ^ pivot_vec, comb ^ pivot_comb
+            if not vec:
+                break
+            rows[vec.bit_length() - 1] = (vec, comb)
+            power = big.mul(power, gamma)
+        if comb.bit_length() - 1 == n:  # gamma generates all of F_2^n
+            base = BinaryField(n, comb)
+            return base, ExtensionEmbedding(base, big, gamma)
+    raise AssertionError("no generator of the subfield found")
 
 
 def base_lifts(curve):
@@ -140,12 +233,88 @@ def test_point_count_known_values_and_extensions():
 
 
 def test_point_count_parallel_agrees():
+    # A fresh field builds its trace mask on first use; counts taken from
+    # several threads at once must still agree with the serial count.
     f = BinaryField(12)
     g = f.primitive_element()
     curve = curve_from_map(g, g ** 3)
-    serial = point_count(curve, jobs=1)
-    assert point_count(curve, jobs=2) == serial
+    serial = point_count(curve)
+    assert serial == scan_point_count(curve)
+    fresh = BinaryField(12)
+    fresh_curve = curve_from_map(fresh.element(g.bits),
+                                 fresh.element((g ** 3).bits))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(point_count, [fresh_curve] * 4)) == [serial] * 4
     assert serial % 2 == 1
+
+
+def test_point_count_matches_scan_exhaustively():
+    for degree in range(1, 6):
+        f = BinaryField(degree)
+        for a in range(1, f.order):
+            for b in range(f.order):
+                curve = curve_from_map(f.element(a), f.element(b))
+                assert point_count(curve) == scan_point_count(curve), (degree, a, b)
+
+
+def test_point_count_matches_scan_on_samples():
+    rng = random.Random(35)
+    for degree in range(6, 13):
+        f = BinaryField(degree)
+        for _ in range(8):
+            curve = random_curve(rng, f)
+            assert point_count(curve) == scan_point_count(curve), degree
+
+
+def test_point_count_matches_scan_over_quadratic_extension():
+    rng = random.Random(36)
+    for degree in range(1, 9):
+        f = BinaryField(degree)
+        emb = quadratic_extension(f)
+        for _ in range(2 if degree == 8 else 3):
+            curve = random_curve(rng, f)
+            assert point_count(curve, emb.ext) == \
+                scan_point_count(curve.extended(emb)), degree
+
+
+def test_group_shape_matches_sampled_exponent():
+    rng = random.Random(37)
+    shapes = set()
+    for degree in range(1, 8):
+        f = BinaryField(degree)
+        emb = quadratic_extension(f)
+        for _ in range(4):
+            curve = random_curve(rng, f)
+            for big in (f, emb.ext):
+                got = group_structure(curve, big)
+                want = sampled_group_structure(
+                    curve if big == f else curve.extended(emb))
+                assert got == want, (degree, big, curve.describe())
+                shapes.add(got.n1 == 1)
+    assert shapes == {True, False}  # both cyclic and (Z/s)^2 groups occur
+
+
+def test_weil_relation_beyond_scan_sizes():
+    rng = random.Random(38)
+    for degree in (24, 32, 48, 64):
+        base, emb = subfield_tower(degree)
+        q = base.order
+        curve = random_curve(rng, base)
+        t = q + 1 - point_count(curve)
+        assert t * t in (0, q, 2 * q, 4 * q)
+        assert point_count(curve.extended(emb)) == q * q + 1 - (t * t - 2 * q)
+
+
+def test_catalog_over_degree_64_extension():
+    # the embedding is built by linear algebra, outside the timed call: the
+    # canonical one is a root search in F_2^64, a cost of the field layer
+    base, emb = subfield_tower(32)
+    curve = random_curve(random.Random(39), base).extended(emb)
+    start = time.perf_counter()
+    gs = group_structure(curve)
+    catalog = cycle_catalog(gs)
+    assert time.perf_counter() - start < 2.0
+    assert sum(e.point_count for e in catalog) == gs.order
 
 
 def test_group_structure_known_values():
@@ -214,6 +383,9 @@ def test_divisors_and_euler_phi():
     assert euler_phi(41) == 40
     assert euler_phi(33) == 20
     assert euler_phi(12) == 4
+    wide = 2**64 + 1  # 274177 * 67280421310721
+    assert divisors(wide) == [1, 274177, 67280421310721, wide]
+    assert euler_phi(wide) == 274176 * 67280421310720
     with pytest.raises(ValueError):
         divisors(0)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Field construction, arithmetic axioms, linear algebra, and root finding."""
 
+import math
 import random
 
 import pytest
@@ -85,6 +86,17 @@ def test_primitive_element_generates():
             seen.add(cur.bits)
         assert len(seen) == f.order - 1
         assert cur == f.one  # g^(order-1) closes the cycle
+
+
+def test_primitive_element_of_wide_fields():
+    # 2^n - 1 with prime factors far beyond trial division
+    for degree, primes in ((59, (179951, 3203431780337)),
+                           (62, (3, 715827883, 2147483647))):
+        f = BinaryField(degree)
+        assert math.prod(primes) == f.mult_order
+        g = f.primitive_element()
+        for p in primes:
+            assert g ** (f.mult_order // p) != f.one, (degree, p)
 
 
 def test_conway_modulus_makes_x_primitive():

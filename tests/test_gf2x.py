@@ -1,5 +1,6 @@
 """Packed-int polynomial arithmetic over GF(2)."""
 
+import math
 import random
 
 import pytest
@@ -83,8 +84,23 @@ def test_conway_table_entries_are_irreducible_and_primitive():
         # x^((2^n - 1)/p) != 1 for every prime p dividing 2^n - 1
         order = (1 << n) - 1
         assert gf2x.pow_x(order, f) == 1
-        for p in gf2x._prime_factors(order):
+        for p in gf2x.factorize(order):
             assert gf2x.pow_x(order // p, f) != 1, (n, p)
+
+
+def test_factorize_small_and_wide():
+    for n in range(1, 3000):
+        factors = gf2x.factorize(n)
+        assert math.prod(p**e for p, e in factors.items()) == n
+        assert list(factors) == sorted(factors)
+        assert all(p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+                   for p in factors)
+    assert gf2x.factorize(2**64 + 1) == {274177: 1, 67280421310721: 1}
+    assert gf2x.factorize(2**62 - 1) == {3: 1, 715827883: 1, 2147483647: 1}
+    assert gf2x.factorize(2**61 - 1) == {2**61 - 1: 1}
+    assert gf2x.factorize(1031**2 * 2**40) == {2: 40, 1031: 2}
+    with pytest.raises(ValueError):
+        gf2x.factorize(0)
 
 
 def test_default_modulus_and_smallest_irreducible():
