@@ -16,7 +16,8 @@ from typing import Iterator, Sequence
 from . import gf2x
 
 # Fields up to this degree get exp/log tables (built lazily) so that
-# multiplication, inversion and discrete logs are table lookups.
+# multiplication, inversion and discrete logs are table lookups; wider fields
+# multiply with the gf2x kernels and reduce with a reducer for their modulus.
 _TABLE_LIMIT = 16
 
 # Affine linearized solves refuse to expand solution sets beyond this many
@@ -53,6 +54,8 @@ class BinaryField:
         self.modulus = modulus
         self.order = 1 << degree
         self.mult_order = self.order - 1
+        self._wide = degree > _TABLE_LIMIT
+        self._reduce = gf2x.reducer(modulus)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._mult_factors: list[int] | None = None
@@ -110,16 +113,20 @@ class BinaryField:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is None and not self._build_tables():
-            return gf2x.mod(gf2x.mul(a, b), self.modulus)
+        if self._exp is None:
+            if self._wide:
+                return self._reduce(gf2x.mul(a, b))
+            self._build_tables()
         if a == 0 or b == 0:
             return 0
         exp, log = self._exp, self._log
         return exp[log[a] + log[b]]
 
     def sqr(self, a: int) -> int:
-        if self._exp is None and not self._build_tables():
-            return gf2x.mod(gf2x.sqr(a), self.modulus)
+        if self._exp is None:
+            if self._wide:
+                return self._reduce(gf2x.sqr(a))
+            self._build_tables()
         if a == 0:
             return 0
         return self._exp[(2 * self._log[a]) % self.mult_order]
@@ -127,8 +134,10 @@ class BinaryField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._exp is None and not self._build_tables():
-            return self._inv_euclid(a)
+        if self._exp is None:
+            if self._wide:
+                return self._inv_euclid(a)
+            self._build_tables()
         return self._exp[self.mult_order - self._log[a]]
 
     def _inv_euclid(self, a: int) -> int:
@@ -141,7 +150,7 @@ class BinaryField:
             s0, s1 = s1, s0 ^ gf2x.mul(q, s1)
         if r0 != 1:  # pragma: no cover - modulus is irreducible
             raise InvariantViolationError("gcd with irreducible modulus != 1")
-        return gf2x.mod(s0, self.modulus)
+        return self._reduce(s0)
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -149,16 +158,19 @@ class BinaryField:
                 raise ZeroDivisionError("zero to a negative power")
             return 1 if e == 0 else 0
         e %= self.mult_order
-        if self._exp is None and not self._build_tables():
-            return self._pow_raw(a, e)
+        if self._exp is None:
+            if self._wide:
+                return self._pow_raw(a, e)
+            self._build_tables()
         return self._exp[(self._log[a] * e) % self.mult_order]
 
     def _pow_raw(self, a: int, e: int) -> int:
+        reduce = self._reduce
         result, base = 1, a
         while e:
             if e & 1:
-                result = gf2x.mulmod(result, base, self.modulus)
-            base = gf2x.mod(gf2x.sqr(base), self.modulus)
+                result = reduce(gf2x.mul(result, base))
+            base = reduce(gf2x.sqr(base))
             e >>= 1
         return result
 
@@ -201,8 +213,10 @@ class BinaryField:
 
     def exp(self, i: int) -> int:
         """primitive_element() raised to the i-th power, as an encoding."""
-        if self._exp is None and not self._build_tables():
-            return self.pow(self.primitive_bits(), i)
+        if self._exp is None:
+            if self._wide:
+                return self.pow(self.primitive_bits(), i)
+            self._build_tables()
         return self._exp[i % self.mult_order]
 
     # -- primitive elements and tables ----------------------------------------
@@ -235,7 +249,7 @@ class BinaryField:
         return FieldElement(self, self.primitive_bits())
 
     def _build_tables(self) -> bool:
-        if self.degree > _TABLE_LIMIT:
+        if self._wide:
             return False
         if self._exp is not None:
             return True
@@ -243,7 +257,7 @@ class BinaryField:
         M = self.mult_order
         exp = [0] * (2 * M)
         log = [-1] * self.order
-        modulus, order = self.modulus, self.order
+        modulus, order, reduce = self.modulus, self.order, self._reduce
         cur = 1
         if g == 2:  # multiplication by x is a shift
             for i in range(M):
@@ -256,7 +270,7 @@ class BinaryField:
             for i in range(M):
                 exp[i] = exp[i + M] = cur
                 log[cur] = i
-                cur = gf2x.mulmod(cur, g, modulus)
+                cur = reduce(gf2x.mul(cur, g))
         if cur != 1:  # pragma: no cover
             raise InvariantViolationError("primitive element order mismatch")
         self._exp, self._log = exp, log

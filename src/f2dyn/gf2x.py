@@ -2,13 +2,15 @@
 
 Bit i of the integer is the coefficient of x^i, so 0b100101 encodes
 x^5 + x^2 + 1.  Addition is XOR; these helpers supply the rest of the ring
-structure plus irreducibility testing, which is all the field layer needs,
-and the one integer factorizer the field and curve layers share.
+structure, a reducer built once per modulus, and irreducibility testing,
+which is all the field layer needs, and the one integer factorizer the field
+and curve layers share.
 """
 
 from __future__ import annotations
 
 from math import gcd as _int_gcd, isqrt
+from typing import Callable
 
 # Default moduli for the small degrees: the Conway polynomials, which are
 # primitive and norm-compatible between a field and its subfields, so labels
@@ -35,38 +37,59 @@ def degree(p: int) -> int:
 
 
 def mul(a: int, b: int) -> int:
-    """Carry-less product of two polynomials."""
+    """Carry-less product of two polynomials.
+
+    The shorter operand b is read four bits at a time against a table of the
+    16 multiples of a; below a byte the plain shift-and-add loop is cheaper
+    than building the table.
+    """
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    if b < 256:
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            a <<= 1
+            b >>= 1
+        return r
+    a2 = a << 1
+    a3 = a2 ^ a
+    a4 = a << 2
+    a8 = a << 3
+    a12 = a8 ^ a4
+    table = (0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+             a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3)
     r = 0
+    s = 0
     while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
+        r ^= table[b & 15] << s
+        b >>= 4
+        s += 4
     return r
 
 
 def sqr(a: int) -> int:
-    """Square of a polynomial: coefficients spread to even positions."""
-    r = 0
-    i = 0
-    while a:
-        if a & 1:
-            r |= 1 << (2 * i)
-        a >>= 1
-        i += 1
-    return r
+    """Square of a polynomial: coefficient i moves to position 2i.
+
+    Reading the binary digits of a as base-4 digits does exactly that spread,
+    in one pass of C code.
+    """
+    return int(format(a, "b"), 4)
 
 
 def divmod_(a: int, b: int) -> tuple[int, int]:
     """Quotient and remainder of polynomial division."""
     if b == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    db = degree(b)
+    nb = b.bit_length()
     q = 0
-    while degree(a) >= db:
-        shift = degree(a) - db
+    na = a.bit_length()
+    while na >= nb:
+        shift = na - nb
         q |= 1 << shift
         a ^= b << shift
+        na = a.bit_length()
     return q, a
 
 
@@ -74,10 +97,40 @@ def mod(a: int, b: int) -> int:
     """Remainder of polynomial division."""
     if b == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    db = degree(b)
-    while degree(a) >= db:
-        a ^= b << (degree(a) - db)
+    nb = b.bit_length()
+    na = a.bit_length()
+    while na >= nb:
+        a ^= b << (na - nb)
+        na = a.bit_length()
     return a
+
+
+def reducer(m: int) -> Callable[[int], int]:
+    """A function reducing polynomials modulo m, built once per modulus.
+
+    When m = x^n + r with deg r <= n/2, the part of a above x^n is folded
+    back as hi * r, a XOR of shifted copies of hi (one per term of r); two
+    folds reduce any product of two residues.  Any other m is reduced by
+    mod(), since folding it could take up to n rounds.
+    """
+    n = degree(m)
+    r = m ^ (1 << n)
+    if 2 * degree(r) > n:
+        def reduce(a: int) -> int:
+            return mod(a, m)
+        return reduce
+    mask = (1 << n) - 1
+    shifts = tuple(i for i in range(n) if (r >> i) & 1)
+
+    def fold(a: int) -> int:
+        hi = a >> n
+        while hi:
+            a &= mask
+            for s in shifts:
+                a ^= hi << s
+            hi = a >> n
+        return a
+    return fold
 
 
 def mulmod(a: int, b: int, m: int) -> int:
@@ -101,9 +154,9 @@ def pow_x(e: int, m: int) -> int:
     return result
 
 
-def _frob_iter(t: int, m: int, times: int) -> int:
+def _frob_iter(t: int, reduce: Callable[[int], int], times: int) -> int:
     for _ in range(times):
-        t = mod(sqr(t), m)
+        t = reduce(sqr(t))
     return t
 
 
@@ -216,10 +269,11 @@ def is_irreducible(f: int) -> bool:
     if not f & 1:  # divisible by x
         return False
     x = mod(2, f)
-    if _frob_iter(x, f, n) != x:
+    reduce = reducer(f)
+    if _frob_iter(x, reduce, n) != x:
         return False
     for p in factorize(n):
-        h = _frob_iter(x, f, n // p)
+        h = _frob_iter(x, reduce, n // p)
         if gcd(h ^ x, f) != 1:
             return False
     return True

@@ -262,10 +262,12 @@ def closed_form(a: FieldElement, b: FieldElement, q: int, m: int) -> ClosedFormI
         raise ValueError("coefficient a must be nonzero")
     step = q.bit_length() - 1
     pow_a = a.field.one  # a^(s_t), starting from s_0 = 0
+    pow_b = b  # b^(q^t)
     tail = a.field.zero
-    for t in range(m):
-        tail = tail + pow_a * b.frob(step * t)
+    for _ in range(m):
+        tail = tail + pow_a * pow_b
         pow_a = pow_a.frob(step) * a  # s_(t+1) = q*s_t + 1
+        pow_b = pow_b.frob(step)
     geom = m if q == 1 else (q**m - 1) // (q - 1)
     return ClosedFormIterate(a=a, b=b, q=q, m=m, geom_sum=geom,
                              lead=pow_a, tail=tail)

@@ -38,8 +38,10 @@ def test_element_range_and_equality():
 
 def test_field_axioms_randomized():
     rng = random.Random(11)
-    for degree in (1, 2, 3, 5, 8, 11, 20):
-        f = BinaryField(degree)
+    fields = [BinaryField(n) for n in (1, 2, 3, 5, 8, 11, 17, 20, 32, 64)]
+    fields.append(BinaryField(20, 0x180007))  # deg(modulus - x^20) > 10
+    for f in fields:
+        degree = f.degree
         one, zero = f.one, f.zero
         for _ in range(40):
             a = f.element(rng.randrange(f.order))

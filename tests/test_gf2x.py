@@ -5,7 +5,42 @@ import random
 
 import pytest
 
-from f2dyn import gf2x
+from f2dyn import BinaryField, gf2x
+
+# Irreducible moduli x^n + r with deg r > n/2, which the field reducer hands to
+# gf2x.mod instead of folding.
+DENSE_MODULI = (0x180007, 0x18000000000000049)
+
+
+# -- reference kernels: one coefficient at a time --------------------------------
+
+
+def ref_mul(a, b):
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
+def ref_sqr(a):
+    r = 0
+    i = 0
+    while a:
+        if a & 1:
+            r |= 1 << (2 * i)
+        a >>= 1
+        i += 1
+    return r
+
+
+def ref_mod(a, b):
+    db = gf2x.degree(b)
+    while gf2x.degree(a) >= db:
+        a ^= b << (gf2x.degree(a) - db)
+    return a
 
 
 def test_degree():
@@ -115,3 +150,41 @@ def test_default_modulus_and_smallest_irreducible():
             assert not gf2x.is_irreducible(t)
     with pytest.raises(ValueError):
         gf2x.default_modulus(0)
+
+
+def test_kernels_match_reference():
+    rng = random.Random(4)
+    for _ in range(1500):
+        a = rng.getrandbits(rng.randrange(1, 301))
+        b = rng.getrandbits(rng.randrange(1, 301))
+        assert gf2x.mul(a, b) == ref_mul(a, b)
+        assert gf2x.sqr(a) == ref_sqr(a)
+        if b:
+            r = ref_mod(a, b)
+            assert gf2x.mod(a, b) == r
+            assert gf2x.divmod_(a, b)[1] == r
+
+
+def test_reducer_matches_reference_mod():
+    rng = random.Random(5)
+    # explicit moduli first: default_modulus itself runs on the reducer
+    composite = gf2x.mul(0b111, 0b1011)  # the reducer takes any modulus
+    for m in (composite, 0x1000000000000001B, *DENSE_MODULI):
+        reduce = gf2x.reducer(m)
+        for _ in range(200):
+            a = rng.getrandbits(rng.randrange(1, 4 * gf2x.degree(m)))
+            assert reduce(a) == ref_mod(a, m)
+    for m in DENSE_MODULI:
+        assert gf2x.is_irreducible(m)
+        n = gf2x.degree(m)
+        assert 2 * gf2x.degree(m ^ (1 << n)) > n
+    moduli = [gf2x.default_modulus(n) for n in range(13, 65)]
+    for m in moduli:
+        n = gf2x.degree(m)
+        assert 2 * gf2x.degree(m ^ (1 << n)) <= n  # every default folds
+    for m in moduli + list(DENSE_MODULI):
+        field = BinaryField(gf2x.degree(m), m)
+        for _ in range(40):
+            x, y = rng.getrandbits(field.degree), rng.getrandbits(field.degree)
+            assert field.mul(x, y) == ref_mod(ref_mul(x, y), m)
+            assert field.sqr(x) == ref_mod(ref_sqr(x), m)

@@ -181,16 +181,21 @@ def test_closed_form_first_iterate_and_geometric_sum():
 
 def test_closed_form_matches_naive_iteration():
     rng = random.Random(22)
-    for degree in (3, 4, 5):
+    for degree in (3, 4, 5, 20, 64):
         f = BinaryField(degree)
+        sampled = degree > 5
         for _ in range(12):
             a = f.element(rng.randrange(1, f.order))
             b = f.element(rng.randrange(f.order))
             q = rng.choice((2, 4, 8))
-            m = rng.randrange(1, 11)
+            # past m = n the Frobenius powers b^(q^t) wrap around the degree
+            m = (rng.randrange(degree + 1, 2 * degree) if sampled
+                 else rng.randrange(1, 11))
             it = closed_form(a, b, q, m)
             step = q.bit_length() - 1
-            for bits in range(f.order):
+            sample = ([rng.randrange(f.order) for _ in range(3)] if sampled
+                      else range(f.order))
+            for bits in sample:
                 x = f.element(bits)
                 cur = x
                 for _ in range(m):

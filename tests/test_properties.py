@@ -1,0 +1,67 @@
+"""Property-based checks of the GF(2)[x] kernels and of wide-field reduction."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from f2dyn import BinaryField, gf2x
+from test_gf2x import DENSE_MODULI, ref_mod, ref_mul
+
+polys = st.integers(min_value=0, max_value=(1 << 300) - 1)
+nonzero_polys = st.integers(min_value=1, max_value=(1 << 300) - 1)
+
+# fields above the exp/log table limit: the default moduli of F_2^17, F_2^32
+# and F_2^64 (given explicitly, so that a broken kernel fails a test instead
+# of stalling the modulus search at import), and moduli that reduce through
+# gf2x.mod instead of folding
+DEFAULT_MODULI = (0x20009, 0x10000008D, 0x1000000000000001B)
+WIDE_FIELDS = [BinaryField(gf2x.degree(m), m)
+               for m in DEFAULT_MODULI + DENSE_MODULI]
+
+
+@st.composite
+def field_pairs(draw):
+    field = draw(st.sampled_from(WIDE_FIELDS))
+    elements = st.integers(min_value=0, max_value=field.order - 1)
+    return field, draw(elements), draw(elements)
+
+
+@settings(deadline=None)
+@given(polys, polys, polys)
+def test_mul_is_a_commutative_ring_product(a, b, c):
+    assert gf2x.mul(a, b) == gf2x.mul(b, a)
+    assert gf2x.mul(gf2x.mul(a, b), c) == gf2x.mul(a, gf2x.mul(b, c))
+    assert gf2x.mul(a, b ^ c) == gf2x.mul(a, b) ^ gf2x.mul(a, c)
+
+
+@settings(deadline=None)
+@given(polys)
+def test_sqr_is_mul_by_itself(a):
+    assert gf2x.sqr(a) == gf2x.mul(a, a)
+
+
+@settings(deadline=None)
+@given(polys, nonzero_polys)
+def test_divmod_identity(a, b):
+    q, r = gf2x.divmod_(a, b)
+    assert gf2x.mul(q, b) ^ r == a
+    assert gf2x.degree(r) < gf2x.degree(b)
+
+
+@settings(deadline=None)
+@given(field_pairs())
+def test_wide_field_inverse(pair):
+    field, a, _ = pair
+    if a:
+        assert field.mul(a, field.inv(a)) == 1
+
+
+@settings(deadline=None)
+@given(field_pairs())
+def test_reducer_is_reference_mulmod(pair):
+    field, a, b = pair
+    want = ref_mod(ref_mul(a, b), field.modulus)
+    assert field.mul(a, b) == want
+    assert gf2x.reducer(field.modulus)(ref_mul(a, b)) == want
