@@ -17,10 +17,10 @@ import argparse
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
 from . import selftest as _selftest
-from .conjugacy import (bluher_root_count, fixed_point_count,
+from .conjugacy import (bluher_counts, bluher_distribution,
+                        bluher_root_count, fixed_point_count,
                         solve_conjugation, tau_eval, theta_fixed_points,
                         verify_conjugation)
 from .curves import (catalog_length_sets, curve_from_map, cycle_catalog,
@@ -293,29 +293,28 @@ def _projective_line(field: BinaryField):
 
 
 def run_bluher(cfg: JobConfig) -> str:
+    """Root counts of x^(2^k+1) + x + a: every nonzero a from one image pass
+    (bluher_counts), or the one --a value by root finding."""
     field = _field(cfg)
     if cfg.k < 1:
         raise UsageError("--k must be at least 1")
-    d = gcd(cfg.k, field.degree)
-    sweep = ([parse_element(field, cfg.a)] if cfg.a is not None
-             else [field.element(bits) for bits in range(1, field.order)])
-    histogram: Counter[int] = Counter()
-    per_value: dict[str, int] = {}
-    for a in sweep:
-        if a.is_zero:
-            raise UsageError("a must be nonzero")
-        count = bluher_root_count(a, cfg.k, field)
-        histogram[count] += 1
-        if field.order <= 256 or cfg.a is not None:
-            per_value[point_label(ProjPoint.finite(a))] = count
+    if cfg.a is None:
+        values = range(1, field.order)
+        counts = bluher_counts(cfg.k, field)[1:]
+    else:
+        a = parse_element(field, cfg.a)
+        values = [a.bits]
+        counts = [bluher_root_count(a, cfg.k, field)]
+    histogram = Counter(counts)
     payload = {
         "polynomial": f"x^{(1 << cfg.k) + 1} + x + a",
-        "values_swept": len(sweep),
-        "allowed_counts": sorted({0, 1, 2, (1 << d) + 1}),
+        "values_swept": len(counts),
+        "allowed_counts": sorted(bluher_distribution(cfg.k, field.degree)),
         "histogram": {str(c): n for c, n in sorted(histogram.items())},
     }
-    if per_value:
-        payload["counts"] = per_value
+    if field.order <= 256 or cfg.a is not None:
+        payload["counts"] = {point_label(ProjPoint.finite(field.element(v))): c
+                             for v, c in zip(values, counts)}
     report = AnalysisReport(config=cfg.echo(), root_counts=payload)
     return to_json(report.to_dict()) if cfg.format == "json" else report.to_text()
 

@@ -11,6 +11,7 @@ root counts of x^(2^k+1) + x + a) to the root equation x^(2^k-1) = 1/c.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -29,7 +30,11 @@ from .fields import (
 )
 from .maps import MapSpec, ProjPoint
 
-_VERIFY_LIMIT = 1 << 20  # largest field swept pointwise by verify_conjugation
+# Largest field enumerated point by point (verify_conjugation, bluher_counts).
+_POINT_LIMIT = 1 << 20
+# Largest q = 2^t for which bluher_root_count searches the roots of a degree
+# q + 1 polynomial; t <= n/2 always, so every k is answered up to n = 21.
+_ROOT_Q_LIMIT = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -254,7 +259,7 @@ def verify_conjugation(data: ConjugacyData) -> bool:
     """Pointwise check of psi(tau(x)) = tau(theta_{c,0,k}(x)) over the whole
     projective line of the field of definition."""
     ext = data.embedding.ext
-    if ext.order > _VERIFY_LIMIT:
+    if ext.order > _POINT_LIMIT:
         raise ResourceLimitError(
             f"pointwise verification over 2^{ext.degree} points is out of range")
     tau = TauMap(data)
@@ -299,12 +304,70 @@ def theta_fixed_points(c: FieldElement, k: int,
     return pts
 
 
-def bluher_root_count(a: FieldElement, k: int, field: BinaryField) -> int:
-    """Number of roots of x^(2^k+1) + x + a in the field, by direct scan.
+def bluher_distribution(k: int, n: int) -> dict[int, int]:
+    """Bluher's theorem: how many nonzero a in F_{2^n} give x^(2^k+1) + x + a
+    exactly 0, 1, 2 or Q + 1 roots, where Q = 2^gcd(k, n).
 
-    The count always lands in {0, 1, 2, 2^gcd(k,n) + 1} and equals the number
-    of finite fixed points of the reciprocal map with both coefficients 1/a;
-    both facts are asserted against the scan.
+    With m = n/d (d = gcd(k, n)): N_1 = Q^(m-1) - [m odd],
+    N_{Q+1} = (Q^(m-1) - Q)/(Q^2 - 1) for m even and (Q^(m-1) - 1)/(Q^2 - 1)
+    for m odd, N_2 = (Q - 2)(Q^m - 1)/(2(Q - 1)), and N_0 takes the rest
+    (Bluher, "On x^(q+1) + ax + b", Finite Fields Appl. 10, 2004).  The keys,
+    in order, are the admissible root counts.
+    """
+    if k < 1 or n < 1:
+        raise ValueError("k and n must be positive")
+    d = gcd(k, n)
+    Q, m = 1 << d, n // d
+    if m % 2:
+        n1, nq1 = Q ** (m - 1) - 1, (Q ** (m - 1) - 1) // (Q * Q - 1)
+    else:
+        n1, nq1 = Q ** (m - 1), (Q ** (m - 1) - Q) // (Q * Q - 1)
+    n2 = (Q - 2) * (Q ** m - 1) // (2 * (Q - 1))
+    return {0: (1 << n) - 1 - n1 - n2 - nq1, 1: n1, 2: n2, Q + 1: nq1}
+
+
+def bluher_counts(k: int, field: BinaryField) -> list[int]:
+    """counts[a] = number of roots of x^(2^k+1) + x + a in the field, for every
+    encoding a (a = 0 included), from one pass over x -> x^(2^k+1) + x.
+
+    The pass costs one mul and one frob per point.  Its answers are checked
+    against facts it does not use: x^(2^k+1) + x = x(x + 1)^(2^k) has the
+    two roots 0 and 1, and the histogram over nonzero a is the one Bluher's
+    theorem gives, so every count lies in the admissible set.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    if field.order > _POINT_LIMIT:
+        raise ResourceLimitError(
+            f"a root-count sweep over 2^{field.degree} values is out of range")
+    n = field.degree
+    s = k % n
+    mul, frob = field.mul, field.frob
+    counts = [0] * field.order
+    for x in range(field.order):
+        counts[mul(frob(x, s), x) ^ x] += 1
+    if counts[0] != 2:
+        raise InvariantViolationError(
+            f"x^(2^{k}+1) + x has {counts[0]} roots, not 2 (0 and 1)")
+    theorem = bluher_distribution(k, n)
+    histogram = Counter(counts[1:])
+    if histogram != Counter(theorem):
+        raise InvariantViolationError(
+            f"root-count histogram {dict(sorted(histogram.items()))} differs "
+            f"from Bluher's theorem {theorem}")
+    return counts
+
+
+def bluher_root_count(a: FieldElement, k: int, field: BinaryField) -> int:
+    """Number of roots of x^(2^k+1) + x + a in the field, by root finding.
+
+    On the field x^(2^k) is x^q with q = 2^s, s = k mod n.  When n - s < s
+    the substitution x = y^(2^(n-s)) (a bijection, with x^q = y) turns the
+    polynomial into y^(q'+1) + y^q' + a, q' = 2^(n-s), so the search runs on
+    degree 2^t + 1 with t = min(s, n - s).  The polynomial is separable (at
+    a common root with its derivative x^q + 1, x^q = 1 forces a = 0), so the
+    distinct roots are all of them.  Every root is checked by substitution,
+    and the count must lie in the admissible set {0, 1, 2, 2^gcd(k,n) + 1}.
     """
     if a.field != field:
         raise FieldMismatchError("a lies outside the requested field")
@@ -314,17 +377,22 @@ def bluher_root_count(a: FieldElement, k: int, field: BinaryField) -> int:
         raise ValueError("k must be positive")
     n = field.degree
     s = k % n
-    a_bits = a.bits
-    count = sum(1 for x in range(field.order)
-                if field.mul(field.frob(x, s), x) ^ x ^ a_bits == 0)
-    allowed = {0, 1, 2, (1 << gcd(k, n)) + 1}
-    if count not in allowed:
+    t = min(s, n - s)
+    q = 1 << t
+    if q > _ROOT_Q_LIMIT:
+        raise ResourceLimitError(
+            f"root search on a polynomial of degree 2^{t} + 1 is out of range")
+    coeffs = [a] + [field.zero] * q + [field.one]
+    coeffs[1 if t == s else q] = field.one
+    roots = [r.bits if t == s else field.frob(r.bits, n - s)
+             for r in polynomial_roots(coeffs)]
+    for x in roots:
+        if field.mul(field.frob(x, s), x) ^ x != a.bits:
+            raise InvariantViolationError(
+                f"{x:#x} is not a root of x^(2^{k}+1) + x + {a.hex}")
+    allowed = bluher_distribution(k, n)
+    if len(roots) not in allowed:
         raise InvariantViolationError(
-            f"root count {count} outside the admissible set {sorted(allowed)}")
-    inv = a.inv()
-    psi = MapSpec("psi", inv, inv, k)
-    fixed = sum(1 for x in range(field.order) if psi.eval_int(x) == x)
-    if fixed != count:
-        raise InvariantViolationError(
-            f"{count} polynomial roots but {fixed} finite fixed points")
-    return count
+            f"root count {len(roots)} outside the admissible set "
+            f"{sorted(allowed)}")
+    return len(roots)

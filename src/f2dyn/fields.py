@@ -176,9 +176,16 @@ class BinaryField:
 
     def frob(self, a: int, k: int) -> int:
         """a^(2^k); the exponent only matters modulo the degree."""
-        for _ in range(k % self.degree):
-            a = self.sqr(a)
-        return a
+        k %= self.degree
+        if self._exp is None:
+            if self._wide:
+                for _ in range(k):
+                    a = self.sqr(a)
+                return a
+            self._build_tables()
+        if a == 0:
+            return 0
+        return self._exp[(self._log[a] << k) % self.mult_order]
 
     def sqrt(self, a: int) -> int:
         """The unique square root (squaring is a bijection)."""

@@ -14,9 +14,9 @@ import random
 import time
 from collections import Counter
 
-from .conjugacy import (ConjugacyData, TauMap, bluher_root_count,
-                        fixed_point_count, solve_conjugation,
-                        verify_conjugation)
+from .conjugacy import (ConjugacyData, TauMap, bluher_counts,
+                        bluher_root_count, fixed_point_count,
+                        solve_conjugation, verify_conjugation)
 from .curves import (curve_from_map, cycle_catalog, group_structure, lift_x,
                      point_count, predict_orbit_length, catalog_length_sets)
 from .fields import (BinaryField, ExtensionRootCounter, ResourceLimitError,
@@ -358,7 +358,8 @@ def check_fixed_point_theorem() -> str:
 
 def check_bluher_membership() -> str:
     """Root counts of x^(2^k+1) + x + a over F_{2^n} stay in the allowed set
-    ({0,1,3} when gcd(k,n)=1) and match the reciprocal map's fixed points."""
+    ({0,1,3} when gcd(k,n)=1), and the root finder agrees with the one-pass
+    sweep (whose histogram bluher_counts checks against Bluher's theorem)."""
     histogram: Counter[int] = Counter()
     tested = 0
     for degree in range(1, 9):
@@ -366,10 +367,14 @@ def check_bluher_membership() -> str:
         for k in (1, 2, 3):
             d = math.gcd(k, degree)
             allowed = {0, 1, 2, (1 << d) + 1}
+            sweep = bluher_counts(k, field)
             for abits in range(1, field.order):
                 count = bluher_root_count(field.element(abits), k, field)
                 _require(count in allowed,
                          f"n={degree} k={k} a={abits:#x}: count {count}")
+                _require(count == sweep[abits],
+                         f"n={degree} k={k} a={abits:#x}: root finder "
+                         f"{count}, sweep {sweep[abits]}")
                 if d == 1:
                     _require(count != 2,
                              f"n={degree} k={k} a={abits:#x}: count 2 with "

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: output documents, exit codes, and the
 curve report against the scan oracles."""
 
+import hashlib
 import json
+import time
 
 import pytest
 from test_curves import sampled_group_structure
@@ -180,6 +182,59 @@ def test_bluher_sweep_and_single_value(capsys):
     doc = json.loads(out)
     assert doc["root_counts"]["values_swept"] == 1
     assert doc["root_counts"]["counts"] == {"g^3": 1}
+
+
+# SHA-256 of the stdout the per-a field-scan route printed for these runs;
+# the image pass and the root finder must reproduce every byte.
+BLUHER_DIGESTS = {
+    "--degree 3 --k 2 --format json":
+        "e53014fcf01dee464d23eeaa7f50a2dd15e16fb1341a9e14a28d1d8c49cb9217",
+    "--degree 8 --k 2":
+        "96d989c6adf4b1e75654e89e5648c1c1e6152f4bd2b96b3564346b7193dc9a52",
+    "--degree 8 --k 2 --format json":
+        "fae7af505441bc7385311c45f98a1af07cc57d28f2aaf8512ea02dcfa81194c9",
+    "--degree 9 --k 2":
+        "7651f7cd8780de1eccda7870357a8187ad27ab6a725f1765190448b5e81e2167",
+    "--degree 9 --k 2 --format json":
+        "e32c37c6941925757a1ae67c2115f137a1a55df8e61460ae5048cfa7acec66ca",
+    "--degree 8 --k 3":
+        "b83eb3ddd30b166bb6b4e77551a381b2d9f9aa25fa5db00952d2585951d6ea25",
+    "--degree 9 --a g^5":
+        "d709f96a1b11e4a34bed5fbd7e90a259c586cd711b2356ffaf143560caabb310",
+}
+
+
+def test_bluher_output_is_unchanged(capsys):
+    # the README example, in full
+    code, out, err = invoke(["bluher", "--degree", "3", "--k", "2"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        'input: {"command": "bluher", "degree": 3, "format": "text", "k": 2}\n'
+        "allowed_counts: [0, 1, 2, 3]\n"
+        "counts: {'g^0': 3, 'g^1': 0, 'g^3': 1, 'g^2': 0, 'g^6': 1, "
+        "'g^4': 0, 'g^5': 1}\n"
+        "histogram: {'0': 3, '1': 3, '3': 1}\n"
+        "polynomial: x^5 + x + a\n"
+        "values_swept: 7\n")
+    for args, digest in BLUHER_DIGESTS.items():
+        code, out, err = invoke(["bluher"] + args.split(), capsys)
+        assert (code, err) == (EXIT_OK, ""), args
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+def test_bluher_is_sized_and_reaches_wide_fields(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(["bluher", "--degree", "21"], capsys)
+    assert code == EXIT_RESOURCE and out == ""
+    assert "resource limit" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 1.0
+    for argv, want in ((["--degree", "40", "--a", "g"], {"5": 1}),
+                       (["--degree", "64", "--a", "0x3"], {"2": 1})):
+        start = time.perf_counter()
+        code, out, err = invoke(["bluher", "--format", "json"] + argv, capsys)
+        assert (code, err) == (EXIT_OK, ""), argv
+        assert json.loads(out)["root_counts"]["histogram"] == want
+        assert time.perf_counter() - start < 2.0, argv
 
 
 def test_selftest_quick_passes(capsys):

@@ -1,17 +1,32 @@
 """Conjugating reciprocal maps to theta_{c,0,k} and counting fixed points."""
 
+import math
 import random
+from collections import Counter
 
 import pytest
 
 from f2dyn import (BinaryField, ConjugacyData, MapSpec, ProjPoint,
-                   ResourceLimitError, TauMap, bluher_root_count,
-                   extension_of, fixed_point_count, solve_conjugation,
-                   tau_eval, theta_fixed_points, verify_conjugation)
+                   ResourceLimitError, TauMap, bluher_counts,
+                   bluher_distribution, bluher_root_count, extension_of,
+                   fixed_point_count, solve_conjugation, tau_eval,
+                   theta_fixed_points, verify_conjugation)
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
 PSI = MapSpec("psi", G, G ** 2, 2)
+
+
+def scan_root_count(a, k, field):
+    """Small-field oracle: (roots of x^(2^k+1) + x + a, finite fixed points
+    of psi_{1/a,1/a}), each by scanning the whole field."""
+    s = k % field.degree
+    roots = sum(1 for x in range(field.order)
+                if field.mul(field.frob(x, s), x) ^ x == a.bits)
+    inv = a.inv()
+    psi = MapSpec("psi", inv, inv, k)
+    fixed = sum(1 for x in range(field.order) if psi.eval_int(x) == x)
+    return roots, fixed
 
 
 def line(field):
@@ -146,11 +161,60 @@ def test_bluher_counts_match_direct_root_scan():
                     assert count != 2
 
 
+def test_bluher_root_count_matches_scan_oracle():
+    for n in range(1, 9):
+        f = BinaryField(n)
+        for k in (1, 2, 3):
+            for abits in range(1, f.order):
+                a = f.element(abits)
+                roots, fixed = scan_root_count(a, k, f)
+                assert bluher_root_count(a, k, f) == roots == fixed, (n, k, a)
+
+
+def test_bluher_counts_match_scan_oracle():
+    for n in range(1, 7):
+        f = BinaryField(n)
+        for k in range(1, n + 3):
+            counts = bluher_counts(k, f)
+            assert len(counts) == f.order
+            s = k % n
+            assert counts[0] == sum(1 for x in range(f.order)
+                                    if f.mul(f.frob(x, s), x) == x) == 2
+            for abits in range(1, f.order):
+                a = f.element(abits)
+                assert counts[abits] == scan_root_count(a, k, f)[0], (n, k, a)
+
+
+def test_bluher_counts_follow_bluher_theorem():
+    # hand-counted over F_8 (test_bluher_known_counts_over_f8)
+    assert bluher_distribution(2, 3) == {0: 3, 1: 3, 2: 0, 3: 1}
+    assert bluher_distribution(3, 3) == {0: 4, 1: 0, 2: 3, 9: 0}
+    for n in range(1, 15):
+        f = BinaryField(n)
+        for k in range(1, n + 3):
+            theorem = bluher_distribution(k, n)
+            assert sum(theorem.values()) == f.order - 1
+            assert min(theorem.values()) >= 0
+            if math.gcd(k, n) == 1:
+                assert theorem[2] == 0
+            histogram = Counter(bluher_counts(k, f)[1:])
+            assert histogram == Counter(theorem), (n, k)
+
+
 def test_bluher_validation():
     with pytest.raises(ValueError):
         bluher_root_count(F32.zero, 2, F32)
     with pytest.raises(ValueError):
         bluher_root_count(G, 0, F32)
+    with pytest.raises(ValueError):
+        bluher_counts(0, F32)
+    # the sweep is sized before it allocates; the root search by its degree
+    with pytest.raises(ResourceLimitError):
+        bluher_counts(2, BinaryField(21))
+    f40 = BinaryField(40)
+    with pytest.raises(ResourceLimitError):
+        bluher_root_count(f40.element(2), 25, f40)  # degree 2^15 + 1
+    assert bluher_root_count(f40.element(2), 36, f40) in (0, 1, 2, 5)
 
 
 def test_random_maps_solve_and_verify():

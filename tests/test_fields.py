@@ -60,6 +60,27 @@ def test_field_axioms_randomized():
             assert a.frob(degree) == a
 
 
+def test_frob_matches_repeated_squaring():
+    def squarings(f, a, k):
+        for _ in range(k):
+            a = f.sqr(a)
+        return a
+
+    rng = random.Random(13)
+    fresh = BinaryField(10)  # its exp/log tables are built by the first frob
+    assert fresh._exp is None
+    assert fresh.frob(0x2F5, 3) == squarings(BinaryField(10), 0x2F5, 3)
+    for f, values in ((BinaryField(8), range(256)),
+                      (BinaryField(16),
+                       [0, 1, 2, 0xFFFF] + rng.sample(range(1 << 16), 60)),
+                      (fresh, range(1 << 10)),
+                      (BinaryField(20), [0, 1, 0xBEEF5, 0xFFFFF])):
+        for a in values:
+            for k in range(2 * f.degree + 1):
+                assert f.frob(a, k) == squarings(f, a, k), (f, a, k)
+            assert f.sqr(f.sqrt(a)) == a
+
+
 def test_inverse_of_zero_raises():
     f = BinaryField(5)
     with pytest.raises(ZeroDivisionError):
