@@ -19,9 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import selftest as _selftest
-from .conjugacy import (bluher_counts, bluher_distribution,
+from .conjugacy import (TauMap, bluher_counts, bluher_distribution,
                         bluher_root_count, fixed_point_count,
-                        solve_conjugation, tau_eval, theta_fixed_points,
+                        solve_conjugation, theta_fixed_points,
                         verify_conjugation)
 from .curves import (catalog_length_sets, curve_from_map, cycle_catalog,
                      group_structure)
@@ -279,8 +279,9 @@ def run_conjugate(cfg: JobConfig) -> str:
         source = sorted(theta_fixed_points(data.c, cfg.k, field),
                         key=point_label)
         transcript["normal_form_fixed_points"] = [point_label(p) for p in source]
+        tau = TauMap(data)
         transcript["tau_images"] = {
-            point_label(p): point_label(tau_eval(data, p)) for p in source}
+            point_label(p): point_label(tau.eval(p)) for p in source}
 
     report = AnalysisReport(config=cfg.echo(), conjugacy=transcript)
     return to_json(report.to_dict()) if cfg.format == "json" else report.to_text()
@@ -306,8 +307,10 @@ def run_bluher(cfg: JobConfig) -> str:
         values = [a.bits]
         counts = [bluher_root_count(a, cfg.k, field)]
     histogram = Counter(counts)
+    # past 20 digits the exponent is written symbolically
+    exponent = (1 << cfg.k) + 1 if cfg.k < 64 else f"(2^{cfg.k}+1)"
     payload = {
-        "polynomial": f"x^{(1 << cfg.k) + 1} + x + a",
+        "polynomial": f"x^{exponent} + x + a",
         "values_swept": len(counts),
         "allowed_counts": sorted(bluher_distribution(cfg.k, field.degree)),
         "histogram": {str(c): n for c, n in sorted(histogram.items())},

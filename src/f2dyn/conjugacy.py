@@ -251,10 +251,6 @@ def _check_special_points(data: ConjugacyData) -> None:
                 f"{fixed.hex} should be a fixed point of the reciprocal map")
 
 
-def tau_eval(data: ConjugacyData, x: ProjPoint) -> ProjPoint:
-    return TauMap(data).eval(x)
-
-
 def verify_conjugation(data: ConjugacyData) -> bool:
     """Pointwise check of psi(tau(x)) = tau(theta_{c,0,k}(x)) over the whole
     projective line of the field of definition."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import gf2x
 
@@ -529,23 +529,154 @@ def extension_of(base: BinaryField, relative_degree: int) -> ExtensionEmbedding:
     """Build F_{2^(n*r)} together with an embedding of the degree-n base.
 
     The image of the base generator is the smallest-encoding root of the base
-    modulus inside the extension, so the construction is reproducible.
+    modulus inside the extension, so the construction is reproducible.  The
+    modulus is irreducible over GF(2), so its roots in the extension are the
+    Frobenius orbit rho, rho^2, ..., rho^(2^(n-1)) of any one of them: a
+    single root is split out, and its orbit is checked to be n distinct
+    roots before the smallest is taken.
     """
     if relative_degree < 1:
         raise ValueError("relative degree must be positive")
     if relative_degree == 1:
         return ExtensionEmbedding(base, base, base.gen.bits)
-    ext = BinaryField(base.degree * relative_degree)
-    coeffs = [(base.modulus >> i) & 1 for i in range(base.degree + 1)]
-    roots = _poly_roots_bits(ext, coeffs)
-    if len(roots) != base.degree:  # pragma: no cover
+    n, modulus = base.degree, base.modulus
+    ext = BinaryField(n * relative_degree)
+    ring = _ring(ext)
+    # the modulus divides x^(2^(nr)) - x, so it splits without a gcd
+    rho = _one_root(ring, ring.pack([modulus >> i & 1 for i in range(n + 1)]))
+    orbit = [rho]
+    for _ in range(n - 1):
+        orbit.append(ext.sqr(orbit[-1]))
+    if (len(set(orbit)) != n or ext.sqr(orbit[-1]) != rho
+            or any(_eval_binary(ext, modulus, x) for x in orbit)):
         raise InvariantViolationError("base modulus did not split in extension")
-    return ExtensionEmbedding(base, ext, roots[0])
+    return ExtensionEmbedding(base, ext, min(orbit))
+
+
+def _eval_binary(field: BinaryField, p: int, x: int) -> int:
+    """p(x) for p in GF(2)[x], by Horner's rule."""
+    acc = 0
+    for i in range(gf2x.degree(p), -1, -1):
+        acc = field.mul(acc, x) ^ ((p >> i) & 1)
+    return acc
 
 
 def quadratic_extension(base: BinaryField) -> ExtensionEmbedding:
     """F_{2^(2n)} over F_{2^n}, the setting where every x-coordinate lifts."""
     return extension_of(base, 2)
+
+
+# -- polynomials over a field, packed into ints ---------------------------------
+#
+# A polynomial over F_{2^n} is one int: coefficient i occupies bits
+# [w*i, w*i + w) with w = 2n.  A product of two reduced coefficients has
+# degree below 2n - 1, so it stays inside its slot and the GF(2)[x] kernels
+# act on all coefficients at once: gf2x.sqr squares the whole polynomial
+# (the cross terms cancel in characteristic 2), gf2x.mul(c, p) scales it by
+# the field element c, and gf2x.slot_reducer brings every slot back below
+# x^n.  Slots may stay unreduced between steps; they are reduced before a
+# degree or a leading coefficient is read.
+
+
+class _PolyRing:
+    """Packed polynomials over one field."""
+
+    def __init__(self, field: BinaryField):
+        self.field = field
+        self.width = 2 * field.degree
+        self.reduce_slots = gf2x.slot_reducer(field.modulus)
+
+    def pack(self, coeffs: Sequence[int]) -> int:
+        w = self.width
+        p = 0
+        for i, c in enumerate(coeffs):
+            if c:
+                p |= c << (w * i)
+        return p
+
+    def coefficients(self, p: int) -> list[int]:
+        """The slots of p, little-endian."""
+        w = self.width
+        bits = format(p, "b")
+        bits = bits.zfill(-(-len(bits) // w) * w)
+        return [int(bits[j - w:j], 2) for j in range(len(bits), 0, -w)]
+
+    def degree(self, p: int) -> int:
+        return (p.bit_length() - 1) // self.width
+
+    def monic(self, p: int) -> int:
+        lead = p >> (self.width * self.degree(p))
+        if lead == 1:
+            return p
+        return self.reduce_slots(gf2x.mul(self.field.inv(lead), p))
+
+    def divmod(self, a: int, f: int) -> tuple[int, int]:
+        """Quotient and remainder of a by the monic f, one packed product per
+        step; a may have unreduced slots, the results are reduced."""
+        w = self.width
+        top = w * self.degree(f)
+        tail = f ^ (1 << top)
+        reduce = self.field._reduce
+        q = 0
+        shift = w * ((a.bit_length() - 1) // w)
+        while shift >= top:
+            c = reduce(a >> shift)
+            a &= (1 << shift) - 1
+            if c:
+                q |= c << (shift - top)
+                a ^= gf2x.mul(c, tail) << (shift - top)
+            shift = w * ((a.bit_length() - 1) // w)
+        return q, self.reduce_slots(a)
+
+    def gcd(self, a: int, b: int) -> int:
+        """gcd of two reduced polynomials, monic once b is nonzero."""
+        while b:
+            b = self.monic(b)
+            a, b = b, self.divmod(a, b)[1]
+        return a
+
+    def reducer(self, f: int) -> Callable[[int], int]:
+        """Remainders modulo the monic f, by gf2x.reducer's rule one level up.
+
+        With f = X^d + T and deg T <= d/2, the slots above X^d are folded
+        back as hi * T, twice at most for a square; any other f is divided.
+        A term c*X^i of T costs one packed product, or, when c has at most
+        eight bits set, that many shifts of hi.
+        """
+        w = self.width
+        top = w * self.degree(f)
+        tail = f ^ (1 << top)
+        if 2 * self.degree(tail) > self.degree(f):
+            def divide(a: int) -> int:
+                return self.divmod(a, f)[1]
+            return divide
+        shifts, terms = [], []
+        for i, c in enumerate(self.coefficients(tail)):
+            if 0 < c.bit_count() <= 8:
+                shifts += [w * i + b for b in range(c.bit_length())
+                           if c >> b & 1]
+            elif c:
+                terms.append((c, w * i))
+        mask = (1 << top) - 1
+        reduce_slots = self.reduce_slots
+
+        def fold(a: int) -> int:
+            hi = a >> top
+            while hi:
+                hi = reduce_slots(hi)
+                a &= mask
+                for s in shifts:
+                    a ^= hi << s
+                for c, s in terms:
+                    a ^= gf2x.mul(c, hi) << s
+                hi = a >> top
+            return reduce_slots(a)
+        return fold
+
+
+@functools.lru_cache(maxsize=None)
+def _ring(field: BinaryField) -> _PolyRing:
+    return _PolyRing(field)
 
 
 # -- polynomial roots inside a fixed field ---------------------------------------
@@ -554,118 +685,96 @@ def quadratic_extension(base: BinaryField) -> ExtensionEmbedding:
 # never enumerates the field: it reduces x^(2^m) - x modulo f to keep only
 # roots lying in the field, then splits with trace polynomials Tr(v*x), trying
 # the GF(2)-basis elements v = x^j in order.  Some basis element separates any
-# two distinct roots, so the recursion always terminates.
+# two distinct roots, so the recursion always terminates.  All of it runs on
+# packed polynomials, on the search form of f (_search_form).
 
 
-def _pstrip(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
+def _search_form(ring: _PolyRing,
+                 coeffs: Sequence[int]) -> tuple[bool, int, bool]:
+    """(0 is a root, g, g is reversed) for the polynomial f of coeffs.
+
+    g is monic and packed: f with its factors x removed, or the reciprocal
+    of that when the reciprocal has the shorter tail (and so folds where f
+    would be divided).  The nonzero roots of the reciprocal are the inverses
+    of those of f.
+    """
+    c = list(coeffs)
+    while c and not c[-1]:
         c.pop()
-    return c
+    if not c:
+        raise ValueError("the zero polynomial has every root")
+    v = next(i for i, x in enumerate(c) if x)
+    c = c[v:]
+    d = len(c) - 1
+    reverse = False
+    if d > 0:
+        tail = next(i for i in range(d - 1, -1, -1) if c[i])
+        reverse = d - next(i for i in range(1, d + 1) if c[i]) < tail
+        if reverse:
+            c.reverse()
+    if c[-1] != 1:
+        field = ring.field
+        inv = field.inv(c[-1])
+        c = [field.mul(x, inv) if x else 0 for x in c]
+    return v > 0, ring.pack(c), reverse
 
 
-def _pmonic(field: BinaryField, c: list[int]) -> list[int]:
-    lead = c[-1]
-    if lead == 1:
-        return c
-    ilead = field.inv(lead)
-    return [field.mul(ci, ilead) for ci in c]
+def _trace_factor(ring: _PolyRing, h: int) -> int:
+    """A proper monic factor of h, a product of distinct linear factors.
+
+    The powers X^(2^i) mod h are computed once; each trace polynomial
+    Tr(v*X) = sum of v^(2^i) * X^(2^i) is then n scalar products.
+    """
+    field = ring.field
+    reduce = ring.reducer(h)
+    powers = [1 << ring.width]  # X, reduced since deg h >= 2
+    for _ in range(field.degree - 1):
+        powers.append(reduce(gf2x.sqr(powers[-1])))
+    for j in range(field.degree):
+        acc = 0
+        v = 1 << j
+        for p in powers:
+            acc ^= p if v == 1 else gf2x.mul(v, p)
+            v = field.sqr(v)
+        g = ring.gcd(h, ring.reduce_slots(acc))
+        if 0 < ring.degree(g) < ring.degree(h):
+            return g
+    raise InvariantViolationError(  # pragma: no cover
+        "trace splitting failed on a fully split polynomial")
 
 
-def _pmod(field: BinaryField, a: list[int], b: list[int]) -> list[int]:
-    # b must be monic
-    a = a[:]
-    db = len(b) - 1
-    while len(a) - 1 >= db:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - db
-            for i in range(db):
-                if b[i]:
-                    a[shift + i] ^= field.mul(lead, b[i])
-        a.pop()
-    return _pstrip(a)
-
-def _pgcd(field: BinaryField, a: list[int], b: list[int]) -> list[int]:
-    a, b = _pstrip(a[:]), _pstrip(b[:])
-    while b:
-        b = _pmonic(field, b)
-        a, b = b, _pmod(field, a, b)
-    return a
+def _split(ring: _PolyRing, h: int) -> list[int]:
+    """The roots of h, a monic product of distinct linear factors."""
+    if ring.degree(h) < 2:
+        return [h ^ (1 << ring.width)] if h >> ring.width else []
+    g = _trace_factor(ring, h)
+    return _split(ring, g) + _split(ring, ring.divmod(h, g)[0])
 
 
-def _psqr_mod(field: BinaryField, a: list[int], f: list[int]) -> list[int]:
-    sq = [0] * (2 * len(a) - 1) if a else []
-    for i, c in enumerate(a):
-        if c:
-            sq[2 * i] = field.sqr(c)
-    return _pmod(field, sq, f)
+def _one_root(ring: _PolyRing, h: int) -> int:
+    """One root of h, a monic product of distinct linear factors, following
+    the smaller factor of every split."""
+    while ring.degree(h) > 1:
+        g = _trace_factor(ring, h)
+        other = ring.divmod(h, g)[0]
+        h = g if ring.degree(g) <= ring.degree(other) else other
+    return h ^ (1 << ring.width)
 
 
 def _poly_roots_bits(field: BinaryField, coeffs: Sequence[int]) -> list[int]:
-    f = _pstrip(list(coeffs))
-    if not f:
-        raise ValueError("the zero polynomial has every root")
-    if len(f) == 1:
-        return []
-    f = _pmonic(field, f)
-    # keep only the part of f whose roots lie in this field
-    t = _pmod(field, [0, 1], f)
-    for _ in range(field.degree):
-        t = _psqr_mod(field, t, f)
-    t = t[:]  # t = x^(2^m) mod f; subtract x
-    while len(t) < 2:
-        t.append(0)
-    t[1] ^= 1
-    f = _pgcd(field, f, _pstrip(t))
-    if len(f) <= 1:
-        return []
-    f = _pmonic(field, f)
-
-    roots: list[int] = []
-
-    def split(g: list[int]) -> None:
-        if len(g) == 2:  # monic x + c has root c in characteristic 2
-            roots.append(g[0])
-            return
-        for j in range(field.degree):
-            v = 1 << j
-            u = _pmod(field, [0, v], g)
-            acc = u[:]
-            for _ in range(field.degree - 1):
-                u = _psqr_mod(field, u, g)
-                for i, c in enumerate(u):
-                    if i < len(acc):
-                        acc[i] ^= c
-                    else:
-                        acc.append(c)
-            h = _pgcd(field, g, _pstrip(acc))
-            if 0 < len(h) - 1 < len(g) - 1:
-                h = _pmonic(field, h)
-                split(h)
-                split(_pdiv_exact(field, g, h))
-                return
-        raise InvariantViolationError(  # pragma: no cover
-            "trace splitting failed on a fully split polynomial")
-
-    split(f)
+    ring = _ring(field)
+    zero_root, g, reverse = _search_form(ring, coeffs)
+    roots = [0] if zero_root else []
+    if ring.degree(g) > 0:
+        # keep only the part of g whose roots lie in this field
+        reduce = ring.reducer(g)
+        x = reduce(1 << ring.width)
+        t = x
+        for _ in range(field.degree):
+            t = reduce(gf2x.sqr(t))
+        found = _split(ring, ring.gcd(g, t ^ x))
+        roots += [field.inv(r) for r in found] if reverse else found
     return sorted(roots)
-
-
-def _pdiv_exact(field: BinaryField, a: list[int], b: list[int]) -> list[int]:
-    # exact quotient of monic polynomials
-    a = a[:]
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    while len(a) - 1 >= db:
-        lead = a[-1]
-        shift = len(a) - 1 - db
-        if lead:
-            q[shift] = lead
-            for i in range(db):
-                if b[i]:
-                    a[shift + i] ^= field.mul(lead, b[i])
-        a.pop()
-    return q
 
 
 def polynomial_roots(coeffs: Sequence[FieldElement]) -> list[FieldElement]:
@@ -685,7 +794,8 @@ class ExtensionRootCounter:
     count(r) is the number of distinct roots in F_{2^(n*r)}, computed as
     deg gcd(x^(2^(n*r)) - x, f) over the base field itself -- no extension
     field is ever constructed.  Frobenius powers are cached, so probing
-    r = 1, 2, 3, ... costs n squarings mod f per new step.
+    r = 1, 2, 3, ... costs n squarings mod f per new step.  The search form
+    of f (see _search_form) has the same count, less the root 0.
     """
 
     def __init__(self, coeffs: Sequence[FieldElement]):
@@ -694,29 +804,28 @@ class ExtensionRootCounter:
         self.field = coeffs[0].field
         if any(c.field != self.field for c in coeffs):
             raise FieldMismatchError("polynomial coefficients mix fields")
-        f = _pstrip([c.bits for c in coeffs])
-        if len(f) <= 1:
+        if not any(c.bits for c in coeffs[1:]):
             raise ValueError("the polynomial must have positive degree")
-        self._f = _pmonic(self.field, f)
-        self._power = _pmod(self.field, [0, 1], self._f)  # x^(2^(n*r)) mod f
+        self._ring = ring = _ring(self.field)
+        self._zero_root, self._g, _ = _search_form(
+            ring, [c.bits for c in coeffs])
+        self._reduce = ring.reducer(self._g)
+        self._x = self._reduce(1 << ring.width)
+        self._power = self._x  # x^(2^(n*r)) mod g
         self._r = 0
 
     def count(self, r: int) -> int:
         if r < 1:
             raise ValueError("relative degree must be positive")
         if r < self._r:
-            self._power = _pmod(self.field, [0, 1], self._f)
+            self._power = self._x
             self._r = 0
         while self._r < r:
             for _ in range(self.field.degree):
-                self._power = _psqr_mod(self.field, self._power, self._f)
+                self._power = self._reduce(gf2x.sqr(self._power))
             self._r += 1
-        t = self._power[:]
-        while len(t) < 2:
-            t.append(0)
-        t[1] ^= 1
-        g = _pgcd(self.field, self._f, _pstrip(t))
-        return max(len(g) - 1, 0)
+        h = self._ring.gcd(self._g, self._power ^ self._x)
+        return self._zero_root + self._ring.degree(h)
 
 
 # -- roots of x^N = alpha ----------------------------------------------------------

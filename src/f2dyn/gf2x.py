@@ -2,7 +2,8 @@
 
 Bit i of the integer is the coefficient of x^i, so 0b100101 encodes
 x^5 + x^2 + 1.  Addition is XOR; these helpers supply the rest of the ring
-structure, a reducer built once per modulus, and irreducibility testing,
+structure, a reducer built once per modulus (and its slot-wise form for
+polynomials over F_{2^n} packed into one int), and irreducibility testing,
 which is all the field layer needs, and the one integer factorizer the field
 and curve layers share.
 """
@@ -105,22 +106,32 @@ def mod(a: int, b: int) -> int:
     return a
 
 
+def _fold_shifts(m: int) -> tuple[int, ...] | None:
+    """The exponents of the tail r of m = x^n + r when deg r <= n/2, so that
+    two folds reduce any product of two residues; None for a denser tail,
+    which folding could take up to n rounds to clear."""
+    n = degree(m)
+    r = m ^ (1 << n)
+    if 2 * degree(r) > n:
+        return None
+    return tuple(i for i in range(n) if (r >> i) & 1)
+
+
 def reducer(m: int) -> Callable[[int], int]:
     """A function reducing polynomials modulo m, built once per modulus.
 
     When m = x^n + r with deg r <= n/2, the part of a above x^n is folded
     back as hi * r, a XOR of shifted copies of hi (one per term of r); two
     folds reduce any product of two residues.  Any other m is reduced by
-    mod(), since folding it could take up to n rounds.
+    mod().
     """
     n = degree(m)
-    r = m ^ (1 << n)
-    if 2 * degree(r) > n:
+    shifts = _fold_shifts(m)
+    if shifts is None:
         def reduce(a: int) -> int:
             return mod(a, m)
         return reduce
     mask = (1 << n) - 1
-    shifts = tuple(i for i in range(n) if (r >> i) & 1)
 
     def fold(a: int) -> int:
         hi = a >> n
@@ -131,6 +142,53 @@ def reducer(m: int) -> Callable[[int], int]:
             hi = a >> n
         return a
     return fold
+
+
+def slot_reducer(m: int) -> Callable[[int], int]:
+    """A function reducing every slot of a packed int modulo m, all at once.
+
+    With n = deg m, slot i is bits [2n*i, 2n*i + 2n) and may hold any
+    polynomial of degree below 2n, such as a product of two residues; this
+    is how fields.py packs a polynomial over F_{2^n}.  The rule is
+    reducer()'s: a sparse tail r is folded, the high halves of all slots
+    shifted back once per term of r.  Any other m is divided by Barrett's
+    method, exact over GF(2): with mu = x^(2n) div m, every slot's quotient
+    is (hi * mu) div x^n, so two packed products stand for the n - 1 steps
+    of long division.
+    """
+    n = degree(m)
+    width = 2 * n
+    shifts = _fold_shifts(m)
+    low = cover = 0  # bits [0, n) of every slot, over the widest argument
+
+    def widen(bits: int) -> int:
+        nonlocal low, cover
+        slots = 2 * (bits // width + 1)
+        unit = ((1 << (width * slots)) - 1) // ((1 << width) - 1)
+        low, cover = unit * ((1 << n) - 1), width * slots
+        return low
+
+    def fold(a: int) -> int:
+        lo = low if a.bit_length() <= cover else widen(a.bit_length())
+        hi = (a >> n) & lo
+        while hi:
+            a &= lo
+            for s in shifts:
+                a ^= hi << s
+            hi = (a >> n) & lo
+        return a
+
+    if shifts is not None:
+        return fold
+    mu = divmod_(1 << width, m)[0]
+
+    def divide(a: int) -> int:
+        lo = low if a.bit_length() <= cover else widen(a.bit_length())
+        hi = (a >> n) & lo
+        if not hi:
+            return a
+        return a ^ mul((mul(hi, mu) >> n) & lo, m)
+    return divide
 
 
 def mulmod(a: int, b: int, m: int) -> int:

@@ -10,12 +10,12 @@ from collections import Counter
 import conftest
 
 from f2dyn import (BinaryField, ConjugacyData, ExtensionRootCounter, MapSpec,
-                   ProjPoint, QuarticReduction, SubsetXorSolver,
+                   ProjPoint, QuarticReduction, SubsetXorSolver, TauMap,
                    bluher_root_count, catalog_length_sets, closed_form,
                    curve_from_map, cycle_catalog, extension_of,
                    fixed_point_count, group_structure, lift_x, point_count,
                    polynomial_roots, predict_orbit_length, reduce_to_quartic,
-                   solve_conjugation, tau_eval, verify_conjugation)
+                   solve_conjugation, verify_conjugation)
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
@@ -154,10 +154,10 @@ def test_criterion_4_conjugation_worked_example():
         assert psi.eval(ProjPoint.infinity(F32)) != ProjPoint.infinity(F32)
         assert fixed == {ProjPoint.finite(G ** 14), ProjPoint.finite(G ** 24),
                          ProjPoint.finite(G ** 28)}
-        assert tau_eval(data, ProjPoint.finite(F32.zero)) \
+        tau = TauMap(data)
+        assert tau.eval(ProjPoint.finite(F32.zero)) \
             == ProjPoint.finite(G ** 24)
-        assert tau_eval(data, ProjPoint.infinity(F32)) \
-            == ProjPoint.finite(G ** 28)
+        assert tau.eval(ProjPoint.infinity(F32)) == ProjPoint.finite(G ** 28)
         curve = curve_from_map(G ** 12, F32.zero)
         assert (curve.a1, curve.a2) == (G ** 25, F32.zero)
         gs = group_structure(curve)

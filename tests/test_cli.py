@@ -237,6 +237,20 @@ def test_bluher_is_sized_and_reaches_wide_fields(capsys):
         assert time.perf_counter() - start < 2.0, argv
 
 
+def test_bluher_label_of_a_huge_exponent(capsys):
+    # 2^63 + 1 still has 19 decimal digits; from k = 64 on the exponent is
+    # symbolic, so a k of thousands of bits neither floods the output nor
+    # hits Python's limit on int-to-string conversion
+    for k, label in ((63, "x^9223372036854775809 + x + a"),
+                     (64, "x^(2^64+1) + x + a"),
+                     (20000, "x^(2^20000+1) + x + a")):
+        for extra in ([], ["--a", "g"]):
+            code, out, err = invoke(["bluher", "--degree", "3", "--k", str(k),
+                                     "--format", "json"] + extra, capsys)
+            assert (code, err) == (EXIT_OK, ""), (k, extra)
+            assert json.loads(out)["root_counts"]["polynomial"] == label
+
+
 def test_selftest_quick_passes(capsys):
     code, out, _ = invoke(["selftest", "--quick"], capsys)
     assert code == EXIT_OK

@@ -15,11 +15,12 @@ import pytest
 
 from f2dyn import (BinaryField, CurvePoint, CurveSpec, ExtensionEmbedding,
                    FieldMismatchError, GroupStructure, LinearizedPoly,
-                   MapSpec, ProjPoint, catalog_length_sets, curve_from_map,
-                   cycle_catalog, divisors, duplication_x, euler_phi,
-                   extension_of, group_structure, half_multiple_relation,
-                   lift_x, map_coefficients, point_count,
-                   predict_orbit_length, quadratic_extension, scalar_mul)
+                   MapSpec, ProjPoint, SubsetXorSolver, catalog_length_sets,
+                   curve_from_map, cycle_catalog, divisors, duplication_x,
+                   euler_phi, extension_of, fields, group_structure,
+                   half_multiple_relation, lift_x, map_coefficients,
+                   point_count, predict_orbit_length, quadratic_extension,
+                   scalar_mul)
 from f2dyn.gf2x import factorize
 
 F32 = BinaryField(5)
@@ -297,7 +298,8 @@ def test_group_shape_matches_sampled_exponent():
 def test_weil_relation_beyond_scan_sizes():
     rng = random.Random(38)
     for degree in (24, 32, 48, 64):
-        base, emb = subfield_tower(degree)
+        base = BinaryField(degree)
+        emb = extension_of(base, 2)
         q = base.order
         curve = random_curve(rng, base)
         t = q + 1 - point_count(curve)
@@ -306,15 +308,45 @@ def test_weil_relation_beyond_scan_sizes():
 
 
 def test_catalog_over_degree_64_extension():
-    # the embedding is built by linear algebra, outside the timed call: the
-    # canonical one is a root search in F_2^64, a cost of the field layer
-    base, emb = subfield_tower(32)
+    # the embedding is a cost of the field layer, timed on its own below
+    base = BinaryField(32)
+    emb = extension_of(base, 2)
     curve = random_curve(random.Random(39), base).extended(emb)
     start = time.perf_counter()
     gs = group_structure(curve)
     catalog = cycle_catalog(gs)
     assert time.perf_counter() - start < 2.0
     assert sum(e.point_count for e in catalog) == gs.order
+
+
+def test_canonical_embedding_against_subfield_tower():
+    fields.extension_of.cache_clear()
+    fields._ring.cache_clear()
+    start = time.perf_counter()
+    extension_of(BinaryField(32), 2)
+    assert time.perf_counter() - start < 0.5
+    rng = random.Random(40)
+    for n in (32, 64):
+        base = BinaryField(n)
+        emb = extension_of(base, 2)
+        # the tower embeds a differently presented F_2^n by linear algebra
+        # alone, so its image is the subfield found without root finding
+        _, tower = subfield_tower(n)
+        assert tower.ext == emb.ext
+        subfield = SubsetXorSolver([tower.embed_bits(1 << i)
+                                    for i in range(n)])
+        root = emb.image_of_root
+        value = emb.ext.zero
+        for i in range(n, -1, -1):
+            value = value * root + (emb.ext.one if base.modulus >> i & 1
+                                    else emb.ext.zero)
+        assert value.is_zero
+        for _ in range(20):
+            x = base.element(rng.randrange(base.order))
+            y = base.element(rng.randrange(base.order))
+            assert emb(x + y) == emb(x) + emb(y)
+            assert emb(x * y) == emb(x) * emb(y)
+            assert subfield.solve(emb(x).bits) is not None
 
 
 def test_group_structure_known_values():

@@ -7,9 +7,125 @@ import pytest
 
 from f2dyn import (BinaryField, ExtensionRootCounter, FieldMismatchError,
                    LinearizedPoly, ResourceLimitError, SubsetXorSolver,
-                   extension_of, nth_roots, polynomial_roots,
+                   extension_of, fields, gf2x, nth_roots, polynomial_roots,
                    quadratic_extension)
 from f2dyn.gf2x import CONWAY_POLYNOMIALS
+
+
+# -- reference root search: coefficient lists, one field.mul per product ------
+#
+# Coefficient lists are little-endian; b in ref_pmod and both arguments of
+# ref_pdiv_exact must be monic.
+
+
+def ref_strip(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def ref_monic(field, c):
+    lead = c[-1]
+    if lead == 1:
+        return c
+    ilead = field.inv(lead)
+    return [field.mul(ci, ilead) for ci in c]
+
+
+def ref_pmod(field, a, b):
+    a = a[:]
+    db = len(b) - 1
+    while len(a) - 1 >= db:
+        lead = a[-1]
+        if lead:
+            shift = len(a) - 1 - db
+            for i in range(db):
+                if b[i]:
+                    a[shift + i] ^= field.mul(lead, b[i])
+        a.pop()
+    return ref_strip(a)
+
+
+def ref_pgcd(field, a, b):
+    a, b = ref_strip(a[:]), ref_strip(b[:])
+    while b:
+        b = ref_monic(field, b)
+        a, b = b, ref_pmod(field, a, b)
+    return a
+
+
+def ref_psqr_mod(field, a, f):
+    sq = [0] * (2 * len(a) - 1) if a else []
+    for i, c in enumerate(a):
+        if c:
+            sq[2 * i] = field.sqr(c)
+    return ref_pmod(field, sq, f)
+
+
+def ref_pdiv_exact(field, a, b):
+    a = a[:]
+    db = len(b) - 1
+    q = [0] * (len(a) - db)
+    while len(a) - 1 >= db:
+        lead = a[-1]
+        shift = len(a) - 1 - db
+        if lead:
+            q[shift] = lead
+            for i in range(db):
+                if b[i]:
+                    a[shift + i] ^= field.mul(lead, b[i])
+        a.pop()
+    return q
+
+
+def ref_frobenius_gcd(field, f, times):
+    """gcd(f, x^(2^times) - x) for the monic f."""
+    t = ref_pmod(field, [0, 1], f)
+    for _ in range(times):
+        t = ref_psqr_mod(field, t, f)
+    t = t + [0] * (2 - len(t))
+    t[1] ^= 1
+    return ref_pgcd(field, f, ref_strip(t))
+
+
+def ref_poly_roots(field, coeffs):
+    """Sorted roots in the field: x^(2^n) - x keeps the roots lying there,
+    trace polynomials Tr(x^j * x) split them."""
+    f = ref_strip(list(coeffs))
+    if len(f) <= 1:
+        return []
+    f = ref_frobenius_gcd(field, ref_monic(field, f), field.degree)
+    if len(f) <= 1:
+        return []
+    roots = []
+
+    def split(g):
+        if len(g) == 2:
+            roots.append(g[0])
+            return
+        for j in range(field.degree):
+            u = ref_pmod(field, [0, 1 << j], g)
+            acc = u[:]
+            for _ in range(field.degree - 1):
+                u = ref_psqr_mod(field, u, g)
+                acc = [x ^ y for x, y in
+                       zip(acc + [0] * len(u), u + [0] * len(acc))]
+            h = ref_pgcd(field, g, ref_strip(acc))
+            if 0 < len(h) - 1 < len(g) - 1:
+                h = ref_monic(field, h)
+                split(h)
+                split(ref_pdiv_exact(field, g, h))
+                return
+        raise AssertionError("trace splitting failed")
+
+    split(ref_monic(field, f))
+    return sorted(roots)
+
+
+def ref_root_count(field, coeffs, r):
+    """Distinct roots in F_2^(n*r), as deg gcd(f, x^(2^(n*r)) - x)."""
+    f = ref_monic(field, ref_strip(list(coeffs)))
+    return max(len(ref_frobenius_gcd(field, f, field.degree * r)) - 1, 0)
 
 
 def test_construction_defaults_and_validation():
@@ -288,3 +404,94 @@ def test_extension_root_counter_matches_explicit_roots():
                 [c.bits for c in coeffs], r)
         # asking for a smaller degree again restarts cleanly
         assert counter.count(1) == len(polynomial_roots(coeffs))
+
+
+# -- the packed root search against the reference ------------------------------
+
+# table fields (the Conway moduli of F_2^6, F_2^10 and F_2^12 have dense
+# tails), wide fields with sparse default moduli, and dense wide moduli
+ROOT_SEARCH_FIELDS = ([BinaryField(n) for n in range(4, 13)]
+                      + [BinaryField(17), BinaryField(32), BinaryField(64),
+                         BinaryField(20, 0x180007),
+                         BinaryField(64, 0x18000000000000049)])
+
+
+def poly_from_roots(field, roots):
+    """Little-endian coefficients of the monic product of the x - r."""
+    c = [1]
+    for r in roots:
+        c = [0] + c
+        for i in range(len(c) - 1):
+            c[i] ^= field.mul(r, c[i + 1])
+    return c
+
+
+def root_search_cases(field, rng):
+    """(path, coefficients): the path the packed search must take, or None
+    for random polynomials."""
+    def el():
+        return rng.randrange(1, field.order)
+    roots = [el() for _ in range(3)]
+    yield "fold", [el(), el(), 0, 0, 0, 1]             # tail of degree 1
+    yield "divide", [el(), el(), el(), 0, el(), el()]  # degree 4 both ways
+    yield "reciprocal", [el(), 0, 0, 0, el(), el()]    # reversed: degree 1
+    yield None, [0, 0] + poly_from_roots(field, roots[:2])       # f(0) = 0
+    yield None, poly_from_roots(field, roots + roots[:2] + roots[:1])
+    yield None, poly_from_roots(field, [el() for _ in range(6)])
+    for _ in range(4):
+        yield None, [rng.randrange(field.order)
+                     for _ in range(rng.randrange(2, 9))]
+
+
+def test_packed_root_search_matches_reference():
+    rng = random.Random(17)
+    for field in ROOT_SEARCH_FIELDS:
+        ring = fields._ring(field)
+        for path, coeffs in root_search_cases(field, rng):
+            if not any(coeffs[1:]):
+                continue
+            case = (field, path, coeffs)
+            zero_root, g, reverse = fields._search_form(ring, coeffs)
+            assert zero_root == (coeffs[0] == 0), case
+            if path is not None:
+                assert reverse == (path == "reciprocal"), case
+                kind = "divide" if path == "divide" else "fold"
+                assert ring.reducer(g).__name__ == kind, case
+            assert fields._poly_roots_bits(field, coeffs) \
+                == ref_poly_roots(field, coeffs), case
+            counter = ExtensionRootCounter([field.element(c) for c in coeffs])
+            for r in (1, 2, 3, 1):
+                assert counter.count(r) == ref_root_count(field, coeffs, r), \
+                    (case, r)
+
+
+def test_packed_ring_divides_and_reduces():
+    rng = random.Random(18)
+    for field in ROOT_SEARCH_FIELDS:
+        ring = fields._ring(field)
+        for _ in range(5):
+            b = ref_monic(field, [rng.randrange(field.order)
+                                  for _ in range(rng.randrange(1, 6))]
+                          + [rng.randrange(1, field.order)])
+            a = [rng.randrange(field.order) for _ in range(rng.randrange(12))]
+            q, r = ring.divmod(ring.pack(a), ring.pack(b))
+            assert ring.pack(ref_pmod(field, a, b)) == r
+            # a = q*b + r, with q*b multiplied out coefficient by coefficient
+            qb = [0] * (len(b) + max(ring.degree(q), 0))
+            for i, qi in enumerate(ring.coefficients(q)):
+                for j, bj in enumerate(b):
+                    qb[i + j] ^= field.mul(qi, bj)
+            assert ring.pack(qb) ^ r == ring.pack(a)
+            square = ring.pack(ref_psqr_mod(field, a, b))
+            assert ring.reducer(ring.pack(b))(gf2x.sqr(ring.pack(a))) == square
+
+
+def test_embedding_is_the_smallest_reference_root():
+    for n, r in [(n, 2) for n in range(2, 13)] + [(3, 3), (4, 3), (5, 3),
+                                                  (8, 3), (6, 4)]:
+        base = BinaryField(n)
+        emb = extension_of(base, r)
+        coeffs = [(base.modulus >> i) & 1 for i in range(n + 1)]
+        roots = ref_poly_roots(emb.ext, coeffs)
+        assert len(roots) == n
+        assert emb.image_of_root.bits == roots[0], (n, r)

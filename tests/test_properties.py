@@ -1,4 +1,5 @@
-"""Property-based checks of the GF(2)[x] kernels and of wide-field reduction."""
+"""Property-based checks of the GF(2)[x] kernels and of wide-field and
+slot-wise reduction."""
 
 import pytest
 
@@ -6,7 +7,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from f2dyn import BinaryField, gf2x
+from f2dyn import BinaryField, fields, gf2x
 from test_gf2x import DENSE_MODULI, ref_mod, ref_mul
 
 polys = st.integers(min_value=0, max_value=(1 << 300) - 1)
@@ -65,3 +66,27 @@ def test_reducer_is_reference_mulmod(pair):
     want = ref_mod(ref_mul(a, b), field.modulus)
     assert field.mul(a, b) == want
     assert gf2x.reducer(field.modulus)(ref_mul(a, b)) == want
+
+
+# slot-wise reduction folds or divides by the same rule as the field: the
+# Conway moduli of F_2^6, F_2^10 and F_2^12 divide, those of F_2^4 and F_2^8
+# fold
+SLOT_FIELDS = WIDE_FIELDS + [BinaryField(n) for n in (4, 6, 8, 10, 12)]
+
+
+@st.composite
+def packed_slots(draw):
+    field = draw(st.sampled_from(SLOT_FIELDS))
+    full = st.integers(min_value=0, max_value=(1 << 2 * field.degree) - 1)
+    return field, draw(st.lists(full, max_size=40))
+
+
+@settings(deadline=None)
+@given(packed_slots())
+def test_slot_reduction_is_per_coefficient_reduction(case):
+    field, slots = case
+    w = 2 * field.degree
+    packed = sum(v << (w * i) for i, v in enumerate(slots))
+    want = sum(field._reduce(v) << (w * i) for i, v in enumerate(slots))
+    # the ring's reducer persists across examples, so its masks grow
+    assert fields._ring(field).reduce_slots(packed) == want
