@@ -18,7 +18,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 
-from . import selftest as _selftest
 from .conjugacy import (TauMap, bluher_counts, bluher_distribution,
                         bluher_root_count, fixed_point_count,
                         solve_conjugation, theta_fixed_points,
@@ -44,7 +43,7 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class JobConfig:
-    """One CLI invocation, normalized; to_args/from_args round-trip."""
+    """One CLI invocation, normalized from the parsed arguments."""
 
     command: str
     degree: int = 0
@@ -69,19 +68,6 @@ class JobConfig:
             format=getattr(args, "format", "text"),
             quick=getattr(args, "quick", False),
         )
-
-    def to_args(self) -> list[str]:
-        if self.command == "selftest":
-            return ["selftest"] + (["--quick"] if self.quick else [])
-        out = [self.command, "--degree", str(self.degree)]
-        if self.modulus is not None:
-            out += ["--modulus", f"{self.modulus:#x}"]
-        if self.command in ("orbits", "curve", "conjugate"):
-            out += ["--map", self.map_kind, "--a", self.a, "--b", self.b]
-        elif self.a is not None:
-            out += ["--a", self.a]
-        out += ["--k", str(self.k), "--format", self.format]
-        return out
 
     def echo(self) -> dict:
         out = {"command": self.command, "degree": self.degree,
@@ -390,7 +376,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cfg = JobConfig.from_args(args)
     if cfg.command == "selftest":
-        return _selftest.run(quick=cfg.quick)
+        from . import selftest  # only this command pays for its import
+        return selftest.run(quick=cfg.quick)
     try:
         sys.stdout.write(run(cfg))
     except UsageError as exc:

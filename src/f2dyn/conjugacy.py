@@ -158,10 +158,10 @@ def _candidate_degrees(map: MapSpec, bound: int):
     """
     base = map.field
     k = map.k
-    q = 1 << k
-    if q * q > 4096:
+    if k > 6:  # q^2 > 4096, tested before q = 2^k is built
         yield from range(1, bound + 1)
         return
+    q = 1 << k
     a, b, one, zero = map.a, map.b, base.one, base.zero
     p_coeffs = [a] + [zero] * (q - 1) + [b, one]
     # nonzero roots of v(x) = a*x^(q^2) + b*x^q + x are roots of this
@@ -270,8 +270,8 @@ def fixed_point_count(c: FieldElement, k: int, m: int) -> int:
     """Number of fixed points on P^1(F_{2^m}) of a reciprocal map whose
     conjugation constant is c, when the conjugacy data lies in F_{2^m} itself.
 
-    With d = gcd(2^k - 1, 2^m - 1): exactly 2 fixed points when
-    (1/c)^((2^m-1)/d) != 1, and d + 2 when it equals 1.
+    With d = gcd(2^k - 1, 2^m - 1) = 2^gcd(k, m) - 1: exactly 2 fixed points
+    when (1/c)^((2^m-1)/d) != 1, and d + 2 when it equals 1.
     """
     if k < 1 or m < 1:
         raise ValueError("k and m must be positive")
@@ -281,14 +281,15 @@ def fixed_point_count(c: FieldElement, k: int, m: int) -> int:
         raise ValueError(
             f"c lies in F_2^{c.field.degree}, but the count is over F_2^{m}; "
             "the formula requires the conjugacy data inside that field")
-    d = gcd(2**k - 1, 2**m - 1)
-    return 2 if c.inv() ** ((2**m - 1) // d) != c.field.one else d + 2
+    d = (1 << gcd(k, m)) - 1
+    return 2 if c.inv() ** (((1 << m) - 1) // d) != c.field.one else d + 2
 
 
 def theta_fixed_points(c: FieldElement, k: int,
                        field: BinaryField) -> set[ProjPoint]:
     """Fixed points of theta_{c,0,k} on P^1: always 0 and infinity, plus the
-    solutions of x^(2^k - 1) = 1/c."""
+    solutions of x^(2^k - 1) = 1/c.  Nonzero x satisfy x^M = 1 with
+    M = 2^n - 1, so the exponent is taken mod M (M itself for residue 0)."""
     if c.field != field:
         raise FieldMismatchError("c lies outside the requested field")
     if c.is_zero:
@@ -296,7 +297,9 @@ def theta_fixed_points(c: FieldElement, k: int,
     if k < 1:
         raise ValueError("k must be positive")
     pts = {ProjPoint.finite(field.zero), ProjPoint.infinity(field)}
-    pts.update(ProjPoint.finite(x) for x in nth_roots(c.inv(), 2**k - 1))
+    M = field.mult_order
+    e = (pow(2, k, M) - 1) % M or M
+    pts.update(ProjPoint.finite(x) for x in nth_roots(c.inv(), e))
     return pts
 
 

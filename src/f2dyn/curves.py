@@ -311,26 +311,6 @@ def _divisor_phis(m: int) -> dict[int, int]:
     return out
 
 
-def divisors(m: int) -> list[int]:
-    """All positive divisors, ascending."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    out = [1]
-    for p, e in factorize(m).items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
-def euler_phi(m: int) -> int:
-    """Euler's totient from the prime factorization."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    out = m
-    for p in factorize(m):
-        out = out // p * (p - 1)
-    return out
-
-
 def group_structure(curve: CurveSpec,
                     field: BinaryField | None = None) -> GroupStructure:
     """Compute (order, n1, n2) with E(field) = Z/n1 x Z/n2 and n1 | n2.

@@ -236,18 +236,12 @@ class ClosedFormIterate:
     b: FieldElement
     q: int
     m: int
-    geom_sum: int
     lead: FieldElement
     tail: FieldElement
 
     def eval(self, x: FieldElement) -> FieldElement:
         step = self.q.bit_length() - 1
         return self.lead * x.frob(step * self.m) + self.tail
-
-    def eval_point(self, p: ProjPoint) -> ProjPoint:
-        if p.is_infinity:
-            return p
-        return ProjPoint.finite(self.eval(p.value))
 
 
 def closed_form(a: FieldElement, b: FieldElement, q: int, m: int) -> ClosedFormIterate:
@@ -268,9 +262,7 @@ def closed_form(a: FieldElement, b: FieldElement, q: int, m: int) -> ClosedFormI
         tail = tail + pow_a * pow_b
         pow_a = pow_a.frob(step) * a  # s_(t+1) = q*s_t + 1
         pow_b = pow_b.frob(step)
-    geom = m if q == 1 else (q**m - 1) // (q - 1)
-    return ClosedFormIterate(a=a, b=b, q=q, m=m, geom_sum=geom,
-                             lead=pow_a, tail=tail)
+    return ClosedFormIterate(a=a, b=b, q=q, m=m, lead=pow_a, tail=tail)
 
 
 # -- reduction of theta_{a,b,k} to an iterated quartic map -------------------------

@@ -1,371 +1,31 @@
-"""Acceptance gate: each test re-derives one headline result independently,
-enforces its time budget, and records one PASS/FAIL line in the run summary.
+"""Acceptance gate: one test per check of f2dyn.selftest.CHECKS, the table
+that `f2dyn selftest` runs.  selftest.judge times each check against its
+budget; the test records one `criterion N: PASS/FAIL (...)` line in the run
+summary and fails with the check's message.
 """
-
-import math
-import random
-import time
-from collections import Counter
 
 import conftest
 
-from f2dyn import (BinaryField, ConjugacyData, ExtensionRootCounter, MapSpec,
-                   ProjPoint, QuarticReduction, SubsetXorSolver, TauMap,
-                   bluher_root_count, catalog_length_sets, closed_form,
-                   curve_from_map, cycle_catalog, extension_of,
-                   fixed_point_count, group_structure, lift_x, point_count,
-                   polynomial_roots, predict_orbit_length, reduce_to_quartic,
-                   solve_conjugation, verify_conjugation)
-
-F32 = BinaryField(5)
-G = F32.primitive_element()
+from f2dyn import selftest
 
 
-class Criterion:
-    """Times a criterion body, appends `criterion N: PASS/FAIL (...)` to the
-    terminal summary, and fails the test when the budget is exceeded."""
-
-    def __init__(self, number: int, budget: float):
-        self.number = number
-        self.budget = budget
-        self.detail = ""
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self.start
-        ok = exc_type is None and elapsed <= self.budget
-        line = (f"criterion {self.number}: {'PASS' if ok else 'FAIL'} "
-                f"({elapsed:.2f}s / {self.budget:.0f}s budget)"
-                + (f" {self.detail}" if self.detail else ""))
+def _criterion_test(number, title, fn, budget):
+    def test():
+        verdict = selftest.judge(fn, budget)
+        line = (f"criterion {number}: {'PASS' if verdict.ok else 'FAIL'} "
+                f"({verdict.elapsed:.2f}s / {budget:.0f}s budget) "
+                f"{verdict.detail}")
         conftest.ACCEPTANCE_LINES.append(line)
         print(line)
-        if exc_type is None and not ok:
-            raise AssertionError(f"time budget exceeded: {line}")
-        return False
+        if not verdict.ok:
+            raise AssertionError(line) from verdict.error
+
+    test.__doc__ = title
+    return test
 
 
-def exps(cycle):
-    out = []
-    for p in cycle:
-        if p.is_infinity:
-            out.append("inf")
-        elif p.value.is_zero:
-            out.append("0")
-        else:
-            out.append(p.value.log())
-    return out
-
-
-def test_criterion_1_quartic_cycle_figure():
-    with Criterion(1, 1.0) as c:
-        # spot checks of the defining arithmetic
-        assert G + G ** 3 == G ** 6
-        assert G ** 25 + G ** 3 == G ** 10
-        mp = MapSpec("theta", G, G ** 3, 2)
-        # manual orbit walk from g^0 using only field operations
-        seen, x = [], F32.one
-        for _ in range(10):
-            seen.append(x)
-            x = G * x.frob(2) + G ** 3
-        assert x == F32.one and seen[1] == G ** 6 and seen[2] == G ** 10
-        figure = [exps(cyc) for cyc in mp.cycle_structure().cycles]
-        assert figure == [
-            [0, 6, 10, 25, 5, 4, 16, "0", 3, 7],
-            [1, 8, 20, 12, 27, 17, 13, 14, 15, 9],
-            [2, 30, 24, 21, 11, 22, 18, 23, 29, 28],
-            [19, 26],
-            ["inf"],
-        ]
-        assert mp.eval(ProjPoint.finite(G ** 19)) == ProjPoint.finite(G ** 26)
-        assert mp.eval(ProjPoint.finite(G ** 26)) == ProjPoint.finite(G ** 19)
-        inf = ProjPoint.infinity(F32)
-        assert mp.eval(inf) == inf
-        c.detail = ("five cycles exact, 2-cycle g^19<->g^26, "
-                    "infinity fixed, spot checks hold")
-
-
-def test_criterion_2_point_counts_and_catalog():
-    with Criterion(2, 5.0) as c:
-        curve = curve_from_map(G, G ** 3)
-        big = BinaryField(10)
-        assert point_count(curve) == 41
-        assert point_count(curve, field=big) == 1025
-        gs = group_structure(curve)
-        assert (gs.n1, gs.n2) == (1, 41)
-        by_orders = {(e.m1, e.m2): e for e in cycle_catalog(gs)}
-        top = by_orders[(1, 41)]
-        assert (top.d1, top.d2) == (1, 1)
-        assert top.point_count == 40
-        assert top.length == 10 and top.cycle_count == 2
-        gs2 = group_structure(curve, field=big)
-        assert (gs2.n1, gs2.n2) == (1, 1025)
-        by_div = {(e.d1, e.d2): e for e in cycle_catalog(gs2)}
-        assert by_div[(1, 205)].length == 2
-        assert by_div[(1, 25)].length == 10
-        c.detail = ("counts 41 and 1025; 40 points in two 10-cycles; "
-                    "divisor 205 -> length 2, divisor 25 -> length 10")
-
-
-def test_criterion_3_quartic_reduction_and_curve():
-    with Criterion(3, 5.0) as c:
-        red = reduce_to_quartic(G ** 7, G ** 3, 3)
-        assert red.verify()
-        documented = QuarticReduction(G ** 7, G ** 3, 3, G ** 3, G ** 15,
-                                      extension_of(F32, 1), "odd", 3)
-        assert documented.verify()
-        assert (red.c, red.d) == (G ** 3, G ** 15)
-        curve = curve_from_map(G ** 3, G ** 15)
-        assert (curve.a1, curve.a2) == (G ** 14, G ** 6)
-        gs = group_structure(curve)
-        assert (gs.order, gs.n1, gs.n2) == (33, 1, 33)
-        big = BinaryField(10)
-        gs2 = group_structure(curve, field=big)
-        assert (gs2.n1, gs2.n2) == (33, 33)
-        realized, possible = catalog_length_sets(cycle_catalog(gs))
-        assert realized == {1, 5}
-        assert possible == {1, 2, 5, 10}
-        sigma = MapSpec("theta", G ** 3, G ** 15, 2)
-        cs = sigma.cycle_structure()
-        assert Counter(len(cyc) for cyc in cs.cycles) == {5: 6, 1: 3}
-        fixed = {tuple(exps(cyc)) for cyc in cs.cycles if len(cyc) == 1}
-        assert fixed == {(10,), (18,), ("inf",)}
-        c.detail = ("c=g^3, d=g^15 verified; curve (g^14, g^6) of order 33, "
-                    "extension (33,33); lengths {1,5} of {1,2,5,10}; "
-                    "six 5-cycles")
-
-
-def test_criterion_4_conjugation_worked_example():
-    with Criterion(4, 5.0) as c:
-        psi = MapSpec("psi", G, G ** 2, 2)
-        data = solve_conjugation(psi)
-        assert (data.c1, data.c2, data.c3, data.c) == (G, G ** 3, G ** 8,
-                                                       G ** 12)
-        documented = ConjugacyData(map=psi, embedding=extension_of(F32, 1),
-                                   c=G ** 12, c1=G, c2=G ** 3, c3=G ** 8)
-        assert documented.system_holds()
-        assert verify_conjugation(data)  # all 33 points of the line
-        assert fixed_point_count(G ** 12, 2, 5) == 3
-        fixed = {x for bits in range(F32.order)
-                 for x in [ProjPoint.finite(F32.element(bits))]
-                 if psi.eval(x) == x}
-        assert psi.eval(ProjPoint.infinity(F32)) != ProjPoint.infinity(F32)
-        assert fixed == {ProjPoint.finite(G ** 14), ProjPoint.finite(G ** 24),
-                         ProjPoint.finite(G ** 28)}
-        tau = TauMap(data)
-        assert tau.eval(ProjPoint.finite(F32.zero)) \
-            == ProjPoint.finite(G ** 24)
-        assert tau.eval(ProjPoint.infinity(F32)) == ProjPoint.finite(G ** 28)
-        curve = curve_from_map(G ** 12, F32.zero)
-        assert (curve.a1, curve.a2) == (G ** 25, F32.zero)
-        gs = group_structure(curve)
-        assert (gs.n1, gs.n2) == (1, 33)
-        gs2 = group_structure(curve, field=BinaryField(10))
-        assert (gs2.n1, gs2.n2) == (33, 33)
-        c.detail = ("tuple (g, g^3, g^8, g^12) solved and verified at all "
-                    "33 points; 3 fixed points; tau(0)=g^24, tau(inf)=g^28")
-
-
-def test_criterion_5_orbit_length_prediction():
-    with Criterion(5, 60.0) as c:
-        rng = random.Random(424242)
-        orbits = 0
-        for degree in range(2, 9):
-            f = BinaryField(degree)
-            for _ in range(25):
-                a = f.element(rng.randrange(1, f.order))
-                b = f.element(rng.randrange(f.order))
-                curve = curve_from_map(a, b)
-                cs = MapSpec("theta", a, b, 2).cycle_structure()
-                for cyc in cs.cycles:
-                    first = cyc[0]
-                    if first.is_infinity:
-                        p = curve.identity
-                    else:
-                        p = min(lift_x(curve, first.value),
-                                key=lambda t: t.y.bits)
-                    assert predict_orbit_length(p.curve, p) == len(cyc), (
-                        degree, a.hex, b.hex, exps(cyc))
-                    orbits += 1
-        c.detail = f"{orbits} cycles predicted exactly from curve lifts"
-
-
-def test_criterion_6_closed_form_iteration():
-    with Criterion(6, 30.0) as c:
-        comparisons = 0
-        for degree in (4, 5):
-            f = BinaryField(degree)
-            xs = list(range(f.order))
-            for abits in range(1, f.order):
-                for bbits in range(f.order):
-                    a, b = f.element(abits), f.element(bbits)
-                    for q in (2, 4, 8):
-                        step = q.bit_length() - 1
-                        images = xs
-                        for m in range(1, 13):
-                            images = [f.mul(abits, f.frob(x, step)) ^ bbits
-                                      for x in images]
-                            form = closed_form(a, b, q, m)
-                            lead, tail = form.lead.bits, form.tail.bits
-                            shift = (step * m) % degree
-                            for x, y in zip(xs, images):
-                                assert f.mul(lead, f.frob(x, shift)) ^ tail == y
-                            comparisons += f.order
-        c.detail = f"{comparisons} point evaluations, naive == closed form"
-
-
-def _base_solvable_maps(field, k):
-    """(a, b, theorem_count) for every reciprocal map over this field whose
-    conjugation constants exist in the field itself, found by running the
-    c2 equation backwards: a = c2^(q+1) + b*c2^q."""
-    n = field.degree
-    s = k % n
-    q = 1 << s
-    seen = {}
-    for c2bits in range(1, field.order):
-        c2 = field.element(c2bits)
-        for bbits in range(field.order):
-            b = field.element(bbits)
-            a = c2 ** (q + 1) + b * c2 ** q
-            if a.is_zero:
-                continue
-
-            def v(x):
-                t = field.frob(x, s)
-                return x ^ field.mul(b.bits, t) ^ field.mul(a.bits,
-                                                            field.frob(t, s))
-
-            kernel = list(SubsetXorSolver(
-                [v(1 << j) for j in range(n)]).kernel_elements())
-            c3bits = next(
-                (x for x in kernel
-                 if x and x ^ field.mul(c2.bits, field.frob(x, s))), None)
-            if c3bits is None:
-                continue
-            count = fixed_point_count(c2.frob(s), k, n)
-            key = (a.bits, bbits)
-            previous = seen.get(key)
-            if previous is not None:
-                # the count may not depend on which c2 produced the map
-                assert previous == count, (field.degree, k, key)
-                continue
-            seen[key] = count
-            yield a, b, count
-
-
-def test_criterion_7_fixed_point_theorem():
-    with Criterion(7, 120.0) as c:
-        rng = random.Random(777)
-        maps = scans = 0
-        for n in range(1, 9):
-            field = BinaryField(n)
-            one, zero = field.one, field.zero
-            for k in (1, 2, 3):
-                q = 1 << (k % n)
-                for a, b, count in _base_solvable_maps(field, k):
-                    # roots of a*x^(q+1) + b*x + 1 are the finite fixed points
-                    coeffs = [one, b] + [zero] * (q - 1) + [a]
-                    brute = len(polynomial_roots(coeffs))
-                    assert count == brute, (n, k, a.hex, b.hex, count, brute)
-                    maps += 1
-                    if n <= 5 or rng.random() < 0.02:
-                        mp = MapSpec("psi", a, b, k)
-                        literal = sum(mp.eval_int(i) == i
-                                      for i in range(field.order + 1))
-                        assert literal == count
-                        scans += 1
-        c.detail = (f"{maps} base-solvable maps agree with the theorem "
-                    f"(100%), {scans} literal line scans")
-
-
-def test_criterion_8_bluher_root_counts():
-    with Criterion(8, 60.0) as c:
-        rng = random.Random(808)
-        histogram = Counter()
-        sweeps = 0
-        for n in range(1, 9):
-            field = BinaryField(n)
-            for k in (1, 2, 3):
-                d = math.gcd(k, n)
-                allowed = {0, 1, 2, (1 << d) + 1}
-                for bits in range(1, field.order):
-                    a = field.element(bits)
-                    count = bluher_root_count(a, k, field)
-                    assert count in allowed
-                    if d == 1:
-                        assert count != 2, (n, k, a.hex)
-                    histogram[count] += 1
-                    sweeps += 1
-                    if rng.random() < 0.02:
-                        inv = a.inv()
-                        psi = MapSpec("psi", inv, inv, k)
-                        fixed = sum(psi.eval_int(i) == i
-                                    for i in range(field.order))
-                        assert fixed == count
-        assert set(histogram) <= {0, 1, 2, 3, 5, 9}
-        c.detail = (f"{sweeps} sweeps in the admissible sets; gcd=1 never "
-                    f"yields 2; histogram {dict(sorted(histogram.items()))}")
-
-
-def _closure_root_total(coeffs):
-    """Distinct roots in the algebraic closure, from extension root counts."""
-    counter = ExtensionRootCounter(coeffs)
-    deg = max(i for i, e in enumerate(coeffs) if not e.is_zero)
-    counts = {r: counter.count(r) for r in range(1, deg + 1)}
-    mult = {}
-    for d in range(1, deg + 1):
-        inner = sum(e * mult[e] for e in range(1, d) if d % e == 0)
-        assert (counts[d] - inner) % d == 0
-        mult[d] = (counts[d] - inner) // d
-    return sum(d * m for d, m in mult.items())
-
-
-def test_criterion_9_structural_invariants():
-    with Criterion(9, 60.0) as c:
-        rng = random.Random(909)
-        for n in range(1, 9):
-            field = BinaryField(n)
-            for _ in range(4):
-                a = field.element(rng.randrange(1, field.order))
-                b = field.element(rng.randrange(field.order))
-                k = rng.randrange(1, 4)
-                for kind in ("theta", "psi"):
-                    mp = MapSpec(kind, a, b, k)
-                    assert mp.is_bijection()
-                    cs = mp.cycle_structure()
-                    assert sum(len(cyc) for cyc in cs.cycles) == field.order + 1
-            for _ in range(2):
-                a = field.element(rng.randrange(1, field.order))
-                b = field.element(rng.randrange(field.order))
-                gs = group_structure(curve_from_map(a, b))
-                assert gs.order % 2 == 1
-                assert gs.n2 % gs.n1 == 0
-                assert math.gcd(gs.n2, field.order - 1) % gs.n1 == 0
-        # kernels of u(x) = x + c2*x^q and v(x) = x + b*x^q + a*x^(q^2):
-        # q and q^2 elements in the closure, power-of-two slices in the base
-        for n in (2, 3, 4, 5, 6):
-            field = BinaryField(n)
-            for _ in range(4):
-                while True:
-                    k = rng.choice((1, 2))
-                    q = 1 << k
-                    c2 = field.element(rng.randrange(1, field.order))
-                    b = field.element(rng.randrange(field.order))
-                    a = c2 ** (q + 1) + b * c2 ** q
-                    if not a.is_zero:
-                        break
-                u_coeffs = [field.zero] * (q + 1)
-                u_coeffs[1], u_coeffs[q] = field.one, c2
-                v_coeffs = [field.zero] * (q * q + 1)
-                v_coeffs[1], v_coeffs[q], v_coeffs[q * q] = field.one, b, a
-                assert _closure_root_total(u_coeffs) == q
-                assert _closure_root_total(v_coeffs) == q * q
-                base_u = ExtensionRootCounter(u_coeffs).count(1)
-                base_v = ExtensionRootCounter(v_coeffs).count(1)
-                for size, cap in ((base_u, q), (base_v, q * q)):
-                    assert size & (size - 1) == 0  # a GF(2)-subspace
-                    assert size <= min(field.order, cap)
-        c.detail = ("bijectivity, odd orders, n1 | gcd(n2, 2^n - 1), "
-                    "kernel closures of sizes q and q^2, full line coverage")
+# named test_criterion_<N>_<check name without "check_">, so each criterion
+# keeps one stable test id
+for _number, (_title, _fn, _budget) in enumerate(selftest.CHECKS, start=1):
+    _name = f"test_criterion_{_number}_{_fn.__name__.removeprefix('check_')}"
+    globals()[_name] = _criterion_test(_number, _title, _fn, _budget)

@@ -10,8 +10,8 @@ from test_curves import sampled_group_structure
 
 from f2dyn import BinaryField, cli, extension_of
 from f2dyn.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
-                       JobConfig, UsageError, build_parser, emit_graph, main,
-                       parse_element, run)
+                       JobConfig, UsageError, emit_graph, main, parse_element,
+                       run)
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
@@ -35,21 +35,6 @@ def test_parse_element_variants():
     for bad in ("", "q^3", "g^x", "0xfff", "zz"):
         with pytest.raises(UsageError):
             parse_element(F32, bad)
-
-
-def test_job_config_round_trip():
-    parser = build_parser()
-    for cfg in (
-        JobConfig(command="orbits", degree=5, a="g", b="g^3", k=2),
-        JobConfig(command="curve", degree=5, modulus=0x25, a="g", b="g^3",
-                  k=2, format="json"),
-        JobConfig(command="conjugate", degree=5, map_kind="psi", a="g",
-                  b="g^2", k=2),
-        JobConfig(command="bluher", degree=3, a="g^3", k=2),
-        JobConfig(command="bluher", degree=4, k=1),
-        JobConfig(command="selftest", quick=True),
-    ):
-        assert JobConfig.from_args(parser.parse_args(cfg.to_args())) == cfg
 
 
 def test_orbits_text_reproduces_figure(capsys):

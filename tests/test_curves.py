@@ -16,8 +16,8 @@ import pytest
 from f2dyn import (BinaryField, CurvePoint, CurveSpec, ExtensionEmbedding,
                    FieldMismatchError, GroupStructure, LinearizedPoly,
                    MapSpec, ProjPoint, SubsetXorSolver, catalog_length_sets,
-                   curve_from_map, cycle_catalog, divisors, duplication_x,
-                   euler_phi, extension_of, fields, group_structure,
+                   curve_from_map, cycle_catalog, duplication_x,
+                   extension_of, fields, group_structure,
                    half_multiple_relation, lift_x, map_coefficients,
                    point_count, predict_orbit_length, quadratic_extension,
                    scalar_mul)
@@ -405,23 +405,6 @@ def test_half_multiple_relation_resolves_doubling():
     assert half_multiple_relation(20, curve, p) == 20
     with pytest.raises(ValueError):
         half_multiple_relation(0, curve, p)
-
-
-def test_divisors_and_euler_phi():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1) == [1]
-    assert divisors(41) == [1, 41]
-    assert euler_phi(1) == 1
-    assert euler_phi(41) == 40
-    assert euler_phi(33) == 20
-    assert euler_phi(12) == 4
-    wide = 2**64 + 1  # 274177 * 67280421310721
-    assert divisors(wide) == [1, 274177, 67280421310721, wide]
-    assert euler_phi(wide) == 274176 * 67280421310720
-    with pytest.raises(ValueError):
-        divisors(0)
-    with pytest.raises(ValueError):
-        euler_phi(0)
 
 
 def test_cycle_catalog_of_prime_cyclic_group():

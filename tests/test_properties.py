@@ -1,5 +1,5 @@
-"""Property-based checks of the GF(2)[x] kernels and of wide-field and
-slot-wise reduction."""
+"""Property-based checks of the GF(2)[x] kernels, of wide-field and
+slot-wise reduction, and of Frobenius exponents reduced mod the degree."""
 
 import pytest
 
@@ -7,7 +7,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from f2dyn import BinaryField, fields, gf2x
+from f2dyn import (BinaryField, MapSpec, ResourceLimitError, fields,
+                   fixed_point_count, gf2x, solve_conjugation,
+                   theta_fixed_points)
 from test_gf2x import DENSE_MODULI, ref_mod, ref_mul
 
 polys = st.integers(min_value=0, max_value=(1 << 300) - 1)
@@ -90,3 +92,38 @@ def test_slot_reduction_is_per_coefficient_reduction(case):
     want = sum(field._reduce(v) << (w * i) for i, v in enumerate(slots))
     # the ring's reducer persists across examples, so its masks grow
     assert fields._ring(field).reduce_slots(packed) == want
+
+
+# x^(2^k) is x^(2^(k + j*n)) on F_2^n, so every answer about the field is the
+# same at k and k + j*n; none may build 2^k to find it
+@st.composite
+def shifted_exponents(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    field = BinaryField(n)
+    units = st.integers(min_value=1, max_value=field.order - 1)
+    c = field.element(draw(units))
+    b = field.element(draw(st.integers(min_value=0, max_value=field.order - 1)))
+    k = draw(st.integers(min_value=1, max_value=3 * n))
+    j = draw(st.integers(min_value=1, max_value=10**9))
+    return field, c, b, k, k + j * n
+
+
+def _base_field_solution(mp):
+    try:
+        data = solve_conjugation(mp, max_relative_degree=1)
+    except ResourceLimitError:
+        return None
+    return data.c, data.c1, data.c2, data.c3
+
+
+@settings(deadline=1000)
+@given(shifted_exponents())
+def test_frobenius_exponent_reduces_mod_the_degree(case):
+    field, c, b, k, shifted = case
+    n = field.degree
+    assert fixed_point_count(c, k, n) == fixed_point_count(c, shifted, n)
+    assert (theta_fixed_points(c, k, field)
+            == theta_fixed_points(c, shifted, field))
+    # the base field is the one extension where both exponents act alike
+    assert (_base_field_solution(MapSpec("psi", c, b, k))
+            == _base_field_solution(MapSpec("psi", c, b, shifted)))
