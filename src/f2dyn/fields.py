@@ -266,11 +266,12 @@ class BinaryField:
         log = [-1] * self.order
         modulus, order, reduce = self.modulus, self.order, self._reduce
         cur = 1
-        if g == 2:  # multiplication by x is a shift
+        if g in (2, 3):  # multiplying by x (or x + 1): a shift (and an add)
+            add = g == 3
             for i in range(M):
                 exp[i] = exp[i + M] = cur
                 log[cur] = i
-                cur <<= 1
+                cur = (cur << 1) ^ cur if add else cur << 1
                 if cur & order:
                     cur ^= modulus
         else:
@@ -463,11 +464,6 @@ class LinearizedPoly:
             cols = [self.eval_bits(1 << j) for j in range(self.field.degree)]
             self._solver = SubsetXorSolver(cols)
         return self._solver
-
-    def kernel_basis(self) -> list[FieldElement]:
-        """GF(2)-basis of the kernel inside the coefficient field."""
-        solver = self._ensure_solver()
-        return [self.field.element(m) for m in solver.kernel_masks]
 
     def kernel_elements(self) -> list[FieldElement]:
         solver = self._ensure_solver()

@@ -10,6 +10,7 @@ are listed by starting point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .fields import (
@@ -82,6 +83,76 @@ def _sort_key(field: BinaryField, i: int) -> int:
     return field.log(i)
 
 
+class Semilinear:
+    """A Frobenius-semilinear fractional-linear map of P^1: w -> M*sigma^s(w)
+    on homogeneous coordinates, sigma the squaring automorphism.  M holds
+    encodings ((p, q), (r, t)) and s is taken mod the degree: x goes to
+    (p*x' + q)/(r*x' + t) with x' = x^(2^s), and infinity to p/r."""
+
+    __slots__ = ("field", "m", "s")
+
+    def __init__(self, field: BinaryField, m, s: int):
+        self.field = field
+        self.m = tuple(map(tuple, m))
+        self.s = s % field.degree
+
+    def then(self, other: "Semilinear") -> "Semilinear":
+        """self first, then other: (M2, s2) o (M1, s1) is
+        (M2 * sigma^s2(M1), s1 + s2)."""
+        if other.field != self.field:
+            raise FieldMismatchError("maps act on different lines")
+        mul, frob, s = self.field.mul, self.field.frob, other.s
+        (p, q), (r, t) = other.m
+        (p1, q1), (r1, t1) = self.m
+        p1, q1, r1, t1 = frob(p1, s), frob(q1, s), frob(r1, s), frob(t1, s)
+        return Semilinear(self.field,
+                          ((mul(p, p1) ^ mul(q, r1), mul(p, q1) ^ mul(q, t1)),
+                           (mul(r, p1) ^ mul(t, r1), mul(r, q1) ^ mul(t, t1))),
+                          self.s + s)
+
+    def power(self, e: int) -> "Semilinear":
+        """The e-fold composite, by square-and-multiply."""
+        if e < 0:
+            raise ValueError("exponent must be nonnegative")
+        result, base = Semilinear(self.field, ((1, 0), (0, 1)), 0), self
+        while e:
+            if e & 1:
+                result = result.then(base)
+            e >>= 1
+            base = base.then(base) if e else base
+        return result
+
+    def same_map(self, other: "Semilinear") -> bool:
+        """Equal as maps of the line: proportional matrices, equal twist."""
+        if other.field != self.field or other.s != self.s:
+            return False
+        u, w, mul = sum(self.m, ()), sum(other.m, ()), self.field.mul
+        return any(u) and any(w) and all(
+            mul(u[i], w[j]) == mul(u[j], w[i])
+            for i in range(4) for j in range(i + 1, 4))
+
+    def eval_int(self, i: int) -> int:
+        """The image of a point encoding (the field order is infinity)."""
+        field = self.field
+        mul, inf = field.mul, field.order
+        (p, q), (r, t) = self.m
+        if i == inf:
+            return inf if r == 0 else mul(p, field.inv(r))
+        y = field.frob(i, self.s)
+        den = mul(r, y) ^ t
+        if den == 0:
+            return inf
+        num = mul(p, y) ^ q
+        if den == 1:  # theta
+            return num
+        return field.inv(den) if num == 1 else mul(num, field.inv(den))  # psi
+
+    def eval(self, x: ProjPoint) -> ProjPoint:
+        if x.field != self.field:
+            raise FieldMismatchError("point lies in a different field")
+        return _point_from_int(self.field, self.eval_int(_point_int(x)))
+
+
 @dataclass(frozen=True)
 class MapSpec:
     """One of the two bijection families on P^1 of a binary field.
@@ -110,11 +181,14 @@ class MapSpec:
     def field(self) -> BinaryField:
         return self.a.field
 
-    @property
-    def k_eff(self) -> int:
-        """x^(2^k) = x^(2^(k mod n)) on F_{2^n}; the parity of k as given
-        still matters to the quartic-reduction length bookkeeping."""
-        return self.k % self.field.degree
+    @cached_property
+    def pair(self) -> Semilinear:
+        """theta is ((a, b), (0, 1)) and psi ((0, 1), (a, b)), twisted by k;
+        the parity of k as given still matters to the quartic-reduction
+        length bookkeeping."""
+        a, b = self.a.bits, self.b.bits
+        m = ((a, b), (0, 1)) if self.kind == "theta" else ((0, 1), (a, b))
+        return Semilinear(self.field, m, self.k)
 
     def describe(self) -> str:
         return f"{self.kind}(a={self.a.hex}, b={self.b.hex}, k={self.k})"
@@ -122,29 +196,15 @@ class MapSpec:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, x: ProjPoint) -> ProjPoint:
-        if x.field != self.field:
-            raise FieldMismatchError("point lies in a different field")
-        return _point_from_int(self.field, self.eval_int(_point_int(x)))
+        return self.pair.eval(x)
 
     def eval_int(self, i: int) -> int:
-        field = self.field
-        inf = field.order
-        if self.kind == "theta":
-            if i == inf:
-                return inf
-            return field.mul(self.a.bits, field.frob(i, self.k_eff)) ^ self.b.bits
-        if i == inf:
-            return 0
-        t = field.mul(self.a.bits, field.frob(i, self.k_eff)) ^ self.b.bits
-        return inf if t == 0 else field.inv(t)
+        return self.pair.eval_int(i)
 
     def permutation(self) -> list[int]:
         """Image table over the point encoding 0..order (order = infinity)."""
-        field = self.field
-        inf = field.order
-        ev = self.eval_int
-        perm = [ev(i) for i in range(inf + 1)]
-        return perm
+        ev = self.pair.eval_int
+        return [ev(i) for i in range(self.field.order + 1)]
 
     def is_bijection(self) -> bool:
         perm = self.permutation()
@@ -229,7 +289,8 @@ class ClosedFormIterate:
 
     With s_t = 1 + q + ... + q^(t-1) (and s_0 = 0), the composite is
     lead * x^(q^m) + tail where lead = a^(s_m) and
-    tail = sum over t < m of a^(s_t) * b^(q^t).
+    tail = sum over t < m of a^(s_t) * b^(q^t): the top row of the m-th
+    power of the pair ((a, b), (0, 1)).
     """
 
     a: FieldElement
@@ -245,24 +306,16 @@ class ClosedFormIterate:
 
 
 def closed_form(a: FieldElement, b: FieldElement, q: int, m: int) -> ClosedFormIterate:
-    """Closed form of the m-th iterate of x -> a*x^q + b (q a power of two)."""
+    """Closed form of the m-th iterate of x -> a*x^q + b (q a power of two),
+    in O(log m) twisted 2x2 products."""
     if q < 1 or q & (q - 1):
         raise ValueError("q must be a power of two")
     if m < 1:
         raise ValueError("m must be positive")
-    if a.field != b.field:
-        raise FieldMismatchError("coefficients lie in different fields")
-    if a.is_zero:
-        raise ValueError("coefficient a must be nonzero")
-    step = q.bit_length() - 1
-    pow_a = a.field.one  # a^(s_t), starting from s_0 = 0
-    pow_b = b  # b^(q^t)
-    tail = a.field.zero
-    for _ in range(m):
-        tail = tail + pow_a * pow_b
-        pow_a = pow_a.frob(step) * a  # s_(t+1) = q*s_t + 1
-        pow_b = pow_b.frob(step)
-    return ClosedFormIterate(a=a, b=b, q=q, m=m, lead=pow_a, tail=tail)
+    theta = MapSpec("theta", a, b, q.bit_length() - 1)  # validates a and b
+    (lead, tail), _ = theta.pair.power(m).m
+    return ClosedFormIterate(a=a, b=b, q=q, m=m, lead=a.field.element(lead),
+                             tail=a.field.element(tail))
 
 
 # -- reduction of theta_{a,b,k} to an iterated quartic map -------------------------
@@ -286,27 +339,13 @@ class QuarticReduction:
         return MapSpec("theta", self.c, self.d, 2)
 
     def verify(self) -> bool:
-        """Check the defining identity pointwise over the embedded base line."""
+        """Exact check of the defining identity on the extension's line: j
+        quartic steps equal theta (even k) or theta twice (odd k)."""
         emb = self.embedding
-        base = emb.base
-        quartic = self.quartic_map()
-        k = self.source_k
-        inf_ext = ProjPoint.infinity(emb.ext)
-        if quartic.eval(inf_ext) != inf_ext:
-            return False
-        for bits in range(base.order):
-            x = base.element(bits)
-            if self.parity == "even":
-                want = self.source_a * x.frob(k) + self.source_b
-            else:
-                once = self.source_a * x.frob(k) + self.source_b
-                want = self.source_a * once.frob(k) + self.source_b
-            cur = emb(x)
-            for _ in range(self.j):
-                cur = self.c * cur.frob(2) + self.d
-            if cur != emb(want):
-                return False
-        return True
+        theta = MapSpec("theta", emb(self.source_a), emb(self.source_b),
+                        self.source_k).pair
+        want = theta if self.parity == "even" else theta.then(theta)
+        return self.quartic_map().pair.power(self.j).same_map(want)
 
 
 def reduce_to_quartic(a: FieldElement, b: FieldElement, k: int,
@@ -320,19 +359,13 @@ def reduce_to_quartic(a: FieldElement, b: FieldElement, k: int,
     searched in extensions of increasing degree and the smallest (extension
     degree, encoding of c, encoding of d) is returned.
     """
-    if a.field != b.field:
-        raise FieldMismatchError("coefficients lie in different fields")
-    if a.is_zero:
-        raise ValueError("coefficient a must be nonzero")
+    theta = MapSpec("theta", a, b, k).pair  # validates the coefficients
     if k < 2:
         raise ValueError("k must be at least 2")
-    if k % 2 == 0:
-        parity, j = "even", k // 2
-        target_a, target_b = a, b
-    else:
-        parity, j = "odd", k
-        target_a = a * a.frob(k)          # a^(2^k + 1)
-        target_b = a * b.frob(k) + b
+    parity, j = ("even", k // 2) if k % 2 == 0 else ("odd", k)
+    # theta's own coefficients, or (a^(2^k + 1), a*b^(2^k) + b) for its square
+    top = (theta if parity == "even" else theta.then(theta)).m[0]
+    target_a, target_b = (a.field.element(v) for v in top)
     s_j = (4**j - 1) // 3
     for r in range(1, max_relative_degree + 1):
         emb = extension_of(a.field, r)

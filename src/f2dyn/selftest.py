@@ -168,6 +168,11 @@ def check_quartic_reduction_and_curve() -> str:
                                   embedding=extension_of(field, 1),
                                   parity="odd", j=3)
     _require(documented.verify(), "pair (g^3, g^15) does not validate")
+    sigma = MapSpec("theta", g**7, g**3, 3)
+    step = documented.quartic_map()
+    s, t = sigma.permutation(), step.permutation()
+    _require(all(t[t[t[i]]] == s[s[i]] for i in range(field.order + 1)),
+             "three quartic steps differ from sigma twice at some point")
 
     curve = curve_from_map(g**3, g**15)
     _require((curve.a1, curve.a2) == (g**14, g**6), "curve coefficients")
@@ -181,12 +186,12 @@ def check_quartic_reduction_and_curve() -> str:
     _require(realized == {1, 5}, f"realized lengths {realized}")
     _require(possible == {1, 2, 5, 10}, f"candidate lengths {possible}")
 
-    cs = MapSpec("theta", g**7, g**3, 3).cycle_structure()
+    cs = sigma.cycle_structure()
     _require(cs.summary == {1: 3, 5: 6}, f"sigma summary {cs.summary}")
     got = cycle_labels(cs)
     _require(got == [_labels(c) for c in SIGMA_G7_G3_3_CYCLES],
              "sigma cycle figure mismatch")
-    quartic = cycle_labels(MapSpec("theta", g**3, g**15, 2).cycle_structure())
+    quartic = cycle_labels(step.cycle_structure())
     _require(Counter(map(len, quartic)) == {1: 3, 5: 6},
              "quartic map is not six 5-cycles and three fixed points")
     for name, labels in (("sigma", got), ("quartic", quartic)):
@@ -208,7 +213,11 @@ def check_conjugation_worked_example() -> str:
     documented = ConjugacyData(map=mp, embedding=extension_of(field, 1),
                                c=g**12, c1=g, c2=g**3, c3=g**8)
     _require(documented.system_holds(), "documented tuple fails the system")
-    _require(verify_conjugation(documented), "documented tuple fails pointwise")
+    _require(verify_conjugation(documented), "documented tuple fails exactly")
+    tau, theta = TauMap(documented).pair, documented.normal_form()
+    _require(all(mp.eval_int(tau.eval_int(i)) == tau.eval_int(theta.eval_int(i))
+                 for i in range(field.order + 1)),
+             "documented tuple fails pointwise")
 
     solved = solve_conjugation(mp)
     _require((solved.c1, solved.c2, solved.c3, solved.c)

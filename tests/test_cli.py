@@ -3,12 +3,14 @@ curve report against the scan oracles."""
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
 from test_curves import sampled_group_structure
 
-from f2dyn import BinaryField, cli, extension_of
+from f2dyn import (BinaryField, ProjPoint, ResourceLimitError, cli,
+                   extension_of, point_label)
 from f2dyn.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                        JobConfig, UsageError, emit_graph, main, parse_element,
                        run)
@@ -149,6 +151,48 @@ def test_conjugate_transcript(capsys):
     assert sorted(conj["fixed_points"]) == ["g^14", "g^24", "g^28"]
     assert conj["normal_form_fixed_points"] == ["0", "g^27", "inf"]
     assert conj["tau_images"] == {"0": "g^24", "g^27": "g^14", "inf": "g^28"}
+
+
+def test_conjugate_verifies_a_degree_60_line_exactly(capsys):
+    code, out, err = invoke(
+        ["conjugate", "--degree", "12", "--map", "psi", "--a", "0xe9f",
+         "--b", "0xfc7", "--k", "2", "--format", "json"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    conj = json.loads(out)["conjugacy"]
+    assert conj["extension_degree"] == 60
+    assert conj["verified_points"] == (1 << 60) + 1
+
+
+def test_conjugate_fixed_points_match_a_scan_of_the_line():
+    rng = random.Random(61)
+    compared = 0
+    for _ in range(40):
+        degree = rng.randrange(1, 7)
+        f = BinaryField(degree)
+        a = f.element(rng.randrange(1, f.order))
+        b = f.element(rng.randrange(f.order))
+        k = rng.randrange(1, 2 * degree + 1)
+        cfg = JobConfig(command="conjugate", degree=degree, map_kind="psi",
+                        a=a.hex, b=b.hex, k=k, format="json")
+        try:
+            conj = json.loads(run(cfg))["conjugacy"]
+        except ResourceLimitError:  # no conjugation within the search bound
+            continue
+        # psi(inf) = 0, and x is fixed when a*x^(2^k) + b = 1/x
+        scan = [point_label(ProjPoint.finite(x)) for x in f.elements()
+                if not x.is_zero and (a * x.frob(k) + b) * x == f.one]
+        assert conj["fixed_points"] == scan, (degree, a, b, k)
+        assert conj["fixed_point_count"] == len(scan)
+        compared += 1
+    assert compared >= 30, compared
+
+
+def test_conjugate_over_a_degree_20_field_is_fast(capsys):
+    start = time.perf_counter()
+    code, _, err = invoke(["conjugate", "--degree", "20", "--map", "psi",
+                           "--a", "g", "--b", "g^3", "--k", "2"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_bluher_sweep_and_single_value(capsys):

@@ -35,12 +35,43 @@ def line(field):
         yield ProjPoint.finite(field.element(bits))
 
 
+# -- pointwise oracle of verify_conjugation: the maps by their formulas, None
+# standing for infinity
+
+def ref_psi(a, b, k, x):
+    if x is None:
+        return a.field.zero
+    t = a * x.frob(k) + b
+    return None if t.is_zero else t.inv()
+
+
+def ref_theta(c, k, x):
+    return None if x is None else c * x.frob(k)
+
+
+def ref_tau(data, x):
+    if x is None:
+        return data.c2.inv()
+    denom = data.c2 * x + data.c3
+    return None if denom.is_zero else (x + data.c1) / denom
+
+
+def ref_verify_conjugation(data):
+    """psi(tau(x)) = tau(theta_{c,0,k}(x)) at every point of the line."""
+    emb, k = data.embedding, data.map.k
+    a, b = emb(data.map.a), emb(data.map.b)
+    ext = emb.ext
+    points = [None] + [ext.element(i) for i in range(ext.order)]
+    return all(ref_psi(a, b, k, ref_tau(data, x))
+               == ref_tau(data, ref_theta(data.c, k, x)) for x in points)
+
+
 def test_known_tuple_is_found_in_the_base_field():
     data = solve_conjugation(PSI)
     assert data.is_base_field
     assert (data.c1, data.c2, data.c3, data.c) == (G, G ** 3, G ** 8, G ** 12)
     assert data.system_holds()
-    assert verify_conjugation(data)
+    assert verify_conjugation(data) and ref_verify_conjugation(data)
 
 
 def test_documented_tuple_validates_independently():
@@ -48,7 +79,7 @@ def test_documented_tuple_validates_independently():
     data = ConjugacyData(map=PSI, embedding=emb, c=G ** 12, c1=G,
                          c2=G ** 3, c3=G ** 8)
     assert data.system_holds()
-    assert verify_conjugation(data)
+    assert verify_conjugation(data) and ref_verify_conjugation(data)
 
 
 def test_perturbed_constant_fails_the_system():
@@ -56,6 +87,7 @@ def test_perturbed_constant_fails_the_system():
     data = ConjugacyData(map=PSI, embedding=emb, c=G ** 12, c1=G,
                          c2=G ** 3, c3=G ** 30)
     assert not data.system_holds()
+    assert not verify_conjugation(data) and not ref_verify_conjugation(data)
 
 
 def test_conjugacy_data_validation():
@@ -80,8 +112,8 @@ def test_tau_special_points_and_inverse():
     assert tau(ProjPoint.finite(F32.zero)) == ProjPoint.finite(G ** 24)
     assert tau.eval(inf) == tau(inf)
     for p in line(F32):
-        assert tau.eval_inverse(tau(p)) == p
-        assert tau(tau.eval_inverse(p)) == p
+        want = ref_tau(data, None if p.is_infinity else p.value)
+        assert tau(p) == (inf if want is None else ProjPoint.finite(want))
 
 
 def test_conjugation_transports_cycles():
@@ -235,23 +267,56 @@ def test_random_maps_solve_and_verify():
             solved += 1
             assert data.system_holds()
             assert data.embedding.ext.degree % degree == 0
+            assert verify_conjugation(data)
             ext = data.embedding.ext
-            if ext.order <= 1 << 12:
-                assert verify_conjugation(data)
-            else:
-                # spot-check the identity psi(tau(x)) == tau(theta(x))
-                tau = TauMap(data)
-                psi, theta = data.embedded_map(), data.normal_form()
-                sample = [ProjPoint.infinity(ext)]
-                sample += [ProjPoint.finite(ext.element(rng.randrange(ext.order)))
-                           for _ in range(12)]
-                for p in sample:
-                    assert psi.eval(tau(p)) == tau(theta.eval(p))
+            # spot-check the identity psi(tau(x)) == tau(theta(x))
+            tau = TauMap(data)
+            psi, theta = data.embedded_map(), data.normal_form()
+            sample = [ProjPoint.infinity(ext)]
+            sample += [ProjPoint.finite(ext.element(rng.randrange(ext.order)))
+                       for _ in range(12)]
+            for p in sample:
+                assert psi.eval(tau(p)) == tau(theta.eval(p))
             if data.is_base_field:
                 count = fixed_point_count(data.c, k, degree)
                 fixed = sum(1 for p in line(f) if mp.eval(p) == p)
                 assert count == fixed
     assert solved >= int(0.7 * attempted), (solved, attempted)
+
+
+def test_exact_verification_matches_pointwise_oracle():
+    """Solved data verifies both ways; moving c (theta's constant) breaks the
+    identity for both, since tau o theta then changes; moving c1 (tau's
+    constant) must get the same answer from both."""
+    rng = random.Random(42)
+    compared = 0
+    for degree in range(1, 9):
+        f = BinaryField(degree)
+        for _ in range(10):
+            a = f.element(rng.randrange(1, f.order))
+            b = f.element(rng.randrange(f.order))
+            mp = MapSpec("psi", a, b, rng.randrange(1, 2 * degree + 1))
+            try:
+                data = solve_conjugation(mp, max_relative_degree=3)
+            except ResourceLimitError:
+                continue
+            if data.embedding.ext.order > 1 << 12:
+                continue
+            compared += 1
+            assert verify_conjugation(data) and ref_verify_conjugation(data)
+            ext = data.embedding.ext
+            delta = ext.element(rng.randrange(1, ext.order))
+            fields = dict(map=mp, embedding=data.embedding, c=data.c,
+                          c1=data.c1, c2=data.c2, c3=data.c3)
+            if data.c != delta:
+                moved = ConjugacyData(**{**fields, "c": data.c + delta})
+                assert not verify_conjugation(moved)
+                assert not ref_verify_conjugation(moved)
+            moved = ConjugacyData(**{**fields, "c1": data.c1 + delta})
+            if not (moved.c3 + moved.c1 * moved.c2).is_zero:  # tau bijective
+                assert (verify_conjugation(moved)
+                        == ref_verify_conjugation(moved))
+    assert compared >= 30, compared
 
 
 def test_deep_extension_instance():

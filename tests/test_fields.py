@@ -197,6 +197,20 @@ def test_frob_matches_repeated_squaring():
             assert f.sqr(f.sqrt(a)) == a
 
 
+def test_tables_match_repeated_mulmod_by_the_generator():
+    # g = 2 and g = 3 (F_2^16) build by shifts, g = 7 (F_2^14) by gf2x
+    for n in range(1, 17):
+        f = BinaryField(n)
+        g = f.primitive_bits()
+        exp, log = f.tables()
+        cur = 1
+        for i in range(f.mult_order):
+            assert exp[i] == exp[i + f.mult_order] == cur, (n, i)
+            assert log[cur] == i, (n, i)
+            cur = gf2x.mulmod(cur, g, f.modulus)
+        assert cur == 1
+
+
 def test_inverse_of_zero_raises():
     f = BinaryField(5)
     with pytest.raises(ZeroDivisionError):

@@ -1,16 +1,50 @@
 """Projective-line maps: evaluation, cycles, closed forms, quartic reduction."""
 
 import random
+import time
 
 import pytest
 
 from f2dyn import (BinaryField, FieldMismatchError, MapSpec, ProjPoint,
-                   QuarticReduction, ResourceLimitError, closed_form,
-                   extension_of, iterated_orbit_length, orbit_length_options,
-                   reduce_to_quartic)
+                   QuarticReduction, ResourceLimitError, Semilinear,
+                   closed_form, extension_of, iterated_orbit_length,
+                   orbit_length_options, reduce_to_quartic)
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
+
+
+# -- the replaced routes, kept as oracles of the pair-based ones --------------
+
+
+def ref_closed_form(a, b, q, m):
+    """(lead, tail) of the m-th iterate of x -> a*x^q + b, step by step."""
+    step = q.bit_length() - 1
+    pow_a = a.field.one  # a^(s_t), starting from s_0 = 0
+    pow_b = b  # b^(q^t)
+    tail = a.field.zero
+    for _ in range(m):
+        tail = tail + pow_a * pow_b
+        pow_a = pow_a.frob(step) * a  # s_(t+1) = q*s_t + 1
+        pow_b = pow_b.frob(step)
+    return pow_a, tail
+
+
+def ref_quartic_verify(red):
+    """The defining identity of a quartic reduction, point by point over the
+    embedded base field (infinity is fixed by both sides)."""
+    emb, k = red.embedding, red.source_k
+    for bits in range(emb.base.order):
+        x = emb.base.element(bits)
+        want = red.source_a * x.frob(k) + red.source_b
+        if red.parity == "odd":
+            want = red.source_a * want.frob(k) + red.source_b
+        cur = emb(x)
+        for _ in range(red.j):
+            cur = red.c * cur.frob(2) + red.d
+        if cur != emb(want):
+            return False
+    return True
 
 
 def tokens(cycle):
@@ -204,6 +238,36 @@ def test_closed_form_matches_naive_iteration():
                 assert it.eval(x) == cur
 
 
+def test_closed_form_matches_reference_loop():
+    rng = random.Random(23)
+    for degree in (1, 2, 3, 5, 8, 17, 64):
+        f = BinaryField(degree)
+        for _ in range(10):
+            a = f.element(rng.randrange(1, f.order))
+            b = f.element(rng.randrange(f.order))
+            q = rng.choice((1, 2, 4, 8, 1 << 70))
+            m = rng.randrange(1, 3 * degree + 4)
+            it = closed_form(a, b, q, m)
+            assert (it.lead, it.tail) == ref_closed_form(a, b, q, m), \
+                (degree, a, b, q, m)
+
+
+def test_closed_form_of_a_huge_iterate():
+    f = BinaryField(64)
+    rng = random.Random(24)
+    a = f.element(rng.randrange(1, f.order))
+    b = f.element(rng.randrange(f.order))
+    m = 1 << 70
+    start = time.perf_counter()
+    it = closed_form(a, b, 4, m)
+    assert time.perf_counter() - start < 1.0
+    m1 = rng.randrange(1, m)
+    first, second = closed_form(a, b, 4, m1), closed_form(a, b, 4, m - m1)
+    for _ in range(3):
+        x = f.element(rng.randrange(f.order))
+        assert it.eval(x) == second.eval(first.eval(x))
+
+
 def test_closed_form_validation():
     with pytest.raises(ValueError):
         closed_form(G, G, 3, 2)
@@ -252,9 +316,37 @@ def test_reduce_to_quartic_even_k_four():
 def test_quartic_reduction_verify_rejects_wrong_pair():
     emb = extension_of(F32, 1)
     good = QuarticReduction(G ** 7, G ** 3, 3, G ** 3, G ** 15, emb, "odd", 3)
-    assert good.verify()
+    assert good.verify() and ref_quartic_verify(good)
     bad = QuarticReduction(G ** 7, G ** 3, 3, G ** 3, G ** 16, emb, "odd", 3)
-    assert not bad.verify()
+    assert not bad.verify() and not ref_quartic_verify(bad)
+
+
+def test_quartic_verify_matches_pointwise_reference():
+    """Every solved reduction verifies both ways; moving b by a step that
+    changes the target tail (b itself for even k, a*b^q + b for odd k) makes
+    both say False."""
+    rng = random.Random(25)
+    solved = 0
+    for degree in range(1, 9):
+        f = BinaryField(degree)
+        for _ in range(8):
+            a = f.element(rng.randrange(1, f.order))
+            b = f.element(rng.randrange(f.order))
+            k = rng.randrange(2, 8)
+            try:
+                red = reduce_to_quartic(a, b, k, max_relative_degree=3)
+            except ResourceLimitError:
+                continue
+            solved += 1
+            assert red.verify() and ref_quartic_verify(red), (degree, a, b, k)
+            step = next((d for d in f.elements() if not d.is_zero and (
+                d if red.parity == "even" else a * d.frob(k) + d)), None)
+            if step is None:  # over F_2 with a = 1, every b has one tail
+                continue
+            moved = QuarticReduction(a, b + step, k, red.c, red.d,
+                                     red.embedding, red.parity, red.j)
+            assert not moved.verify() and not ref_quartic_verify(moved)
+    assert solved >= 40, solved
 
 
 def test_reduce_to_quartic_validation_and_limits():
@@ -277,6 +369,46 @@ def test_orbit_length_bookkeeping():
         iterated_orbit_length(0, 1)
     with pytest.raises(ValueError):
         orbit_length_options(3, "sideways")
+
+
+def test_pair_composites_match_pointwise_iteration():
+    psi = MapSpec("psi", G ** 4, G ** 9, 3)
+    theta = MapSpec("theta", G ** 7, G ** 3, 2)
+    both = psi.pair.then(theta.pair)  # psi first
+    cube = psi.pair.power(3)
+    for i in range(F32.order + 1):
+        assert both.eval_int(i) == theta.eval_int(psi.eval_int(i))
+        assert cube.eval_int(i) == psi.eval_int(psi.eval_int(psi.eval_int(i)))
+    assert cube.same_map(psi.pair.then(psi.pair).then(psi.pair))
+    assert not cube.same_map(psi.pair.power(2))
+    scalar = Semilinear(F32, ((G.bits, 0), (0, G.bits)), 0)
+    assert psi.pair.power(0).same_map(scalar)
+    with pytest.raises(ValueError):
+        psi.pair.power(-1)
+    with pytest.raises(FieldMismatchError):
+        psi.pair.then(Semilinear(BinaryField(4), ((1, 0), (0, 1)), 0))
+
+
+def test_same_map_is_pointwise_equality():
+    """Scaling the matrix keeps the map; moving the twist by 1 changes it
+    except over F_2, and moving it by the degree never does."""
+    rng = random.Random(26)
+    for degree in (1, 2, 3, 5):
+        f = BinaryField(degree)
+        units = range(1, f.order)
+        for _ in range(30):
+            p, q, r, t = (rng.randrange(f.order) for _ in range(4))
+            if f.mul(p, t) == f.mul(q, r):
+                continue
+            lam = rng.choice(units)
+            pair = Semilinear(f, ((p, q), (r, t)), rng.randrange(degree))
+            scaled = [[f.mul(lam, v) for v in row] for row in pair.m]
+            for shift in (0, 1, degree):
+                other = Semilinear(f, scaled, pair.s + shift)
+                pointwise = all(pair.eval_int(i) == other.eval_int(i)
+                                for i in range(f.order + 1))
+                assert pair.same_map(other) == pointwise, (degree, shift)
+                assert pointwise == (shift % degree == 0)
 
 
 def test_iterated_orbit_length_matches_actual_composites():

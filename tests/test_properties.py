@@ -1,5 +1,6 @@
 """Property-based checks of the GF(2)[x] kernels, of wide-field and
-slot-wise reduction, and of Frobenius exponents reduced mod the degree."""
+slot-wise reduction, of Frobenius exponents reduced mod the degree, and of
+the semilinear pairs behind every map of the line."""
 
 import pytest
 
@@ -7,8 +8,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from f2dyn import (BinaryField, MapSpec, ResourceLimitError, fields,
-                   fixed_point_count, gf2x, solve_conjugation,
+from f2dyn import (BinaryField, MapSpec, ResourceLimitError, Semilinear,
+                   fields, fixed_point_count, gf2x, solve_conjugation,
                    theta_fixed_points)
 from test_gf2x import DENSE_MODULI, ref_mod, ref_mul
 
@@ -127,3 +128,72 @@ def test_frobenius_exponent_reduces_mod_the_degree(case):
     # the base field is the one extension where both exponents act alike
     assert (_base_field_solution(MapSpec("psi", c, b, k))
             == _base_field_solution(MapSpec("psi", c, b, shifted)))
+
+
+# semilinear pairs: invertible matrices with any twist, over table fields and
+# wide ones
+PAIR_FIELDS = [BinaryField(n) for n in (1, 2, 5, 8)] + WIDE_FIELDS[:3]
+
+
+@st.composite
+def pairs(draw, field):
+    """M = P*L*U: rows maybe swapped, L = ((1, 0), (l, 1)) and
+    U = ((d1, u), (0, d2)) with d1, d2 nonzero, so every invertible M."""
+    elements = st.integers(min_value=0, max_value=field.order - 1)
+    units = st.integers(min_value=1, max_value=field.order - 1)
+    l, u, d1, d2 = draw(elements), draw(elements), draw(units), draw(units)
+    mul = field.mul
+    rows = [(d1, u), (mul(l, d1), mul(l, u) ^ d2)]
+    if draw(st.booleans()):
+        rows.reverse()
+    return Semilinear(field, rows, draw(st.integers(0, 3 * field.degree)))
+
+
+@st.composite
+def pair_triples(draw):
+    field = draw(st.sampled_from(PAIR_FIELDS))
+    return tuple(draw(pairs(field)) for _ in range(3))
+
+
+@settings(deadline=None)
+@given(pair_triples())
+def test_pair_composition_is_associative_and_evaluates(triple):
+    f, g, h = triple
+    left, right = f.then(g).then(h), f.then(g.then(h))
+    assert (left.m, left.s) == (right.m, right.s)
+    field = f.field
+    for i in {0, 1, field.order, f.m[0][1] % field.order}:
+        assert f.then(g).eval_int(i) == g.eval_int(f.eval_int(i))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(PAIR_FIELDS).flatmap(pairs),
+       st.integers(0, 1 << 80), st.integers(0, 1 << 80))
+def test_pair_powers_add(pair, m1, m2):
+    whole, split = pair.power(m1 + m2), pair.power(m1).then(pair.power(m2))
+    assert (whole.m, whole.s) == (split.m, split.s)
+    assert whole.same_map(split)
+
+
+@st.composite
+def maps(draw):
+    field = draw(st.sampled_from(PAIR_FIELDS))
+    a = draw(st.integers(min_value=1, max_value=field.order - 1))
+    b = draw(st.integers(min_value=0, max_value=field.order - 1))
+    x = draw(st.integers(min_value=0, max_value=field.order))
+    kind = draw(st.sampled_from(("theta", "psi")))
+    k = draw(st.integers(min_value=1, max_value=3 * field.degree))
+    return MapSpec(kind, field.element(a), field.element(b), k), x
+
+
+@settings(deadline=None)
+@given(maps())
+def test_pair_evaluates_the_map_formula(case):
+    mp, x = case
+    field, inf = mp.field, mp.field.order
+    if x == inf:
+        want = inf if mp.kind == "theta" else 0
+    else:
+        t = (mp.a * field.element(x).frob(mp.k) + mp.b).bits
+        want = t if mp.kind == "theta" else (field.inv(t) if t else inf)
+    assert mp.pair.eval_int(x) == want
