@@ -160,15 +160,18 @@ def _lifting_cycle_counts(cs: CycleStructure, curve) -> Counter:
     """Cycle counts of the map restricted to x-coordinates of curve points
     (the classes the catalog enumerates; the rest of the line lifts only to
     the quadratic twist)."""
-    inv_sq = (curve.a1 * curve.a1).inv()
+    field = curve.field
+    exp, _ = field.tables()
+    units, mul = field.mult_order, field.mul
+    inv_sq, a2 = (curve.a1 * curve.a1).inv().bits, curve.a2.bits
     counts: Counter[int] = Counter()
-    for cyc in cs.cycles:
-        p = cyc[0]
-        if p.is_infinity:
+    for cyc in cs.ranks:
+        rank = cyc[0]
+        if rank == units + 1:  # infinity
             counts[len(cyc)] += 1
             continue
-        x = p.value
-        if ((x * x * x + curve.a2 * x) * inv_sq).trace() == 0:
+        x = exp[rank] if rank < units else 0
+        if field.trace(mul(mul(mul(x, x) ^ a2, x), inv_sq)) == 0:
             counts[len(cyc)] += 1
     return counts
 
@@ -186,13 +189,13 @@ def run_curve(cfg: JobConfig) -> str:
                          "(the duplication shape)")
     field = _field(cfg)
     mp = _map(cfg, field)
+    cs = mp.cycle_structure()  # first: it refuses fields above the tables
     curve = curve_from_map(mp.a, mp.b)
     emb = quadratic_extension(field)
     gs1 = group_structure(curve, field)
     gs2 = group_structure(curve, emb.ext)
     cat1, cat2 = cycle_catalog(gs1), cycle_catalog(gs2)
 
-    cs = mp.cycle_structure()
     observed = sorted(cs.lengths())
     predicted = sorted(catalog_length_sets(cat2)[0])
     notes = []

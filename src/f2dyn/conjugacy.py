@@ -22,6 +22,7 @@ from .fields import (
     FieldElement,
     FieldMismatchError,
     InvariantViolationError,
+    POINT_LIMIT,
     ResourceLimitError,
     SubsetXorSolver,
     extension_of,
@@ -30,8 +31,6 @@ from .fields import (
 )
 from .maps import MapSpec, ProjPoint, Semilinear
 
-# Largest field swept value by value (bluher_counts).
-_POINT_LIMIT = 1 << 20
 # Largest q = 2^t for which projective_roots searches the roots of a degree
 # q + 1 polynomial; t <= n/2 always, so every k is answered up to n = 21.
 _ROOT_Q_LIMIT = 1 << 10
@@ -294,7 +293,7 @@ def bluher_counts(k: int, field: BinaryField) -> list[int]:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if field.order > _POINT_LIMIT:
+    if field.order > POINT_LIMIT:
         raise ResourceLimitError(
             f"a root-count sweep over 2^{field.degree} values is out of range")
     n = field.degree

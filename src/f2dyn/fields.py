@@ -20,6 +20,10 @@ from . import gf2x
 # multiply with the gf2x kernels and reduce with a reducer for their modulus.
 _TABLE_LIMIT = 16
 
+# Pointwise scans refuse to visit more than this many points: the sweep of a
+# field in conjugacy.bluher_counts, the line in maps.MapSpec.permutation.
+POINT_LIMIT = 1 << 20
+
 # Affine linearized solves refuse to expand solution sets beyond this many
 # GF(2) dimensions; nothing at desk scale comes close.
 _KERNEL_ENUM_LIMIT = 20

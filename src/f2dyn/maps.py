@@ -1,10 +1,13 @@
 """Power-affine maps x -> a*x^(2^k) + b and their reciprocals on P^1(F_{2^n}).
 
 Both families are bijections of the projective line, so the functional graph
-of a map is a disjoint union of cycles.  Decompositions are canonical: points
-are ordered by discrete log of the field's primitive element (then the zero
-element, then infinity), each cycle starts at its smallest point, and cycles
-are listed by starting point.
+of a map is a disjoint union of cycles.  Decompositions are canonical and are
+computed in rank coordinates: with N = 2^n - 1, the point g^i (g the field's
+primitive element) has rank i, the zero element rank N and infinity rank
+N + 1.  Each cycle starts at its smallest rank and cycles are listed by
+starting rank, so ascending rank is the canonical order and no sort is
+needed.  Ranks need the field's exp/log tables, so cycle decompositions stop
+at fields of 2^16 elements.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .fields import (
     FieldMismatchError,
     InvariantViolationError,
     LinearizedPoly,
+    POINT_LIMIT,
     ResourceLimitError,
     extension_of,
     nth_roots,
@@ -74,13 +78,12 @@ def _point_from_int(field: BinaryField, i: int) -> ProjPoint:
     return ProjPoint(field, field.element(i))
 
 
-def _sort_key(field: BinaryField, i: int) -> int:
-    """Canonical order: g^0, g^1, ..., g^(2^n-2), then 0, then infinity."""
-    if i == field.order:
-        return field.order
-    if i == 0:
-        return field.order - 1
-    return field.log(i)
+def _rank_int(field: BinaryField, rank: int) -> int:
+    """The point encoding of a rank: g^rank below N = 2^n - 1, zero at N,
+    infinity (encoded as the field order) at N + 1."""
+    if rank < field.mult_order:
+        return field.exp(rank)
+    return 0 if rank == field.mult_order else field.order
 
 
 class Semilinear:
@@ -152,6 +155,73 @@ class Semilinear:
             raise FieldMismatchError("point lies in a different field")
         return _point_from_int(self.field, self.eval_int(_point_int(x)))
 
+    def rank_permutation(self) -> list[int]:
+        """The map on ranks (g^i is i, zero N = 2^n - 1, infinity N + 1):
+        g^i goes to log(p*y + q) - log(r*y + t) mod N, y = g^(i*2^s), with
+        the zero of the numerator sent to N and that of the denominator to
+        N + 1.  Refuses, through the field's tables, above 2^16 elements."""
+        field = self.field
+        exp, log = field.tables()
+        n, N, s = field.degree, field.mult_order, self.s
+        (p, q), (r, t) = self.m
+        ys = range(N) if s == 0 else [(i << s) % N for i in range(N)]
+
+        def logs(c: int, d: int) -> list[int] | None:
+            # log(c*y + d) for every y (log 0 reads -1), None when c = 0
+            if c == 0:
+                return None
+            lc = log[c]
+            return [log[exp[lc + y] ^ d] for y in ys]
+
+        def vanishes_at(c: int, d: int) -> int | None:
+            # the rank i with c*y + d = 0, y = g^(i*2^s); 2^(n-s) inverts 2^s
+            if c == 0 or d == 0:
+                return None
+            return ((log[d] - log[c]) << (n - s)) % N
+
+        def ratio(u: int, v: int) -> int:
+            if v == 0:
+                return N + 1
+            return N if u == 0 else (log[u] - log[v]) % N
+
+        num, den = logs(p, q), logs(r, t)
+        if den is None:  # theta: the denominator is the unit t
+            lt = log[t]
+            image = num if lt == 0 else [(u - lt) % N for u in num]
+        elif num is None:  # psi: the numerator is the unit q
+            lq = log[q]
+            image = [(lq - v) % N for v in den]
+        else:
+            image = [(u - v) % N for u, v in zip(num, den)]
+        for c, d, rank in ((p, q, N), (r, t, N + 1)):
+            i = vanishes_at(c, d)
+            if i is not None:
+                image[i] = rank
+        image.append(ratio(q, t))  # zero: y = 0
+        image.append(ratio(p, r))  # infinity
+        return image
+
+    def rank_cycles(self) -> tuple[tuple[int, ...], ...]:
+        """The cycles of rank_permutation, each from its smallest rank, in
+        ascending order of that rank: the canonical decomposition."""
+        image = self.rank_permutation()
+        seen = bytearray(len(image))
+        cycles = []
+        for start in range(len(image)):
+            if seen[start]:
+                continue
+            seen[start] = 1
+            cyc = [start]
+            cur = image[start]
+            while cur != start:
+                if seen[cur]:
+                    raise InvariantViolationError("the map is not a bijection")
+                seen[cur] = 1
+                cyc.append(cur)
+                cur = image[cur]
+            cycles.append(tuple(cyc))
+        return tuple(cycles)
+
 
 @dataclass(frozen=True)
 class MapSpec:
@@ -202,9 +272,15 @@ class MapSpec:
         return self.pair.eval_int(i)
 
     def permutation(self) -> list[int]:
-        """Image table over the point encoding 0..order (order = infinity)."""
+        """Image table over the point encoding 0..order (order = infinity),
+        point by point: the oracle of cycle_structure."""
+        points = self.field.order + 1
+        if points > POINT_LIMIT:
+            raise ResourceLimitError(
+                f"a pointwise scan of {points} points exceeds the budget of "
+                f"{POINT_LIMIT}")
         ev = self.pair.eval_int
-        return [ev(i) for i in range(self.field.order + 1)]
+        return [ev(i) for i in range(points)]
 
     def is_bijection(self) -> bool:
         perm = self.permutation()
@@ -229,49 +305,40 @@ class MapSpec:
         return [_point_from_int(self.field, i) for i in out]
 
     def cycle_structure(self) -> "CycleStructure":
-        field = self.field
-        perm = self.permutation()
-        n_points = field.order + 1
-        order = sorted(range(n_points), key=lambda i: _sort_key(field, i))
-        seen = bytearray(n_points)
-        cycles = []
-        for start in order:
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = 1
-            cur = perm[start]
-            while cur != start:
-                cyc.append(cur)
-                seen[cur] = 1
-                cur = perm[cur]
-            cycles.append(tuple(_point_from_int(field, i) for i in cyc))
-        return CycleStructure(map=self, cycles=tuple(cycles))
+        return CycleStructure(map=self, ranks=self.pair.rank_cycles())
 
 
 @dataclass(frozen=True)
 class CycleStructure:
-    """A complete cycle decomposition of P^1 under one map."""
+    """A complete cycle decomposition of P^1 under one map, held as point
+    ranks (see the module docstring); the ProjPoint view is built on first
+    use."""
 
     map: MapSpec
-    cycles: tuple[tuple[ProjPoint, ...], ...]
+    ranks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        total = sum(len(c) for c in self.cycles)
+        total = sum(map(len, self.ranks))
         if total != self.map.field.order + 1:
             raise InvariantViolationError(
                 f"cycles cover {total} points, expected {self.map.field.order + 1}")
+
+    @cached_property
+    def cycles(self) -> tuple[tuple[ProjPoint, ...], ...]:
+        field = self.map.field
+        return tuple(tuple(_point_from_int(field, _rank_int(field, r))
+                           for r in cyc) for cyc in self.ranks)
 
     @property
     def summary(self) -> dict[int, int]:
         """How many cycles of each length, keyed by ascending length."""
         counts: dict[int, int] = {}
-        for c in self.cycles:
+        for c in self.ranks:
             counts[len(c)] = counts.get(len(c), 0) + 1
         return dict(sorted(counts.items()))
 
     def lengths(self) -> set[int]:
-        return {len(c) for c in self.cycles}
+        return set(map(len, self.ranks))
 
     def cycle_of(self, x: ProjPoint) -> tuple[ProjPoint, ...]:
         for c in self.cycles:
@@ -355,9 +422,10 @@ def reduce_to_quartic(a: FieldElement, b: FieldElement, k: int,
     For even k = 2j the composite of the quartic map j times must equal the
     map itself; for odd k, j = k and the composite must equal the square of
     the map.  c solves c^(s_j) = A with s_j = (4^j - 1)/3, and d solves the
-    linearized equation sum of c^(s_i) d^(4^i) = B (i < j).  Solutions are
-    searched in extensions of increasing degree and the smallest (extension
-    degree, encoding of c, encoding of d) is returned.
+    linearized equation sum of c^(s_i) d^(4^i) = B (i < j), whose terms are
+    folded to at most N of them over F_{2^N} (_quartic_coefficients).
+    Solutions are searched in extensions of increasing degree and the
+    smallest (extension degree, encoding of c, encoding of d) is returned.
     """
     theta = MapSpec("theta", a, b, k).pair  # validates the coefficients
     if k < 2:
@@ -366,16 +434,14 @@ def reduce_to_quartic(a: FieldElement, b: FieldElement, k: int,
     # theta's own coefficients, or (a^(2^k + 1), a*b^(2^k) + b) for its square
     top = (theta if parity == "even" else theta.then(theta)).m[0]
     target_a, target_b = (a.field.element(v) for v in top)
-    s_j = (4**j - 1) // 3
     for r in range(1, max_relative_degree + 1):
         emb = extension_of(a.field, r)
         big_a, big_b = emb(target_a), emb(target_b)
+        units = emb.ext.mult_order
+        # s_j mod 2^N - 1 without building 4^j (s_j = 0 reads as units)
+        s_j = (pow(4, j, 3 * units) - 1) // 3 or units
         for c in sorted(nth_roots(big_a, s_j), key=lambda e: e.bits):
-            coeffs = []
-            pow_c = emb.ext.one  # c^(s_i) starting from s_0 = 0
-            for _ in range(j):
-                coeffs.append(pow_c)
-                pow_c = pow_c.frob(2) * c
+            coeffs = _quartic_coefficients(c, j)
             solutions = LinearizedPoly(4, coeffs).solve(big_b)
             if solutions:
                 d = min(solutions, key=lambda e: e.bits)
@@ -385,6 +451,35 @@ def reduce_to_quartic(a: FieldElement, b: FieldElement, k: int,
     raise ResourceLimitError(
         f"no quartic reduction found in extensions up to degree "
         f"{max_relative_degree} over the base field")
+
+
+def _quartic_coefficients(c: FieldElement, j: int) -> list[FieldElement]:
+    """Coefficients of the linearized map sum over i < j of c^(s_i) d^(4^i),
+    s_i = (4^i - 1)/3, folded to at most P = N/gcd(N, 2) terms over F_{2^N}.
+
+    d^(4^i) repeats with period P, and c^(s_(r + tP)) = c^(s_r) * C^t with
+    C = c^(s_P) (C^3 = 1, since 3*s_P = 4^P - 1), so term r < P collects
+    c^(s_r) times the geometric sum of C^t over t < T_r, T_r the number of
+    i < j with i = r mod P.  For j <= P these are the j terms themselves.
+    """
+    field = c.field
+    period = field.degree // gcd(field.degree, 2)
+    coeffs = []
+    pow_c = field.one  # c^(s_i) starting from s_0 = 0
+    for _ in range(min(j, period)):
+        coeffs.append(pow_c)
+        pow_c = pow_c.frob(2) * c
+    if j <= period:
+        return coeffs
+    big_c, one = pow_c, field.one  # c^(s_P)
+
+    def geometric(t: int) -> FieldElement:
+        if big_c == one:
+            return one if t & 1 else field.zero
+        return (big_c ** t + one) / (big_c + one)
+
+    return [coef * geometric((j - r + period - 1) // period)
+            for r, coef in enumerate(coeffs)]
 
 
 # -- orbit-length bookkeeping ------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Points are labelled the way the cycle figures read: powers of the field's
 primitive element as "g^i", the zero element as "0", and the point at
-infinity as "inf".  Fields too large for discrete-log tables fall back to
-hex labels.
+infinity as "inf".  Cycle listings label point ranks directly (rank i is
+"g^i"), so they exist only where cycle decompositions do, in fields with
+discrete-log tables.  Single points (point_label, element_echo) of wider
+fields fall back to hex labels.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ def map_echo(m: MapSpec) -> dict:
 
 
 def cycle_labels(cs: CycleStructure) -> list[list[str]]:
-    return [[point_label(p) for p in cyc] for cyc in cs.cycles]
+    units = cs.map.field.mult_order
+    labels = [f"g^{i}" for i in range(units)] + ["0", "inf"]  # by rank
+    return [[labels[r] for r in cyc] for cyc in cs.ranks]
 
 
 def cycles_to_dict(cs: CycleStructure) -> dict:
@@ -67,8 +71,7 @@ def emit_dot(cs: CycleStructure, name: str = "cycles") -> str:
     lines = [f"digraph {name} {{"]
     m = cs.map
     lines.append(f'  label="{m.describe()} over F_2^{m.field.degree}";')
-    for cyc in cs.cycles:
-        labels = [point_label(p) for p in cyc]
+    for labels in cycle_labels(cs):
         for src, dst in zip(labels, labels[1:] + labels[:1]):
             lines.append(f'  "{src}" -> "{dst}";')
     lines.append("}")

@@ -341,6 +341,18 @@ def test_resource_exhaustion_exits_three(capsys):
     assert "resource" in err
 
 
+@pytest.mark.parametrize("command", ["orbits", "curve"])
+def test_line_listing_above_the_tables_exits_three_at_once(command, capsys):
+    """A cycle listing needs discrete-log tables, so F_2^40 is refused
+    before any scan of its line or its curve starts."""
+    start = time.perf_counter()
+    code, out, err = invoke(
+        [command, "--degree", "40", "--a", "g", "--b", "g^3"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_RESOURCE and out == ""
+    assert "2^16" in err
+
+
 def test_run_dispatches_by_command():
     cfg = JobConfig(command="orbits", degree=5, a="g", b="g^3", k=2)
     out = run(cfg)

@@ -5,10 +5,11 @@ import time
 
 import pytest
 
-from f2dyn import (BinaryField, FieldMismatchError, MapSpec, ProjPoint,
-                   QuarticReduction, ResourceLimitError, Semilinear,
+from f2dyn import (BinaryField, FieldMismatchError, LinearizedPoly, MapSpec,
+                   ProjPoint, QuarticReduction, ResourceLimitError, Semilinear,
                    closed_form, extension_of, iterated_orbit_length,
                    orbit_length_options, reduce_to_quartic)
+from f2dyn.maps import _quartic_coefficients
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
@@ -45,6 +46,16 @@ def ref_quartic_verify(red):
         if cur != emb(want):
             return False
     return True
+
+
+def ref_quartic_coefficients(c, j):
+    """The j terms c^(s_i), s_i = (4^i - 1)/3, of the quartic reduction's
+    linearized map, one per i < j."""
+    coeffs, pow_c = [], c.field.one
+    for _ in range(j):
+        coeffs.append(pow_c)
+        pow_c = pow_c.frob(2) * c
+    return coeffs
 
 
 def tokens(cycle):
@@ -190,6 +201,36 @@ def test_reciprocal_psi_cycle_figure():
         [28],
     ]
     assert mp.cycle_structure().summary == {1: 3, 5: 6}
+
+
+def test_cycles_are_the_ranks_as_points():
+    """The lazy ProjPoint view lists the same cycles as the ranks: g^i for
+    rank i < N, zero for N and infinity for N + 1."""
+    units = F32.mult_order
+    for mp in (MapSpec("theta", G, G ** 3, 2), MapSpec("psi", G ** 4, G ** 9, 3),
+               MapSpec("theta", G ** 9, F32.zero, 0)):
+        cs = mp.cycle_structure()
+        assert "cycles" not in vars(cs)  # built on first use
+        want = tuple(tuple(ProjPoint.finite(G ** r) if r < units
+                           else ProjPoint.finite(F32.zero) if r == units
+                           else ProjPoint.infinity(F32) for r in cyc)
+                     for cyc in cs.ranks)
+        assert cs.cycles == want
+        assert cs.cycles is cs.cycles
+        assert [len(c) for c in cs.cycles] == [len(c) for c in cs.ranks]
+
+
+def test_line_scans_are_sized_before_they_start():
+    """Above the exp/log tables the rank kernel refuses at once, and the
+    pointwise permutation refuses a line above the point budget before it
+    allocates its table."""
+    wide = BinaryField(20)
+    mp = MapSpec("theta", wide.gen, wide.one, 2)
+    start = time.perf_counter()
+    for fn in (mp.cycle_structure, mp.permutation, mp.is_bijection):
+        with pytest.raises(ResourceLimitError):
+            fn()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_orbit_agrees_with_cycle_of():
@@ -347,6 +388,38 @@ def test_quartic_verify_matches_pointwise_reference():
                                      red.embedding, red.parity, red.j)
             assert not moved.verify() and not ref_quartic_verify(moved)
     assert solved >= 40, solved
+
+
+def test_folded_quartic_coefficients_match_the_term_loop():
+    """Up to the period P = N/gcd(N, 2) the coefficients are the loop's own
+    terms; past it the folded map is the same map of F_{2^N}."""
+    rng = random.Random(27)
+    for degree in range(1, 9):
+        f = BinaryField(degree)
+        period = degree // (2 if degree % 2 == 0 else 1)
+        basis = [f.element(1 << i) for i in range(degree)]
+        for _ in range(6):
+            c = f.element(rng.randrange(1, f.order))
+            for j in range(1, 3 * degree + 1):
+                want = ref_quartic_coefficients(c, j)
+                got = _quartic_coefficients(c, j)
+                if j <= period:
+                    assert got == want
+                assert len(got) == min(j, period)
+                folded, loop = LinearizedPoly(4, got), LinearizedPoly(4, want)
+                assert [folded(x) for x in basis] == [loop(x) for x in basis], \
+                    (degree, c, j)
+
+
+def test_reduce_to_quartic_of_a_huge_exponent():
+    """k near 10^9 over F_32: s_j by modular powering and the linearized map
+    folded to the period, so the search costs what k = 3 costs."""
+    for k in (10**9 + 3, 999999937, 10**9 + 1):
+        start = time.perf_counter()
+        red = reduce_to_quartic(G ** 7, G ** 3, k)
+        assert time.perf_counter() - start < 1.0
+        assert red.parity == "odd" and red.j == k
+        assert red.verify()
 
 
 def test_reduce_to_quartic_validation_and_limits():

@@ -1,6 +1,7 @@
 """Property-based checks of the GF(2)[x] kernels, of wide-field and
-slot-wise reduction, of Frobenius exponents reduced mod the degree, and of
-the semilinear pairs behind every map of the line."""
+slot-wise reduction, of Frobenius exponents reduced mod the degree, of
+the semilinear pairs behind every map of the line, and of the rank-space
+cycle decompositions against a pointwise walk."""
 
 import pytest
 
@@ -197,3 +198,48 @@ def test_pair_evaluates_the_map_formula(case):
         t = (mp.a * field.element(x).frob(mp.k) + mp.b).bits
         want = t if mp.kind == "theta" else (field.inv(t) if t else inf)
     assert mp.pair.eval_int(x) == want
+
+
+# rank cycles: theta, psi, tau and arbitrary invertible pairs over the table
+# fields, walked point by point with eval_int as the oracle
+RANK_FIELDS = [BinaryField(n) for n in range(1, 11)]
+
+
+@st.composite
+def line_pairs(draw):
+    field = draw(st.sampled_from(RANK_FIELDS))
+    n, order = field.degree, field.order
+    elements = st.integers(min_value=0, max_value=order - 1)
+    units = st.integers(min_value=1, max_value=order - 1)
+    kind = draw(st.sampled_from(("theta", "psi", "tau", "any")))
+    if kind == "any":  # e.g. r = 0 with t != 1, which no family has
+        return draw(pairs(field))
+    if kind == "tau":  # ((1, c1), (c2, c3)), invertible: c3 != c1*c2
+        c1, c2 = draw(elements), draw(elements)
+        c3 = draw(elements.filter(lambda v: v != field.mul(c1, c2)))
+        return Semilinear(field, ((1, c1), (c2, c3)), 0)
+    a, b = draw(units), draw(elements)
+    k = draw(st.integers(min_value=0 if kind == "theta" else 1,
+                         max_value=2 * n))
+    return MapSpec(kind, field.element(a), field.element(b), k).pair
+
+
+@settings(deadline=1000)
+@given(line_pairs())
+def test_rank_cycles_are_the_pointwise_cycles(pair):
+    field = pair.field
+    units = field.mult_order
+    exp, _ = field.tables()
+
+    def point(rank):  # rank -> point encoding (the field order is infinity)
+        return exp[rank] if rank < units else (0, field.order)[rank - units]
+
+    cycles = pair.rank_cycles()
+    ranks = [r for cyc in cycles for r in cyc]
+    assert sorted(ranks) == list(range(units + 2))  # a partition of P^1
+    starts = [cyc[0] for cyc in cycles]
+    assert starts == sorted(starts)
+    for cyc in cycles:
+        assert cyc[0] == min(cyc)
+        for r, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+            assert pair.eval_int(point(r)) == point(nxt)

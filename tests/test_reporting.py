@@ -28,6 +28,14 @@ def test_cycle_labels_match_known_figure():
     assert labels[4] == ["inf"]
 
 
+def test_cycle_labels_of_ranks_are_the_point_labels():
+    """Labels read straight off the ranks equal point_label of the lazily
+    built points, on the degree-16 map the benchmark ladder lists."""
+    f = BinaryField(16)
+    cs = MapSpec("theta", f.element(0xF13A), f.element(0x2B7B), 2).cycle_structure()
+    assert cycle_labels(cs) == [[point_label(p) for p in c] for c in cs.cycles]
+
+
 def test_cycles_to_dict_contents():
     cs = MapSpec("psi", G, G ** 2, 2).cycle_structure()
     d = cycles_to_dict(cs)
