@@ -32,8 +32,8 @@ from .fields import (
 from .maps import MapSpec, ProjPoint, Semilinear
 
 # Largest q = 2^t for which projective_roots searches the roots of a degree
-# q + 1 polynomial; t <= n/2 always, so every k is answered up to n = 21.
-_ROOT_Q_LIMIT = 1 << 10
+# q + 1 polynomial; t <= n/2 always, so every k is answered up to n = 29.
+_ROOT_Q_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -122,38 +122,52 @@ class TauMap:
     __call__ = eval
 
 
-def _linear_kernel(field: BinaryField, fn) -> list[int]:
-    """Ascending encodings of the kernel of a GF(2)-linear map on the field."""
-    solver = SubsetXorSolver([fn(1 << j) for j in range(field.degree)])
-    return sorted(solver.kernel_elements())
+def _kernel_basis(field: BinaryField, fn) -> list[int]:
+    """A reduced echelon basis of the kernel of a GF(2)-linear map on the
+    field: distinct leading bits, each absent from the other vectors, in
+    ascending order."""
+    basis: list[int] = []
+    for m in SubsetXorSolver([fn(1 << j) for j in range(field.degree)]).kernel_masks:
+        for r in basis:
+            m = min(m, m ^ r)  # clears r's leading bit from m
+        basis = sorted([min(r, r ^ m) for r in basis] + [m])
+    return basis
 
 
 def _candidate_degrees(map: MapSpec, bound: int):
     """Relative degrees r worth building: F_{2^(n*r)} must contain a root of
     X^(q+1) + b*X^q + a (for c2) and a nonzero kernel element of v (for c3).
 
-    Both conditions are root-existence questions about fixed polynomials with
-    base-field coefficients, so they are probed by gcds over the base field;
-    no extension is constructed until a degree passes both probes.  Only for
-    enormous q (huge k) does the probe fall back to trying every degree.
+    On F_{2^(n*r)} any q = 2^e with e = k mod n*r (n*r itself for 0) acts as
+    q = 2^k, so both conditions are root-existence questions about fixed
+    polynomials with base-field coefficients, probed by gcds over the base
+    field with one pair of counters per e; no extension is constructed until
+    a degree passes both probes.  A degree whose e exceeds 6 (q^2 > 4096)
+    is built without a probe.
     """
     base = map.field
-    k = map.k
-    if k > 6:  # q^2 > 4096, tested before q = 2^k is built
-        yield from range(1, bound + 1)
-        return
-    q = 1 << k
     a, b, one, zero = map.a, map.b, base.one, base.zero
-    p_coeffs = [a] + [zero] * (q - 1) + [b, one]
-    # nonzero roots of v(x) = a*x^(q^2) + b*x^q + x are roots of this
-    v_coeffs = [zero] * (q * q)
-    v_coeffs[0] = one
-    v_coeffs[q - 1] = b
-    v_coeffs[q * q - 1] = a
-    c2_counter = ExtensionRootCounter(p_coeffs)
-    c3_counter = ExtensionRootCounter(v_coeffs)
+    c2_counters: dict[int, ExtensionRootCounter] = {}
+    c3_counters: dict[int, ExtensionRootCounter] = {}
     for r in range(1, bound + 1):
-        if c2_counter.count(r) and c3_counter.count(r):
+        e = map.k % (base.degree * r) or base.degree * r
+        if e > 6:
+            yield r
+            continue
+        q = 1 << e
+        if e not in c2_counters:
+            c2_counters[e] = ExtensionRootCounter([a] + [zero] * (q - 1)
+                                                  + [b, one])
+        if not c2_counters[e].count(r):
+            continue
+        if e not in c3_counters:
+            # nonzero roots of v(x) = a*x^(q^2) + b*x^q + x are roots of this
+            v_coeffs = [zero] * (q * q)
+            v_coeffs[0] = one
+            v_coeffs[q - 1] = b
+            v_coeffs[q * q - 1] = a
+            c3_counters[e] = ExtensionRootCounter(v_coeffs)
+        if c3_counters[e].count(r):
             yield r
 
 
@@ -164,7 +178,9 @@ def solve_conjugation(map: MapSpec, max_relative_degree: int = 24) -> ConjugacyD
     of v(x) = a*x^(q^2) + b*x^q + x avoiding the kernel of u(x) = x + c2*x^q;
     then c = c2^q and c1 = c3^q.  The base field is searched first, then
     extensions of increasing degree, and the smallest (extension degree,
-    encoding of c2, encoding of c3) is returned.
+    encoding of c2, encoding of c3) is returned.  A degree whose c2 search
+    is past projective_roots' budget raises ResourceLimitError rather than
+    being skipped, which could return a larger degree.
     """
     if map.kind != "psi":
         raise ValueError("conjugation targets reciprocal maps")
@@ -174,30 +190,27 @@ def solve_conjugation(map: MapSpec, max_relative_degree: int = 24) -> ConjugacyD
         ext = emb.ext
         a, b = emb(map.a), emb(map.b)
         s = map.k % ext.degree
-        one = ext.one
 
         def v(x: int) -> int:
             t = ext.frob(x, s)
             return x ^ ext.mul(b.bits, t) ^ ext.mul(a.bits, ext.frob(t, s))
 
-        try:
-            kernel = _linear_kernel(ext, v)
-        except ResourceLimitError:
-            continue
-        if len(kernel) < 2:
+        kernel = _kernel_basis(ext, v)
+        if not kernel:
             continue  # only the zero solution; no usable c3 here
-        # roots of X^(q+1) + b X^q + a, with the exponent reduced to this field
-        q = 1 << s
-        coeffs = [a] + [ext.zero] * (q - 1) + [b, one]
-        for c2 in polynomial_roots(coeffs):
-            if c2.is_zero:
-                continue
+        # c2 is a root of X^(q+1) + b X^q + a, never 0 as a != 0, so 1/c2 is a
+        # root of a Y^(q+1) + b Y + 1: a search that projective_roots sizes
+        for c2_bits in sorted(ext.inv(y) for y in
+                              projective_roots(a, b, ext.one, map.k)):
+            # in ascending order the span of a reduced echelon basis lists
+            # every combination of its first i vectors before the (i+1)-th,
+            # so the least kernel element outside ker u is a basis vector
             c3_bits = next(
-                (x for x in kernel
-                 if x and x ^ ext.mul(c2.bits, ext.frob(x, s))), None)
+                (x for x in kernel if x ^ ext.mul(c2_bits, ext.frob(x, s))),
+                None)
             if c3_bits is None:
                 continue
-            c3 = ext.element(c3_bits)
+            c2, c3 = ext.element(c2_bits), ext.element(c3_bits)
             data = ConjugacyData(map=map, embedding=emb, c=c2.frob(s),
                                  c1=c3.frob(s), c2=c2, c3=c3)
             if not (data.system_holds()

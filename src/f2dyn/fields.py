@@ -113,9 +113,6 @@ class BinaryField:
 
     # -- raw arithmetic on int encodings -------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if self._exp is None:
             if self._wide:
@@ -457,12 +454,6 @@ class LinearizedPoly:
             t = field.frob(t, self._step)
         return acc
 
-    def embedded(self, embedding: "ExtensionEmbedding") -> "LinearizedPoly":
-        """The same symbolic map with coefficients pushed into the extension."""
-        if embedding.base != self.field:
-            raise FieldMismatchError("embedding does not start at this field")
-        return LinearizedPoly(self.q, [embedding(c) for c in self.coeffs])
-
     def _ensure_solver(self) -> SubsetXorSolver:
         if self._solver is None:
             cols = [self.eval_bits(1 << j) for j in range(self.field.degree)]
@@ -542,8 +533,9 @@ def extension_of(base: BinaryField, relative_degree: int) -> ExtensionEmbedding:
     n, modulus = base.degree, base.modulus
     ext = BinaryField(n * relative_degree)
     ring = _ring(ext)
-    # the modulus divides x^(2^(nr)) - x, so it splits without a gcd
-    rho = _one_root(ring, ring.pack([modulus >> i & 1 for i in range(n + 1)]))
+    # the modulus divides x^(2^(nr)) - x, so its gcd with it is free
+    rho = _Splitter(ring, ring.pack([modulus >> i & 1 for i in range(n + 1)])
+                    ).split(one=True)[0]
     orbit = [rho]
     for _ in range(n - 1):
         orbit.append(ext.sqr(orbit[-1]))
@@ -682,11 +674,12 @@ def _ring(field: BinaryField) -> _PolyRing:
 # -- polynomial roots inside a fixed field ---------------------------------------
 #
 # Coefficient lists are little-endian: coeffs[i] multiplies x^i.  The search
-# never enumerates the field: it reduces x^(2^m) - x modulo f to keep only
-# roots lying in the field, then splits with trace polynomials Tr(v*x), trying
-# the GF(2)-basis elements v = x^j in order.  Some basis element separates any
-# two distinct roots, so the recursion always terminates.  All of it runs on
-# packed polynomials, on the search form of f (_search_form).
+# never enumerates the field.  It squares X up to X^(2^n) modulo the search
+# form g of f (_search_form), keeps H = gcd(g, X^(2^n) - X), whose roots are
+# those in the field, and splits H by the traces T_j = Tr(x^j * X) for the
+# basis x^j in order; some x^j separates any two roots.  Each T_j is formed
+# once mod H, from the powers X^(2^i) mod H: g's when H = g, else recomputed
+# mod the smaller H (g may have degree 2^t + 1), never reduced from g's.
 
 
 def _search_form(ring: _PolyRing,
@@ -719,46 +712,59 @@ def _search_form(ring: _PolyRing,
     return v > 0, ring.pack(c), reverse
 
 
-def _trace_factor(ring: _PolyRing, h: int) -> int:
-    """A proper monic factor of h, a product of distinct linear factors.
+class _Splitter:
+    """Splits H = gcd(g, X^(2^n) - X) by the traces T_i = Tr(x^i * X)."""
 
-    The powers X^(2^i) mod h are computed once; each trace polynomial
-    Tr(v*X) = sum of v^(2^i) * X^(2^i) is then n scalar products.
-    """
-    field = ring.field
-    reduce = ring.reducer(h)
-    powers = [1 << ring.width]  # X, reduced since deg h >= 2
-    for _ in range(field.degree - 1):
-        powers.append(reduce(gf2x.sqr(powers[-1])))
-    for j in range(field.degree):
-        acc = 0
-        v = 1 << j
-        for p in powers:
-            acc ^= p if v == 1 else gf2x.mul(v, p)
-            v = field.sqr(v)
-        g = ring.gcd(h, ring.reduce_slots(acc))
-        if 0 < ring.degree(g) < ring.degree(h):
-            return g
-    raise InvariantViolationError(  # pragma: no cover
-        "trace splitting failed on a fully split polynomial")
+    def __init__(self, ring: _PolyRing, g: int):
+        reduce = ring.reducer(g)
+        powers = [reduce(1 << ring.width)]  # X^(2^i) mod g, i <= n
+        for _ in range(ring.field.degree):
+            powers.append(reduce(gf2x.sqr(powers[-1])))
+        self.ring, self.H = ring, ring.gcd(g, powers.pop() ^ powers[0])
+        # X^(2^i) mod H, i < n: g's, or those of H's own splitter (H splits
+        # fully, so that one keeps its powers); an H of degree < 2 is split
+        # without them
+        self._powers = (powers if self.H == g or ring.degree(self.H) < 2
+                        else _Splitter(ring, self.H)._powers)
+        self._rems: dict[tuple[int, int], int] = {}  # (h, i) -> T_i mod h
 
+    def _rem(self, chain: tuple[int, ...], i: int) -> int:
+        """T_i mod the last factor of chain (H if it is empty), each factor
+        dividing the one before, reduced once from its value mod that one."""
+        h = chain[-1] if chain else self.H
+        if (h, i) not in self._rems:
+            if chain:
+                t = self.ring.divmod(self._rem(chain[:-1], i), h)[1]
+            else:  # n packed products, none for x^0 = 1
+                t, v = 0, 1 << i
+                for p in self._powers:
+                    t ^= p if v == 1 else gf2x.mul(v, p)
+                    v = self.ring.field.sqr(v)
+                t = self.ring.reduce_slots(t)
+            self._rems[h, i] = t
+        return self._rems[h, i]
 
-def _split(ring: _PolyRing, h: int) -> list[int]:
-    """The roots of h, a monic product of distinct linear factors."""
-    if ring.degree(h) < 2:
-        return [h ^ (1 << ring.width)] if h >> ring.width else []
-    g = _trace_factor(ring, h)
-    return _split(ring, g) + _split(ring, ring.divmod(h, g)[0])
-
-
-def _one_root(ring: _PolyRing, h: int) -> int:
-    """One root of h, a monic product of distinct linear factors, following
-    the smaller factor of every split."""
-    while ring.degree(h) > 1:
-        g = _trace_factor(ring, h)
-        other = ring.divmod(h, g)[0]
-        h = g if ring.degree(g) <= ring.degree(other) else other
-    return h ^ (1 << ring.width)
+    def split(self, chain: tuple[int, ...] = (), j: int = 0,
+              one: bool = False) -> list[int]:
+        """The roots of the last factor of chain (H if it is empty), on whose
+        roots T_i is constant for i < j; with one, only the root reached
+        through the smaller factor of every split."""
+        ring, h = self.ring, chain[-1] if chain else self.H
+        d = ring.degree(h)
+        if d < 2:
+            return [h ^ (1 << ring.width)] if d == 1 else []
+        for j in range(j, ring.field.degree):
+            g = ring.gcd(h, self._rem(chain, j))
+            if 0 < ring.degree(g) < d:
+                break
+        else:  # pragma: no cover
+            raise InvariantViolationError(
+                "trace splitting failed on a fully split polynomial")
+        # T_j is constant on the roots of g and of f: neither splits on it
+        f = ring.divmod(h, g)[0]
+        if one:
+            return self.split(chain + (min(g, f, key=ring.degree),), j + 1, one)
+        return self.split(chain + (g,), j + 1) + self.split(chain + (f,), j + 1)
 
 
 def _poly_roots_bits(field: BinaryField, coeffs: Sequence[int]) -> list[int]:
@@ -766,13 +772,7 @@ def _poly_roots_bits(field: BinaryField, coeffs: Sequence[int]) -> list[int]:
     zero_root, g, reverse = _search_form(ring, coeffs)
     roots = [0] if zero_root else []
     if ring.degree(g) > 0:
-        # keep only the part of g whose roots lie in this field
-        reduce = ring.reducer(g)
-        x = reduce(1 << ring.width)
-        t = x
-        for _ in range(field.degree):
-            t = reduce(gf2x.sqr(t))
-        found = _split(ring, ring.gcd(g, t ^ x))
+        found = _Splitter(ring, g).split()
         roots += [field.inv(r) for r in found] if reverse else found
     return sorted(roots)
 

@@ -288,22 +288,6 @@ class MapSpec:
 
     # -- orbits and cycles ----------------------------------------------------
 
-    def orbit(self, x0: ProjPoint) -> list[ProjPoint]:
-        """The cycle through x0, listed from x0 (both families are bijections,
-        so every forward orbit is a pure cycle)."""
-        if x0.field != self.field:
-            raise FieldMismatchError("point lies in a different field")
-        start = _point_int(x0)
-        out = [start]
-        cur = self.eval_int(start)
-        limit = self.field.order + 1
-        while cur != start:
-            out.append(cur)
-            cur = self.eval_int(cur)
-            if len(out) > limit:  # pragma: no cover
-                raise InvariantViolationError("orbit failed to close")
-        return [_point_from_int(self.field, i) for i in out]
-
     def cycle_structure(self) -> "CycleStructure":
         return CycleStructure(map=self, ranks=self.pair.rank_cycles())
 

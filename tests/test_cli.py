@@ -195,6 +195,21 @@ def test_conjugate_over_a_degree_20_field_is_fast(capsys):
     assert time.perf_counter() - start < 2.0
 
 
+def test_conjugate_with_a_large_twist_is_sized(capsys):
+    """k = 40 over F_64 reaches q = 2^40 in its extensions; the c2 search
+    never lists 2^s coefficients, so the command answers over F_2^48 at
+    once instead of running out of memory."""
+    start = time.perf_counter()
+    code, out, err = invoke(["conjugate", "--degree", "6", "--map", "psi",
+                             "--a", "0x3f", "--b", "0x36", "--k", "40",
+                             "--format", "json"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (EXIT_OK, "")
+    conj = json.loads(out)["conjugacy"]
+    assert conj["extension_degree"] == 48
+    assert conj["system_holds"] and conj["verified_points"] == (1 << 48) + 1
+
+
 def test_bluher_sweep_and_single_value(capsys):
     code, out, _ = invoke(
         ["bluher", "--degree", "3", "--k", "2", "--format", "json"], capsys)

@@ -2,15 +2,17 @@
 
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
 
-from f2dyn import (BinaryField, ConjugacyData, MapSpec, ProjPoint,
-                   ResourceLimitError, TauMap, bluher_counts,
-                   bluher_distribution, bluher_root_count, extension_of,
-                   fixed_point_count, solve_conjugation,
+from f2dyn import (BinaryField, ConjugacyData, LinearizedPoly, MapSpec,
+                   ProjPoint, ResourceLimitError, TauMap, bluher_counts,
+                   bluher_distribution, bluher_root_count, conjugacy,
+                   extension_of, fixed_point_count, solve_conjugation,
                    theta_fixed_points, verify_conjugation)
+from f2dyn.conjugacy import projective_roots
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
@@ -327,3 +329,107 @@ def test_deep_extension_instance():
     data = solve_conjugation(mp, max_relative_degree=16)
     assert data.embedding.relative_degree == 15
     assert data.system_holds()
+
+
+def test_c2_search_with_a_large_twist_is_sized():
+    """k = 40 over F_64 reaches q = 2^40 at relative degree 7: the c2 search
+    runs on degree 2^t + 1 with t = min(s, N - s) and never lists 2^s
+    coefficients, so degree 7 is ruled out at once and degree 8 answers."""
+    f = BinaryField(6)
+    mp = MapSpec("psi", f.element(0x3F), f.element(0x36), 40)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="no conjugation"):
+        solve_conjugation(mp, max_relative_degree=7)
+    data = solve_conjugation(mp)
+    assert data.ext_degree == 48
+    assert data.system_holds() and verify_conjugation(data)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_whole_field_kernel_is_not_enumerated():
+    """k = 32 over F_2^32 with a + b = 1 makes v(x) = (1 + a + b)*x zero, so
+    the kernel of v is the whole field, and c2 = 1 kills it again through
+    u(x) = x + x.  c3 is read off the kernel's basis, so the next root
+    c2 = a answers over the base field at once."""
+    f = BinaryField(32)
+    mp = MapSpec("psi", f.element(2), f.element(3), 32)
+    start = time.perf_counter()
+    data = solve_conjugation(mp)
+    assert time.perf_counter() - start < 1.0
+    assert data.ext_degree == 32
+    assert (data.c2, data.c3) == (mp.a, f.one)
+    assert data.system_holds() and verify_conjugation(data)
+
+
+def ref_degree_admits(mp, r):
+    """(X^(q+1) + b*X^q + a has a root, v has a nonzero kernel) in
+    F_2^(n*r), found in the extension itself: the roots by projective_roots
+    on 1/X, the kernel by linear algebra."""
+    emb = extension_of(mp.field, r)
+    ext = emb.ext
+    a, b = emb(mp.a), emb(mp.b)
+    s = mp.k % ext.degree
+    has_c2 = bool(projective_roots(a, b, ext.one, mp.k))
+    if s == 0:  # v(x) = (1 + b + a)*x
+        return has_c2, (a + b) == ext.one
+    v = LinearizedPoly(1 << s, [ext.one, b, a])
+    return has_c2, len(v.kernel_elements()) > 1
+
+
+def test_candidate_degrees_are_exact_for_every_k():
+    """The probe reduces k per degree, so it stays exact for k > 6: a degree
+    is skipped only when it lacks c2 or c3, and is built unprobed only when
+    k mod n*r exceeds 6."""
+    rng = random.Random(43)
+    for _ in range(40):
+        f = BinaryField(rng.randrange(2, 5))
+        k = rng.choice([rng.randrange(1, 41), rng.randrange(10**9, 10**9 + 100)])
+        mp = MapSpec("psi", f.element(rng.randrange(1, f.order)),
+                     f.element(rng.randrange(f.order)), k)
+        yielded = set(conjugacy._candidate_degrees(mp, 4))
+        for r in range(1, 5):
+            e = k % (f.degree * r) or f.degree * r
+            if e > 6:
+                assert r in yielded, (mp, r)
+            else:
+                assert (r in yielded) == all(ref_degree_admits(mp, r)), (mp, r)
+
+
+def test_probes_do_not_change_answers(monkeypatch):
+    """solve_conjugation answers as if it built every degree up to the bound."""
+    def outcome(mp, bound):
+        try:
+            data = solve_conjugation(mp, max_relative_degree=bound)
+        except ResourceLimitError as exc:
+            return str(exc)
+        return data.describe()
+
+    rng = random.Random(44)
+    maps = []
+    for _ in range(30):
+        f = BinaryField(rng.randrange(2, 6))
+        k = rng.choice([rng.randrange(7, 41), rng.randrange(10**9, 10**9 + 100)])
+        maps.append((MapSpec("psi", f.element(rng.randrange(1, f.order)),
+                             f.element(rng.randrange(f.order)), k),
+                     rng.randrange(1, 7)))
+    probed = [outcome(mp, bound) for mp, bound in maps]
+    monkeypatch.setattr(conjugacy, "_candidate_degrees",
+                        lambda mp, bound: iter(range(1, bound + 1)))
+    assert [outcome(mp, bound) for mp, bound in maps] == probed
+    assert sum(" over F_2^" in p for p in probed) >= 10, probed
+
+
+def test_huge_k_is_probed_per_degree():
+    """psi_{g^19, g^15} with k = 1000000002 over F_32: every degree below 9
+    is ruled out by a probe or by its kernel, and degree 9 (s = 12) answers
+    through a c2 search of degree 2^12 + 1."""
+    mp = MapSpec("psi", G ** 19, G ** 15, 1000000002)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="no conjugation"):
+        solve_conjugation(mp, max_relative_degree=8)
+    assert time.perf_counter() - start < 0.5
+    data = solve_conjugation(mp)
+    assert time.perf_counter() - start < 2.0
+    assert data.ext_degree == 45
+    assert (data.c2.bits, data.c3.bits) == (0xD5CAED233F, 0x352050658)
+    assert data.system_holds() and verify_conjugation(data)

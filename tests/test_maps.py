@@ -233,17 +233,6 @@ def test_line_scans_are_sized_before_they_start():
     assert time.perf_counter() - start < 0.5
 
 
-def test_orbit_agrees_with_cycle_of():
-    mp = MapSpec("theta", G, G ** 3, 2)
-    cs = mp.cycle_structure()
-    for start in (ProjPoint.finite(G ** 19), ProjPoint.finite(F32.zero),
-                  ProjPoint.infinity(F32)):
-        orb = mp.orbit(start)
-        assert orb[0] == start
-        assert set(orb) == set(cs.cycle_of(start))
-        assert len(orb) == len(cs.cycle_of(start))
-
-
 def test_closed_form_first_iterate_and_geometric_sum():
     a, b = G ** 4, G ** 22
     it = closed_form(a, b, 4, 1)

@@ -1,7 +1,8 @@
 """Property-based checks of the GF(2)[x] kernels, of wide-field and
 slot-wise reduction, of Frobenius exponents reduced mod the degree, of
-the semilinear pairs behind every map of the line, and of the rank-space
-cycle decompositions against a pointwise walk."""
+the semilinear pairs behind every map of the line, of the rank-space
+cycle decompositions against a pointwise walk, and of the root search and
+the field embeddings built on it."""
 
 import pytest
 
@@ -9,9 +10,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from f2dyn import (BinaryField, MapSpec, ResourceLimitError, Semilinear,
-                   fields, fixed_point_count, gf2x, solve_conjugation,
-                   theta_fixed_points)
+from f2dyn import (BinaryField, ExtensionRootCounter, MapSpec,
+                   ResourceLimitError, Semilinear, extension_of, fields,
+                   fixed_point_count, gf2x, polynomial_roots,
+                   solve_conjugation, theta_fixed_points)
+from test_fields import poly_from_roots
 from test_gf2x import DENSE_MODULI, ref_mod, ref_mul
 
 polys = st.integers(min_value=0, max_value=(1 << 300) - 1)
@@ -243,3 +246,61 @@ def test_rank_cycles_are_the_pointwise_cycles(pair):
         assert cyc[0] == min(cyc)
         for r, nxt in zip(cyc, cyc[1:] + cyc[:1]):
             assert pair.eval_int(point(r)) == point(nxt)
+
+
+# root search: polynomials of degree at most 12 over table fields and wide
+# fields up to F_2^64, either random or a product of distinct linear factors
+ROOT_FIELDS = [BinaryField(n) for n in (1, 2, 3, 4, 5, 8, 12, 16)] + WIDE_FIELDS
+
+
+@st.composite
+def root_polys(draw):
+    """(field, coefficients, the planted roots or None)."""
+    field = draw(st.sampled_from(ROOT_FIELDS))
+    elements = st.integers(min_value=0, max_value=field.order - 1)
+    if draw(st.booleans()):
+        roots = draw(st.lists(elements, min_size=1,
+                              max_size=min(12, field.order), unique=True))
+        return field, poly_from_roots(field, roots), sorted(roots)
+    coeffs = draw(st.lists(elements, min_size=1, max_size=12))
+    lead = draw(st.integers(min_value=1, max_value=field.order - 1))
+    return field, coeffs + [lead], None
+
+
+@settings(deadline=1000)
+@given(root_polys())
+def test_polynomial_roots_are_the_distinct_roots(case):
+    field, coeffs, planted = case
+    roots = [r.bits for r in polynomial_roots([field.element(c)
+                                               for c in coeffs])]
+    assert roots == sorted(set(roots))
+    for x in roots:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = field.mul(acc, x) ^ c
+        assert acc == 0, (x, coeffs)
+    counter = ExtensionRootCounter([field.element(c) for c in coeffs])
+    assert len(roots) == counter.count(1)
+    if planted is not None:
+        assert roots == planted
+
+
+@st.composite
+def embedded_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=32))
+    r = draw(st.integers(min_value=1, max_value=64 // n))
+    base = BinaryField(n)
+    elements = st.integers(min_value=0, max_value=base.order - 1)
+    return extension_of(base, r), draw(elements), draw(elements)
+
+
+@settings(deadline=1000)
+@given(embedded_pairs())
+def test_extension_of_is_a_ring_homomorphism(case):
+    emb, x, y = case
+    base, ext, up = emb.base, emb.ext, emb.embed_bits
+    assert ext.degree % base.degree == 0
+    assert up(1) == 1
+    assert up(x ^ y) == up(x) ^ up(y)
+    assert up(base.mul(x, y)) == ext.mul(up(x), up(y))
+    assert (up(x) == up(y)) == (x == y)
