@@ -24,9 +24,8 @@ from .conjugacy import (TauMap, bluher_counts, bluher_distribution,
                         theta_fixed_points)
 from .curves import (catalog_length_sets, curve_from_map, cycle_catalog,
                      group_structure)
-from .fields import (BinaryField, FieldElement, FieldMismatchError,
-                     InvariantViolationError, ResourceLimitError,
-                     quadratic_extension)
+from .fields import (BinaryField, FieldElement, InvariantViolationError,
+                     ResourceLimitError, quadratic_extension)
 from .maps import CycleStructure, MapSpec, ProjPoint
 from .reporting import (AnalysisReport, cycle_labels, cycles_to_dict,
                         element_echo, emit_dot, point_label, to_json)
@@ -371,10 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         return selftest.run(quick=cfg.quick)
     try:
         sys.stdout.write(run(cfg))
-    except UsageError as exc:
-        print(f"f2dyn: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FieldMismatchError, ValueError) as exc:
+    except ValueError as exc:  # UsageError and FieldMismatchError among them
         print(f"f2dyn: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

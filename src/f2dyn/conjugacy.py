@@ -23,6 +23,7 @@ from .fields import (
     FieldMismatchError,
     InvariantViolationError,
     POINT_LIMIT,
+    ROOT_DEGREE_LIMIT,
     ResourceLimitError,
     SubsetXorSolver,
     extension_of,
@@ -30,10 +31,6 @@ from .fields import (
     polynomial_roots,
 )
 from .maps import MapSpec, ProjPoint, Semilinear
-
-# Largest q = 2^t for which projective_roots searches the roots of a degree
-# q + 1 polynomial; t <= n/2 always, so every k is answered up to n = 29.
-_ROOT_Q_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -122,18 +119,6 @@ class TauMap:
     __call__ = eval
 
 
-def _kernel_basis(field: BinaryField, fn) -> list[int]:
-    """A reduced echelon basis of the kernel of a GF(2)-linear map on the
-    field: distinct leading bits, each absent from the other vectors, in
-    ascending order."""
-    basis: list[int] = []
-    for m in SubsetXorSolver([fn(1 << j) for j in range(field.degree)]).kernel_masks:
-        for r in basis:
-            m = min(m, m ^ r)  # clears r's leading bit from m
-        basis = sorted([min(r, r ^ m) for r in basis] + [m])
-    return basis
-
-
 def _candidate_degrees(map: MapSpec, bound: int):
     """Relative degrees r worth building: F_{2^(n*r)} must contain a root of
     X^(q+1) + b*X^q + a (for c2) and a nonzero kernel element of v (for c3).
@@ -195,7 +180,8 @@ def solve_conjugation(map: MapSpec, max_relative_degree: int = 24) -> ConjugacyD
             t = ext.frob(x, s)
             return x ^ ext.mul(b.bits, t) ^ ext.mul(a.bits, ext.frob(t, s))
 
-        kernel = _kernel_basis(ext, v)
+        kernel = SubsetXorSolver(
+            [v(1 << j) for j in range(ext.degree)]).kernel_masks
         if not kernel:
             continue  # only the zero solution; no usable c3 here
         # c2 is a root of X^(q+1) + b X^q + a, never 0 as a != 0, so 1/c2 is a
@@ -335,14 +321,15 @@ def projective_roots(u: FieldElement, v: FieldElement, w: FieldElement,
     On the field x^(2^k) is x^q with q = 2^s, s = k mod n.  When n - s < s
     the substitution x = y^(2^(n-s)) (a bijection, with x^q = y) turns the
     polynomial into u*y^(q'+1) + v*y^q' + w, q' = 2^(n-s), so the search
-    runs on degree 2^t + 1 with t = min(s, n - s).
+    runs on degree 2^t + 1 with t = min(s, n - s), within ROOT_DEGREE_LIMIT
+    (t <= 14, so every k is answered up to n = 29).
     """
     field = u.field
     n = field.degree
     s = k % n
     t = min(s, n - s)
     q = 1 << t
-    if q > _ROOT_Q_LIMIT:
+    if q + 1 > ROOT_DEGREE_LIMIT:
         raise ResourceLimitError(
             f"root search on a polynomial of degree 2^{t} + 1 is out of range")
     coeffs = [w] + [field.zero] * q + [u]

@@ -111,20 +111,6 @@ def curve_from_map(a: FieldElement, b: FieldElement) -> CurveSpec:
     return CurveSpec(a1, a1 * b.sqrt())
 
 
-def map_coefficients(curve: CurveSpec) -> tuple[FieldElement, FieldElement]:
-    """The (a, b) with duplication-x equal to x -> a*x^4 + b."""
-    inv_sq = (curve.a1 * curve.a1).inv()
-    return inv_sq, curve.a2 * curve.a2 * inv_sq
-
-
-def duplication_x(curve: CurveSpec, x0: FieldElement) -> FieldElement:
-    """x-coordinate of 2P for any P with x-coordinate x0: (x0^4 + a2^2)/a1^2."""
-    if x0.field != curve.field:
-        raise FieldMismatchError("x0 lies outside the curve's field")
-    a1, a2 = curve.a1, curve.a2
-    return (x0.frob(2) + a2 * a2) / (a1 * a1)
-
-
 def point_add(curve: CurveSpec, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     """Chord-and-tangent group law.
 
@@ -173,12 +159,14 @@ _ARTIN_SCHREIER: dict[BinaryField, LinearizedPoly] = {}
 
 
 def _halves(field: BinaryField, w: FieldElement) -> set[FieldElement]:
-    """Solutions of z^2 + z = w (empty when the trace of w is 1)."""
+    """Solutions of z^2 + z = w (empty when the trace of w is 1): the least
+    one and its sum with 1, since the kernel of z^2 + z is GF(2)."""
     poly = _ARTIN_SCHREIER.get(field)
     if poly is None:
         poly = LinearizedPoly(2, [field.one, field.one])
         _ARTIN_SCHREIER[field] = poly
-    return poly.solve(w)
+    z = poly.solve(w)
+    return set() if z is None else {z, z + field.one}
 
 
 def lift_x(curve: CurveSpec, x0: FieldElement,
@@ -361,19 +349,6 @@ def predict_orbit_length(curve: CurveSpec, p: CurvePoint) -> int:
     raise InvariantViolationError("doubling never returned to the start point")
 
 
-def half_multiple_relation(l: int, curve: CurveSpec, p: CurvePoint) -> int:
-    """Resolve the doubling ambiguity at a candidate length l: the true orbit
-    length is l exactly when 2^l * P = P or -P, and 2l otherwise."""
-    if l < 1:
-        raise ValueError("l must be positive")
-    if p.curve != curve:
-        raise FieldMismatchError("point lies on a different curve")
-    q = p
-    for _ in range(l):  # 2^l * P by l doublings
-        q = q.double()
-    return l if q == p or q == -p else 2 * l
-
-
 # -- the divisor-pair catalog ------------------------------------------------------
 
 
@@ -418,10 +393,6 @@ class CycleCatalogEntry:
     possible_lengths: tuple[int, ...]
     point_count: int
     cycle_count: int
-
-    @property
-    def is_identity_class(self) -> bool:
-        return self.m1 == 1 and self.m2 == 1
 
 
 def cycle_catalog(gs: GroupStructure) -> list[CycleCatalogEntry]:

@@ -3,8 +3,8 @@
 Elements are Python ints under the hood (bit i = coefficient of x^i in the
 polynomial basis), wrapped in FieldElement for safe public arithmetic.  The
 module also provides the solvers the dynamics layers lean on: roots of
-x^N = alpha, kernels and affine solutions of linearized polynomials, and
-roots of arbitrary polynomials inside a fixed field.
+x^N = alpha, least solutions of linearized polynomials, and roots of
+arbitrary polynomials inside a fixed field.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ _TABLE_LIMIT = 16
 # field in conjugacy.bluher_counts, the line in maps.MapSpec.permutation.
 POINT_LIMIT = 1 << 20
 
-# Affine linearized solves refuse to expand solution sets beyond this many
-# GF(2) dimensions; nothing at desk scale comes close.
-_KERNEL_ENUM_LIMIT = 20
+# Root searches refuse polynomials of degree above this: the roots of
+# x^d = beta in nth_roots, and of u*x^(q+1) + v*x + w (q = 2^t <= 2^14) in
+# conjugacy.projective_roots.  One search at the limit over F_2^64 takes
+# seconds; its coefficient lists and trace polynomials grow with the degree.
+ROOT_DEGREE_LIMIT = (1 << 14) + 1
 
 
 class FieldMismatchError(ValueError):
@@ -44,8 +46,7 @@ class ResourceLimitError(RuntimeError):
 class BinaryField:
     """The field F_{2^degree} presented as GF(2)[x] modulo an irreducible."""
 
-    def __init__(self, degree: int, modulus: int | None = None,
-                 primitive: int | None = None):
+    def __init__(self, degree: int, modulus: int | None = None):
         if degree < 1:
             raise ValueError("field degree must be at least 1")
         if modulus is None:
@@ -64,12 +65,7 @@ class BinaryField:
         self._log: list[int] | None = None
         self._mult_factors: list[int] | None = None
         self._trace_mask: int | None = None
-        if primitive is not None:
-            if not 0 < primitive < self.order:
-                raise ValueError("primitive element out of range")
-            if self._order_of(primitive) != self.mult_order:
-                raise ValueError(f"{primitive:#x} is not primitive")
-        self._primitive = primitive
+        self._primitive: int | None = None
 
     # -- identity ----------------------------------------------------------
 
@@ -90,9 +86,6 @@ class BinaryField:
         if not 0 <= bits < self.order:
             raise ValueError(f"encoding {bits:#x} out of range for {self!r}")
         return FieldElement(self, bits)
-
-    def from_hex(self, text: str) -> "FieldElement":
-        return self.element(int(text, 16))
 
     @property
     def zero(self) -> "FieldElement":
@@ -370,20 +363,29 @@ class FieldElement:
 
 class SubsetXorSolver:
     """Echelonizes a list of GF(2) columns once, then answers XOR-combination
-    queries.  Masks returned use bit j for column j, so when columns are the
-    images of the polynomial basis under a linear map, a mask is exactly the
-    encoding of the preimage element."""
+    queries.  Masks use bit j for column j, so when columns are the images of
+    the polynomial basis under a linear map, a mask is exactly the encoding
+    of the preimage element.
+
+    Column j either becomes a pivot, whose mask holds only pivot columns (j
+    and earlier pivots), or leaves the kernel vector e_j plus such a mask.
+    So kernel_masks is a reduced echelon basis: led by the non-pivot
+    columns in ascending order, each leading bit absent from the other
+    vectors.  solve combines pivot masks only, so its answer has every
+    leading bit clear, which makes it the least of its coset: adding a
+    nonzero kernel element sets the largest leading bit it involves and
+    changes no higher bit.
+    """
 
     def __init__(self, columns: Sequence[int]):
         self._pivots: dict[int, tuple[int, int]] = {}
-        kernel = []
+        self.kernel_masks: list[int] = []
         for j, value in enumerate(columns):
             value, mask = self._reduce(value, 1 << j)
             if value:
                 self._pivots[value.bit_length() - 1] = (value, mask)
             else:
-                kernel.append(mask)
-        self.kernel_masks = sorted(kernel)
+                self.kernel_masks.append(mask)
 
     def _reduce(self, value: int, mask: int) -> tuple[int, int]:
         pivots = self._pivots
@@ -396,33 +398,18 @@ class SubsetXorSolver:
         return value, mask
 
     def solve(self, target: int) -> int | None:
-        """A mask m with XOR of columns[j] over bits j of m == target, or None."""
+        """The least mask m with XOR of columns[j] over bits j of m equal to
+        target, or None."""
         value, mask = self._reduce(target, 0)
         return mask if value == 0 else None
-
-    def kernel_dim(self) -> int:
-        return len(self.kernel_masks)
-
-    def kernel_elements(self) -> Iterator[int]:
-        """All masks whose column combination vanishes (2^dim of them)."""
-        basis = self.kernel_masks
-        if len(basis) > _KERNEL_ENUM_LIMIT:
-            raise ResourceLimitError(
-                f"kernel of dimension {len(basis)} too large to enumerate")
-        for sel in range(1 << len(basis)):
-            acc = 0
-            while sel:
-                low = sel & -sel
-                acc ^= basis[low.bit_length() - 1]
-                sel ^= low
-            yield acc
 
 
 # -- linearized polynomials ----------------------------------------------------
 
 
 class LinearizedPoly:
-    """L(x) = sum of coeffs[i] * x^(q^i), a GF(2)-linear map on its field."""
+    """L(x) = sum of coeffs[i] * x^(q^i), a GF(2)-linear map on its field,
+    solved through a SubsetXorSolver on the images of the basis x^j."""
 
     def __init__(self, q: int, coeffs: Sequence[FieldElement]):
         if q < 2 or q & (q - 1):
@@ -454,26 +441,16 @@ class LinearizedPoly:
             t = field.frob(t, self._step)
         return acc
 
-    def _ensure_solver(self) -> SubsetXorSolver:
-        if self._solver is None:
-            cols = [self.eval_bits(1 << j) for j in range(self.field.degree)]
-            self._solver = SubsetXorSolver(cols)
-        return self._solver
-
-    def kernel_elements(self) -> list[FieldElement]:
-        solver = self._ensure_solver()
-        return sorted((self.field.element(m) for m in solver.kernel_elements()),
-                      key=lambda e: e.bits)
-
-    def solve(self, target: FieldElement) -> set[FieldElement]:
-        """All x in the coefficient field with L(x) == target."""
+    def solve(self, target: FieldElement) -> FieldElement | None:
+        """The x of least encoding in the coefficient field with
+        L(x) == target, or None when there is none."""
         if target.field != self.field:
             raise FieldMismatchError("target lies in a different field")
-        solver = self._ensure_solver()
-        x0 = solver.solve(target.bits)
-        if x0 is None:
-            return set()
-        return {self.field.element(x0 ^ m) for m in solver.kernel_elements()}
+        if self._solver is None:
+            self._solver = SubsetXorSolver(
+                [self.eval_bits(1 << j) for j in range(self.field.degree)])
+        x = self._solver.solve(target.bits)
+        return None if x is None else self.field.element(x)
 
 
 # -- field extensions -----------------------------------------------------------
@@ -837,7 +814,8 @@ def nth_roots(alpha: FieldElement, n: int) -> set[FieldElement]:
     Solvable exactly when alpha^((2^m - 1)/d) == 1 with d = gcd(n, 2^m - 1),
     in which case there are exactly d solutions.  The solution set is cut out
     of x^(2^m - 1) = 1 by a Euclidean descent on binomial constraints, which
-    avoids any discrete logarithms.
+    avoids any discrete logarithms, down to the roots of x^d = beta; d above
+    ROOT_DEGREE_LIMIT raises ResourceLimitError before that search.
     """
     if n < 1:
         raise ValueError("exponent must be positive")
@@ -856,6 +834,9 @@ def nth_roots(alpha: FieldElement, n: int) -> set[FieldElement]:
     d = gcd(n0, M)
     if field.pow(alpha.bits, M // d) != 1:
         return set()
+    if d > ROOT_DEGREE_LIMIT:
+        raise ResourceLimitError(
+            f"root search on x^{d} = beta is out of range")
     # maintain constraints x^e1 == b1, x^e2 == b2 with e1 >= e2
     e1, b1 = M, 1
     e2, b2 = n0, alpha.bits

@@ -201,17 +201,6 @@ def gcd(a: int, b: int) -> int:
     return a
 
 
-def pow_x(e: int, m: int) -> int:
-    """x^e reduced modulo m, by square and multiply."""
-    result, base = mod(1, m), mod(2, m)
-    while e:
-        if e & 1:
-            result = mulmod(result, base, m)
-        base = mod(sqr(base), m)
-        e >>= 1
-    return result
-
-
 def _frob_iter(t: int, reduce: Callable[[int], int], times: int) -> int:
     for _ in range(times):
         t = reduce(sqr(t))

@@ -324,12 +324,6 @@ class CycleStructure:
     def lengths(self) -> set[int]:
         return set(map(len, self.ranks))
 
-    def cycle_of(self, x: ProjPoint) -> tuple[ProjPoint, ...]:
-        for c in self.cycles:
-            if x in c:
-                return c
-        raise KeyError(x)
-
 
 # -- closed-form iteration -------------------------------------------------------
 
@@ -409,7 +403,9 @@ def reduce_to_quartic(a: FieldElement, b: FieldElement, k: int,
     linearized equation sum of c^(s_i) d^(4^i) = B (i < j), whose terms are
     folded to at most N of them over F_{2^N} (_quartic_coefficients).
     Solutions are searched in extensions of increasing degree and the
-    smallest (extension degree, encoding of c, encoding of d) is returned.
+    smallest (extension degree, encoding of c, encoding of d) is returned;
+    d is the least solution LinearizedPoly.solve gives.  A search for c past
+    nth_roots' degree budget raises ResourceLimitError.
     """
     theta = MapSpec("theta", a, b, k).pair  # validates the coefficients
     if k < 2:
@@ -426,9 +422,8 @@ def reduce_to_quartic(a: FieldElement, b: FieldElement, k: int,
         s_j = (pow(4, j, 3 * units) - 1) // 3 or units
         for c in sorted(nth_roots(big_a, s_j), key=lambda e: e.bits):
             coeffs = _quartic_coefficients(c, j)
-            solutions = LinearizedPoly(4, coeffs).solve(big_b)
-            if solutions:
-                d = min(solutions, key=lambda e: e.bits)
+            d = LinearizedPoly(4, coeffs).solve(big_b)
+            if d is not None:
                 return QuarticReduction(source_a=a, source_b=b, source_k=k,
                                         c=c, d=d, embedding=emb,
                                         parity=parity, j=j)
@@ -464,25 +459,3 @@ def _quartic_coefficients(c: FieldElement, j: int) -> list[FieldElement]:
 
     return [coef * geometric((j - r + period - 1) // period)
             for r, coef in enumerate(coeffs)]
-
-
-# -- orbit-length bookkeeping ------------------------------------------------------
-
-
-def iterated_orbit_length(length: int, m: int) -> int:
-    """Orbit length under f^m of a point whose f-orbit has the given length."""
-    if length < 1 or m < 1:
-        raise ValueError("lengths and exponents must be positive")
-    return length // gcd(length, m)
-
-
-def orbit_length_options(quartic_length: int, parity: str) -> tuple[int, ...]:
-    """Possible orbit lengths of the original map given the orbit length of
-    its quartic reduction: exact for even k, one doubling of slack for odd k."""
-    if quartic_length < 1:
-        raise ValueError("length must be positive")
-    if parity == "even":
-        return (quartic_length,)
-    if parity == "odd":
-        return (quartic_length, 2 * quartic_length)
-    raise ValueError(f"unknown parity {parity!r}")

@@ -65,10 +65,10 @@ def cycles_to_dict(cs: CycleStructure) -> dict:
     }
 
 
-def emit_dot(cs: CycleStructure, name: str = "cycles") -> str:
+def emit_dot(cs: CycleStructure) -> str:
     """One node per point of P^1, one edge per map application; fixed points
     come out as self-loops.  Output is byte-deterministic."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph cycles {"]
     m = cs.map
     lines.append(f'  label="{m.describe()} over F_2^{m.field.degree}";')
     for labels in cycle_labels(cs):

@@ -457,7 +457,7 @@ def _uv_kernel_sizes(field: BinaryField, s: int, c2: int, b: int,
 
     def size(fn) -> int:
         columns = [fn(1 << j) for j in range(field.degree)]
-        return 1 << SubsetXorSolver(columns).kernel_dim()
+        return 1 << len(SubsetXorSolver(columns).kernel_masks)
 
     return (size(lambda x: x ^ mul(c2, frob(x, s))),
             size(lambda x: x ^ mul(b, frob(x, s)) ^ mul(a, frob(x, 2 * s))))
@@ -684,18 +684,3 @@ def run(quick: bool = False, out=print) -> int:
         return 1
     out(f"all {len(checks)} checks passed")
     return 0
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Run the built-in verification suite.")
-    parser.add_argument("--quick", action="store_true",
-                        help="only the four worked-example checks")
-    args = parser.parse_args(argv)
-    return run(quick=args.quick)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

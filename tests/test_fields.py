@@ -147,8 +147,8 @@ def test_element_range_and_equality():
         f.element(16)
     with pytest.raises(ValueError):
         f.element(-1)
-    assert f.element(5) == f.from_hex("0x5")
-    assert hash(f.element(5)) == hash(f.from_hex("5"))
+    assert f.element(5) == BinaryField(4).element(5)
+    assert hash(f.element(5)) == hash(BinaryField(4).element(5))
     assert f.element(5) != BinaryField(4, 0b11001).element(5)
 
 
@@ -290,35 +290,35 @@ def test_large_field_without_tables():
         a.log()
 
 
+def xor_of_columns(cols, mask):
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= cols[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def test_subset_xor_solver_round_trip():
+    """16 columns in 12 bits: every reachable target gives back the least of
+    its 2^dim preimages, and the kernel basis is reduced echelon."""
     rng = random.Random(12)
     cols = [rng.getrandbits(12) for _ in range(16)]
     solver = SubsetXorSolver(cols)
+    preimages = {}
+    for mask in range(1 << 16):
+        preimages.setdefault(xor_of_columns(cols, mask), mask)  # least first
     for _ in range(50):
-        mask = rng.getrandbits(16)
-        target = 0
-        m = mask
-        while m:
-            low = m & -m
-            target ^= cols[low.bit_length() - 1]
-            m ^= low
-        found = solver.solve(target)
-        assert found is not None
-        check = 0
-        while found:
-            low = found & -found
-            check ^= cols[low.bit_length() - 1]
-            found ^= low
-        assert check == target
-    kernel = list(solver.kernel_elements())
-    assert len(kernel) == 1 << solver.kernel_dim()
-    for mask in kernel:
-        acc = 0
-        while mask:
-            low = mask & -mask
-            acc ^= cols[low.bit_length() - 1]
-            mask ^= low
-        assert acc == 0
+        target = xor_of_columns(cols, rng.getrandbits(16))
+        assert solver.solve(target) == preimages[target]
+    kernel = solver.kernel_masks
+    rank = len(preimages).bit_length() - 1  # 2^rank reachable targets
+    assert len(kernel) == 16 - rank
+    leads = [m.bit_length() - 1 for m in kernel]
+    assert leads == sorted(set(leads))
+    for m, lead in zip(kernel, leads):
+        assert xor_of_columns(cols, m) == 0
+        assert sum(r >> lead & 1 for r in kernel) == 1  # only m holds it
 
 
 def test_linearized_poly_solutions_by_brute_force():
@@ -330,12 +330,9 @@ def test_linearized_poly_solutions_by_brute_force():
             continue
         poly = LinearizedPoly(2, coeffs)
         target = f.element(rng.randrange(f.order))
-        brute = {x for b in range(f.order)
-                 for x in [f.element(b)] if poly(x) == target}
-        assert poly.solve(target) == brute
-        assert set(poly.kernel_elements()) == {x for b in range(f.order)
-                                               for x in [f.element(b)]
-                                               if poly(x).is_zero}
+        brute = [b for b in range(f.order) if poly(f.element(b)) == target]
+        assert poly.solve(target) == (f.element(brute[0]) if brute else None)
+        assert poly.solve(f.zero) == f.zero
 
 
 def test_polynomial_roots_by_brute_force():

@@ -7,8 +7,7 @@ import pytest
 
 from f2dyn import (BinaryField, FieldMismatchError, LinearizedPoly, MapSpec,
                    ProjPoint, QuarticReduction, ResourceLimitError, Semilinear,
-                   closed_form, extension_of, iterated_orbit_length,
-                   orbit_length_options, reduce_to_quartic)
+                   closed_form, extension_of, reduce_to_quartic)
 from f2dyn.maps import _quartic_coefficients
 
 F32 = BinaryField(5)
@@ -400,6 +399,16 @@ def test_folded_quartic_coefficients_match_the_term_loop():
                     (degree, c, j)
 
 
+def test_quartic_search_past_the_root_budget_is_refused():
+    """theta_{1,0,24} over F_2^24 needs the roots of x^d = 1 with
+    d = gcd(s_12, 2^24 - 1) = 5592405: refused before any search."""
+    f = BinaryField(24)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        reduce_to_quartic(f.one, f.zero, 24)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_reduce_to_quartic_of_a_huge_exponent():
     """k near 10^9 over F_32: s_j by modular powering and the linearized map
     folded to the period, so the search costs what k = 3 costs."""
@@ -418,19 +427,6 @@ def test_reduce_to_quartic_validation_and_limits():
         reduce_to_quartic(F32.zero, G, 2)
     with pytest.raises(ResourceLimitError):
         reduce_to_quartic(G ** 7, G ** 3, 3, max_relative_degree=0)
-
-
-def test_orbit_length_bookkeeping():
-    assert iterated_orbit_length(10, 2) == 5
-    assert iterated_orbit_length(10, 4) == 5
-    assert iterated_orbit_length(9, 2) == 9
-    assert iterated_orbit_length(12, 8) == 3
-    assert orbit_length_options(5, "even") == (5,)
-    assert orbit_length_options(5, "odd") == (5, 10)
-    with pytest.raises(ValueError):
-        iterated_orbit_length(0, 1)
-    with pytest.raises(ValueError):
-        orbit_length_options(3, "sideways")
 
 
 def test_pair_composites_match_pointwise_iteration():
@@ -472,19 +468,3 @@ def test_same_map_is_pointwise_equality():
                 assert pair.same_map(other) == pointwise, (degree, shift)
                 assert pointwise == (shift % degree == 0)
 
-
-def test_iterated_orbit_length_matches_actual_composites():
-    mp = MapSpec("theta", G, G ** 3, 2)
-    perm = mp.permutation()
-    for m in (2, 3, 5):
-        comp = list(range(len(perm)))
-        for _ in range(m):
-            comp = [perm[i] for i in comp]
-        for cyc in mp.cycle_structure().cycles:
-            start = cyc[0]
-            i0 = start.value.bits if not start.is_infinity else F32.order
-            cur, steps = comp[i0], 1
-            while cur != i0:
-                cur = comp[cur]
-                steps += 1
-            assert steps == iterated_orbit_length(len(cyc), m)

@@ -1,8 +1,9 @@
 """Property-based checks of the GF(2)[x] kernels, of wide-field and
 slot-wise reduction, of Frobenius exponents reduced mod the degree, of
 the semilinear pairs behind every map of the line, of the rank-space
-cycle decompositions against a pointwise walk, and of the root search and
-the field embeddings built on it."""
+cycle decompositions against a pointwise walk, of the root search and
+the field embeddings built on it, and of the GF(2)-linear solver and the
+conjugations read off its kernels."""
 
 import pytest
 
@@ -10,10 +11,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from f2dyn import (BinaryField, ExtensionRootCounter, MapSpec,
-                   ResourceLimitError, Semilinear, extension_of, fields,
-                   fixed_point_count, gf2x, polynomial_roots,
-                   solve_conjugation, theta_fixed_points)
+from f2dyn import (BinaryField, ExtensionRootCounter, LinearizedPoly,
+                   MapSpec, ResourceLimitError, Semilinear, SubsetXorSolver,
+                   extension_of, fields, fixed_point_count, gf2x,
+                   polynomial_roots, solve_conjugation, theta_fixed_points,
+                   verify_conjugation)
 from test_fields import poly_from_roots
 from test_gf2x import DENSE_MODULI, ref_mod, ref_mul
 
@@ -304,3 +306,115 @@ def test_extension_of_is_a_ring_homomorphism(case):
     assert up(x ^ y) == up(x) ^ up(y)
     assert up(base.mul(x, y)) == ext.mul(up(x), up(y))
     assert (up(x) == up(y)) == (x == y)
+
+
+# -- the GF(2)-linear solver ---------------------------------------------------
+
+
+def _assert_reduced_echelon(kernel):
+    """Distinct leading bits in ascending order, each held by its vector
+    alone."""
+    leads = [m.bit_length() - 1 for m in kernel]
+    assert leads == sorted(set(leads)) and -1 not in leads
+    for lead in leads:
+        assert sum(m >> lead & 1 for m in kernel) == 1
+
+
+def _combination(columns, mask):
+    acc = 0
+    for j, col in enumerate(columns):
+        if mask >> j & 1:
+            acc ^= col
+    return acc
+
+
+@st.composite
+def column_lists(draw):
+    width = draw(st.integers(min_value=1, max_value=16))
+    vectors = st.integers(min_value=0, max_value=(1 << width) - 1)
+    return draw(st.lists(vectors, min_size=1, max_size=10)), draw(vectors)
+
+
+@settings(deadline=1000)
+@given(column_lists())
+def test_solver_answers_the_least_preimage(case):
+    columns, target = case
+    solver = SubsetXorSolver(columns)
+    _assert_reduced_echelon(solver.kernel_masks)
+    least = {}
+    for mask in range(1 << len(columns)):
+        least.setdefault(_combination(columns, mask), mask)
+    assert all(_combination(columns, m) == 0 for m in solver.kernel_masks)
+    # the span has 2^rank elements, the kernel the other len - rank dimensions
+    assert len(solver.kernel_masks) == len(columns) - len(least).bit_length() + 1
+    assert solver.solve(target) == least.get(target)
+
+
+LINEAR_FIELDS = [BinaryField(n) for n in range(1, 11)] + WIDE_FIELDS
+
+
+@st.composite
+def linearized_polys(draw):
+    """(L, x, t): L(x) = sum c_i x^(q^i) over a field of degree at most 64,
+    a point x and a target t that need not be an image."""
+    field = draw(st.sampled_from(LINEAR_FIELDS))
+    elements = st.integers(min_value=0, max_value=field.order - 1)
+    q = 1 << draw(st.integers(min_value=1, max_value=3))
+    coeffs = draw(st.lists(elements, min_size=1, max_size=4))
+    poly = LinearizedPoly(q, [field.element(c) for c in coeffs])
+    return poly, draw(elements), draw(elements)
+
+
+@settings(deadline=1000)
+@given(linearized_polys())
+def test_linearized_solve_is_the_least_solution(case):
+    poly, x, t = case
+    field = poly.field
+    columns = [poly.eval_bits(1 << j) for j in range(field.degree)]
+    _assert_reduced_echelon(SubsetXorSolver(columns).kernel_masks)
+    image = field.element(poly.eval_bits(x))
+    y = poly.solve(image)
+    assert poly(y) == image and y.bits <= x
+    if field.degree <= 10:
+        brute = [b for b in range(field.order) if poly.eval_bits(b) == t]
+        assert poly.solve(field.element(t)) == (
+            field.element(brute[0]) if brute else None)
+
+
+@st.composite
+def small_psi_maps(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    field = BinaryField(n)
+    a = draw(st.integers(min_value=1, max_value=field.order - 1))
+    b = draw(st.integers(min_value=0, max_value=field.order - 1))
+    k = draw(st.integers(min_value=1, max_value=40))
+    return MapSpec("psi", field.element(a), field.element(b), k)
+
+
+@settings(deadline=1000)
+@given(small_psi_maps())
+def test_solve_conjugation_postconditions(mp):
+    """Searched up to degree 12, where the kernels can be scanned: c3 is the
+    least element of ker v outside ker u, and no smaller degree answers."""
+    bound = 12 // mp.field.degree
+    try:
+        data = solve_conjugation(mp, max_relative_degree=bound)
+    except ResourceLimitError:
+        return
+    assert data.system_holds() and verify_conjugation(data)
+    ext, s = data.embedding.ext, data.q_step
+    a, b = data.embedding(mp.a).bits, data.embedding(mp.b).bits
+    c2 = data.c2.bits
+
+    def v(x):
+        xq = ext.frob(x, s)
+        return x ^ ext.mul(b, xq) ^ ext.mul(a, ext.frob(xq, s))
+
+    def u(x):
+        return x ^ ext.mul(c2, ext.frob(x, s))
+
+    assert next(x for x in range(1, ext.order)
+                if v(x) == 0 and u(x)) == data.c3.bits
+    r = data.embedding.relative_degree
+    with pytest.raises(ResourceLimitError):
+        solve_conjugation(mp, max_relative_degree=r - 1)
