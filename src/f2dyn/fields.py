@@ -66,6 +66,9 @@ class BinaryField:
         self._mult_factors: list[int] | None = None
         self._trace_mask: int | None = None
         self._primitive: int | None = None
+        # per twist s: for each byte of an argument, the images of the 16
+        # values of its low and of its high 4 bits under x -> x^(2^s)
+        self._frob_windows: dict[int, list[tuple[list[int], list[int]]]] = {}
 
     # -- identity ----------------------------------------------------------
 
@@ -169,17 +172,56 @@ class BinaryField:
         return result
 
     def frob(self, a: int, k: int) -> int:
-        """a^(2^k); the exponent only matters modulo the degree."""
+        """a^(2^k); the exponent only matters modulo the degree.
+
+        Within the exp/log tables this is a shift of the discrete log.  Above
+        them x -> x^(2^s), s = k mod n, is GF(2)-linear: for s > 1 + n/128 it
+        is read off tables built on the first use of each s, one lookup and
+        one XOR per 4-bit window of a.  Smaller s squares s times, which is
+        cheaper there: a table read costs about one squaring up to n = 96,
+        one to two up to n = 256 and four to five at n = 960.
+        """
         k %= self.degree
         if self._exp is None:
             if self._wide:
-                for _ in range(k):
-                    a = self.sqr(a)
-                return a
+                if 128 * (k - 1) <= self.degree:
+                    reduce = self._reduce
+                    for _ in range(k):
+                        a = reduce(gf2x.sqr(a))
+                    return a
+                windows = self._frob_windows.get(k) or self._frob_table(k)
+                r = 0
+                for (lo, hi), byte in zip(
+                        windows, a.to_bytes((a.bit_length() + 7) >> 3, "little")):
+                    r ^= lo[byte & 15] ^ hi[byte >> 4]
+                return r
             self._build_tables()
         if a == 0:
             return 0
         return self._exp[(self._log[a] << k) % self.mult_order]
+
+    def _frob_table(self, s: int) -> list[tuple[list[int], list[int]]]:
+        """The byte tables of x -> x^(2^s): the image of the basis x^j is
+        c^j with c = x^(2^s), and each 4-bit window's 16 entries are XORs of
+        the images of its four basis elements."""
+        reduce, n = self._reduce, self.degree
+        c = 2  # x, as the field is wide
+        for _ in range(s):
+            c = reduce(gf2x.sqr(c))
+        images = [1]
+        for _ in range(n - 1):
+            images.append(reduce(gf2x.mul(images[-1], c)))
+        tables = []
+        for w in range(0, n, 4):
+            table = [0]
+            for image in images[w:w + 4]:
+                table += [t ^ image for t in table]
+            tables.append(table)
+        if len(tables) & 1:
+            tables.append([0])  # the high half of a last, half-filled byte
+        windows = list(zip(tables[::2], tables[1::2]))
+        self._frob_windows[s] = windows
+        return windows
 
     def sqrt(self, a: int) -> int:
         """The unique square root (squaring is a bijection)."""

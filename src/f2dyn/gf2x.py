@@ -10,6 +10,7 @@ and curve layers share.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd as _int_gcd, isqrt
 from typing import Callable
 
@@ -326,20 +327,44 @@ def is_irreducible(f: int) -> bool:
     return True
 
 
+def _has_small_factor(f: int, depth: int) -> bool:
+    """Whether f, with f(0) = f(1) = 1 and degree at least 2 * depth, has an
+    irreducible factor of degree 2..depth: gcd(x^(2^d) - x, f) != 1 for
+    some d there."""
+    reduce = reducer(f)
+    h = 4  # x^2
+    for _ in range(depth - 1):
+        h = reduce(sqr(h))
+        if gcd(h ^ 2, f) != 1:
+            return True
+    return False
+
+
 def smallest_irreducible(n: int) -> int:
-    """The irreducible polynomial of degree n with the smallest encoding."""
+    """The irreducible polynomial of degree n with the smallest encoding.
+
+    Two sieves come before Rabin's test: for n > 1 an even number of terms
+    means x + 1 divides f, and a factor of degree d <= min(8, n // 2) shows
+    as gcd(x^(2^d) - x, f) != 1.  Neither skips an irreducible f, whose
+    only factor has degree n > d and is not x + 1 for n > 1.
+    """
     if n < 1:
         raise ValueError("degree must be positive")
+    depth = min(8, n // 2)
     for t in range(1, 1 << n, 2):  # constant term must be 1 for n > 1
         f = (1 << n) | t
-        if is_irreducible(f):
+        if n > 1 and not f.bit_count() & 1:
+            continue
+        if not _has_small_factor(f, depth) and is_irreducible(f):
             return f
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+@cache
 def default_modulus(n: int) -> int:
     """Default modulus for F_{2^n}: Conway polynomial when tabulated,
-    otherwise the smallest irreducible polynomial of that degree."""
+    otherwise the smallest irreducible polynomial of that degree.  Each
+    degree is searched once per process."""
     if n < 1:
         raise ValueError("degree must be positive")
     got = CONWAY_POLYNOMIALS.get(n)

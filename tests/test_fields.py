@@ -10,6 +10,7 @@ from f2dyn import (BinaryField, ExtensionRootCounter, FieldMismatchError,
                    extension_of, fields, gf2x, nth_roots, polynomial_roots,
                    quadratic_extension)
 from f2dyn.gf2x import CONWAY_POLYNOMIALS
+from test_gf2x import DENSE_MODULI
 
 
 # -- reference root search: coefficient lists, one field.mul per product ------
@@ -186,14 +187,25 @@ def test_frob_matches_repeated_squaring():
     fresh = BinaryField(10)  # its exp/log tables are built by the first frob
     assert fresh._exp is None
     assert fresh.frob(0x2F5, 3) == squarings(BinaryField(10), 0x2F5, 3)
+    # wide fields on both sides of the byte and window edges (17, 33, 65
+    # leave a part-filled window) and of the table crossover s > 1 + n/128
+    # (n = 127 reads s = 2 off a table, n = 128 squares twice), and a dense
+    # user modulus, reduced by division
+    wide = [BinaryField(n) for n in (17, 33, 64, 65, 127, 128)]
+    wide.append(BinaryField(64, DENSE_MODULI[1]))
     for f, values in ((BinaryField(8), range(256)),
                       (BinaryField(16),
                        [0, 1, 2, 0xFFFF] + rng.sample(range(1 << 16), 60)),
                       (fresh, range(1 << 10)),
-                      (BinaryField(20), [0, 1, 0xBEEF5, 0xFFFFF])):
+                      (BinaryField(20), [0, 1, 0xBEEF5, 0xFFFFF]),
+                      *((f, [0, 1, f.order >> 1, f.order - 1]
+                         + [rng.getrandbits(f.degree) for _ in range(4)])
+                        for f in wide)):
         for a in values:
+            want = a
             for k in range(2 * f.degree + 1):
-                assert f.frob(a, k) == squarings(f, a, k), (f, a, k)
+                assert f.frob(a, k) == want, (f, a, k)
+                want = f.sqr(want)
             assert f.sqr(f.sqrt(a)) == a
 
 

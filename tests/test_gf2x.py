@@ -155,6 +155,26 @@ def test_default_modulus_and_smallest_irreducible():
         gf2x.default_modulus(0)
 
 
+def ref_smallest_irreducible(n):
+    """The unsieved scan: Rabin's test on every candidate with f(0) = 1."""
+    for t in range(1, 1 << n, 2):
+        f = (1 << n) | t
+        if gf2x.is_irreducible(f):
+            return f
+
+
+def test_sieved_modulus_search_matches_the_plain_scan(monkeypatch):
+    for n in range(1, 81):
+        assert gf2x.smallest_irreducible(n) == ref_smallest_irreducible(n), n
+    # a second call for a degree is answered without a search
+    first = gf2x.default_modulus(90)
+
+    def no_search(n):
+        raise AssertionError(f"degree {n} searched twice")
+    monkeypatch.setattr(gf2x, "smallest_irreducible", no_search)
+    assert gf2x.default_modulus(90) == first
+
+
 def test_kernels_match_reference():
     rng = random.Random(4)
     for _ in range(1500):

@@ -1,9 +1,12 @@
 """Property-based checks of the GF(2)[x] kernels, of wide-field and
-slot-wise reduction, of Frobenius exponents reduced mod the degree, of
-the semilinear pairs behind every map of the line, of the rank-space
-cycle decompositions against a pointwise walk, of the root search and
-the field embeddings built on it, and of the GF(2)-linear solver and the
-conjugations read off its kernels."""
+slot-wise reduction, of Frobenius powers in wide fields and of Frobenius
+exponents reduced mod the degree, of the semilinear pairs behind every
+map of the line, of the rank-space cycle decompositions against a
+pointwise walk, of the root search and the field embeddings built on it,
+and of the GF(2)-linear solver and the conjugations read off its
+kernels."""
+
+import functools
 
 import pytest
 
@@ -75,6 +78,30 @@ def test_reducer_is_reference_mulmod(pair):
     want = ref_mod(ref_mul(a, b), field.modulus)
     assert field.mul(a, b) == want
     assert gf2x.reducer(field.modulus)(ref_mul(a, b)) == want
+
+
+# Frobenius powers of wide fields, squared or read off per-twist tables; the
+# fields persist across examples, and so do their tables
+_wide_field = functools.cache(BinaryField)
+
+
+@st.composite
+def wide_frobenius_cases(draw):
+    field = _wide_field(draw(st.integers(min_value=17, max_value=130)))
+    elements = st.integers(min_value=0, max_value=field.order - 1)
+    twists = st.integers(min_value=0, max_value=3 * field.degree)
+    return field, draw(elements), draw(elements), draw(twists), draw(twists)
+
+
+@settings(deadline=1000)
+@given(wide_frobenius_cases())
+def test_wide_frobenius_is_a_field_automorphism(case):
+    field, x, y, s, t = case
+    frob, mul = field.frob, field.mul
+    assert frob(x ^ y, s) == frob(x, s) ^ frob(y, s)
+    assert frob(mul(x, y), s) == mul(frob(x, s), frob(y, s))
+    assert frob(frob(x, s), t) == frob(x, s + t)
+    assert frob(x, field.degree) == x
 
 
 # slot-wise reduction folds or divides by the same rule as the field: the
