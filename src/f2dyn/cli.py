@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from .conjugacy import (TauMap, bluher_counts, bluher_distribution,
                         bluher_root_count, fixed_point_count,
-                        projective_roots, solve_conjugation,
-                        theta_fixed_points)
+                        solve_conjugation)
 from .curves import (catalog_length_sets, curve_from_map, cycle_catalog,
                      group_structure)
 from .fields import (BinaryField, FieldElement, InvariantViolationError,
@@ -247,9 +246,7 @@ def run_conjugate(cfg: JobConfig) -> str:
         "verified_points": data.embedding.ext.order + 1,
     }
 
-    # psi(inf) = 0, so the fixed points are the roots of a*x^(q+1) + b*x + 1
-    fixed = [ProjPoint.finite(field.element(x))
-             for x in projective_roots(mp.a, mp.b, field.one, cfg.k)]
+    fixed = [ProjPoint.from_int(field, x) for x in mp.pair.fixed_points()]
     transcript["fixed_points"] = [point_label(p) for p in fixed]
     transcript["fixed_point_count"] = len(fixed)
     if data.is_base_field:
@@ -258,8 +255,8 @@ def run_conjugate(cfg: JobConfig) -> str:
             raise InvariantViolationError(
                 f"theorem count {theorem} != {len(fixed)} observed fixed points")
         transcript["theorem_count"] = theorem
-        source = sorted(theta_fixed_points(data.c, cfg.k, field),
-                        key=point_label)
+        source = sorted((ProjPoint.from_int(field, x) for x in
+                         data.normal_form().pair.fixed_points()), key=point_label)
         transcript["normal_form_fixed_points"] = [point_label(p) for p in source]
         tau = TauMap(data)
         transcript["tau_images"] = {

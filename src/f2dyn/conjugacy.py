@@ -5,8 +5,8 @@ reciprocal map psi_{a,b,k} to theta_{c,0,k} once (c, c1, c2, c3) satisfy
 
     c = c2^q,  c1 = c3^q,  c2*c = a + b*c2^q,  c3 = a*c1^q + b*c3^q
 
-with q = 2^k.  That reduces fixed-point questions about psi (equivalently,
-root counts of x^(2^k+1) + x + a) to the root equation x^(2^k-1) = 1/c.
+with q = 2^k.  fixed_point_count (the paper's theorem) counts psi's fixed
+points from c alone; Semilinear.fixed_points lists them without a search.
 """
 
 from __future__ import annotations
@@ -23,12 +23,9 @@ from .fields import (
     FieldMismatchError,
     InvariantViolationError,
     POINT_LIMIT,
-    ROOT_DEGREE_LIMIT,
     ResourceLimitError,
     SubsetXorSolver,
     extension_of,
-    nth_roots,
-    polynomial_roots,
 )
 from .maps import MapSpec, ProjPoint, Semilinear
 
@@ -163,9 +160,9 @@ def solve_conjugation(map: MapSpec, max_relative_degree: int = 24) -> ConjugacyD
     of v(x) = a*x^(q^2) + b*x^q + x avoiding the kernel of u(x) = x + c2*x^q;
     then c = c2^q and c1 = c3^q.  The base field is searched first, then
     extensions of increasing degree, and the smallest (extension degree,
-    encoding of c2, encoding of c3) is returned.  A degree whose c2 search
-    is past projective_roots' budget raises ResourceLimitError rather than
-    being skipped, which could return a larger degree.
+    encoding of c2, encoding of c3) is returned.  A degree whose c2 listing
+    is past Semilinear.fixed_points' budget raises ResourceLimitError rather
+    than being skipped, which could return a larger degree.
     """
     if map.kind != "psi":
         raise ValueError("conjugation targets reciprocal maps")
@@ -185,9 +182,9 @@ def solve_conjugation(map: MapSpec, max_relative_degree: int = 24) -> ConjugacyD
         if not kernel:
             continue  # only the zero solution; no usable c3 here
         # c2 is a root of X^(q+1) + b X^q + a, never 0 as a != 0, so 1/c2 is a
-        # root of a Y^(q+1) + b Y + 1: a search that projective_roots sizes
-        for c2_bits in sorted(ext.inv(y) for y in
-                              projective_roots(a, b, ext.one, map.k)):
+        # root of a Y^(q+1) + b Y + 1: a fixed point of psi_{a,b,k}
+        psi = MapSpec("psi", a, b, map.k).pair
+        for c2_bits in sorted(ext.inv(y) for y in psi.fixed_points()):
             # in ascending order the span of a reduced echelon basis lists
             # every combination of its first i vectors before the (i+1)-th,
             # so the least kernel element outside ker u is a basis vector
@@ -239,24 +236,6 @@ def fixed_point_count(c: FieldElement, k: int, m: int) -> int:
             "the formula requires the conjugacy data inside that field")
     d = (1 << gcd(k, m)) - 1
     return 2 if c.inv() ** (((1 << m) - 1) // d) != c.field.one else d + 2
-
-
-def theta_fixed_points(c: FieldElement, k: int,
-                       field: BinaryField) -> set[ProjPoint]:
-    """Fixed points of theta_{c,0,k} on P^1: always 0 and infinity, plus the
-    solutions of x^(2^k - 1) = 1/c.  Nonzero x satisfy x^M = 1 with
-    M = 2^n - 1, so the exponent is taken mod M (M itself for residue 0)."""
-    if c.field != field:
-        raise FieldMismatchError("c lies outside the requested field")
-    if c.is_zero:
-        raise ValueError("c must be nonzero")
-    if k < 1:
-        raise ValueError("k must be positive")
-    pts = {ProjPoint.finite(field.zero), ProjPoint.infinity(field)}
-    M = field.mult_order
-    e = (pow(2, k, M) - 1) % M or M
-    pts.update(ProjPoint.finite(x) for x in nth_roots(c.inv(), e))
-    return pts
 
 
 def bluher_distribution(k: int, n: int) -> dict[int, int]:
@@ -313,42 +292,9 @@ def bluher_counts(k: int, field: BinaryField) -> list[int]:
     return counts
 
 
-def projective_roots(u: FieldElement, v: FieldElement, w: FieldElement,
-                     k: int) -> list[int]:
-    """Ascending encodings of the distinct roots of u*x^(2^k+1) + v*x + w
-    (u nonzero) in the coefficients' field, each checked by substitution.
-
-    On the field x^(2^k) is x^q with q = 2^s, s = k mod n.  When n - s < s
-    the substitution x = y^(2^(n-s)) (a bijection, with x^q = y) turns the
-    polynomial into u*y^(q'+1) + v*y^q' + w, q' = 2^(n-s), so the search
-    runs on degree 2^t + 1 with t = min(s, n - s), within ROOT_DEGREE_LIMIT
-    (t <= 14, so every k is answered up to n = 29).
-    """
-    field = u.field
-    n = field.degree
-    s = k % n
-    t = min(s, n - s)
-    q = 1 << t
-    if q + 1 > ROOT_DEGREE_LIMIT:
-        raise ResourceLimitError(
-            f"root search on a polynomial of degree 2^{t} + 1 is out of range")
-    coeffs = [w] + [field.zero] * q + [u]
-    coeffs[1 if t == s else q] = v
-    roots = sorted(r.bits if t == s else field.frob(r.bits, n - s)
-                   for r in polynomial_roots(coeffs))
-    for x in roots:
-        if field.mul(field.mul(u.bits, field.frob(x, s)) ^ v.bits, x) != w.bits:
-            raise InvariantViolationError(
-                f"{x:#x} is not a root of {u.hex}*x^(2^{k}+1) + {v.hex}*x "
-                f"+ {w.hex}")
-    return roots
-
-
 def bluher_root_count(a: FieldElement, k: int, field: BinaryField) -> int:
-    """Number of roots of x^(2^k+1) + x + a in the field, by projective_roots.
-
-    The polynomial is separable (at a common root with its derivative
-    x^q + 1, x^q = 1 forces a = 0), so the distinct roots are all of them.
+    """Number of roots of x^(2^k+1) + x + a in the field: the fixed points
+    of psi_{1/a,1/a,k}(x) = a/(x^q + 1), which solve x*(x^q + 1) = a.
     The count must lie in the admissible set {0, 1, 2, 2^gcd(k,n) + 1}.
     """
     if a.field != field:
@@ -357,10 +303,10 @@ def bluher_root_count(a: FieldElement, k: int, field: BinaryField) -> int:
         raise ValueError("a must be nonzero")
     if k < 1:
         raise ValueError("k must be positive")
-    roots = projective_roots(field.one, field.one, a, k)
+    inv = a.inv()
+    count = MapSpec("psi", inv, inv, k).pair.fixed_count()
     allowed = bluher_distribution(k, field.degree)
-    if len(roots) not in allowed:
+    if count not in allowed:
         raise InvariantViolationError(
-            f"root count {len(roots)} outside the admissible set "
-            f"{sorted(allowed)}")
-    return len(roots)
+            f"root count {count} outside the admissible set {sorted(allowed)}")
+    return count

@@ -17,7 +17,6 @@ from .fields import (
     FieldElement,
     FieldMismatchError,
     InvariantViolationError,
-    LinearizedPoly,
     extension_of,
     quadratic_extension,
 )
@@ -155,18 +154,11 @@ def scalar_mul(n: int, p: CurvePoint) -> CurvePoint:
 
 # -- lifting x-coordinates ---------------------------------------------------------
 
-_ARTIN_SCHREIER: dict[BinaryField, LinearizedPoly] = {}
-
 
 def _halves(field: BinaryField, w: FieldElement) -> set[FieldElement]:
-    """Solutions of z^2 + z = w (empty when the trace of w is 1): the least
-    one and its sum with 1, since the kernel of z^2 + z is GF(2)."""
-    poly = _ARTIN_SCHREIER.get(field)
-    if poly is None:
-        poly = LinearizedPoly(2, [field.one, field.one])
-        _ARTIN_SCHREIER[field] = poly
-    z = poly.solve(w)
-    return set() if z is None else {z, z + field.one}
+    """Solutions of z^2 + z = w (empty when the trace of w is 1)."""
+    z = field.artin_schreier(w.bits)
+    return set() if z is None else {field.element(z), field.element(z ^ 1)}
 
 
 def lift_x(curve: CurveSpec, x0: FieldElement,

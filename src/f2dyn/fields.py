@@ -24,10 +24,9 @@ _TABLE_LIMIT = 16
 # field in conjugacy.bluher_counts, the line in maps.MapSpec.permutation.
 POINT_LIMIT = 1 << 20
 
-# Root searches refuse polynomials of degree above this: the roots of
-# x^d = beta in nth_roots, and of u*x^(q+1) + v*x + w (q = 2^t <= 2^14) in
-# conjugacy.projective_roots.  One search at the limit over F_2^64 takes
-# seconds; its coefficient lists and trace polynomials grow with the degree.
+# nth_roots refuses to search for the roots of x^d = beta above this degree.
+# One search at the limit over F_2^64 takes seconds; its coefficient lists and
+# trace polynomials grow with the degree.
 ROOT_DEGREE_LIMIT = (1 << 14) + 1
 
 
@@ -65,6 +64,7 @@ class BinaryField:
         self._log: list[int] | None = None
         self._mult_factors: list[int] | None = None
         self._trace_mask: int | None = None
+        self._artin_schreier: SubsetXorSolver | None = None
         self._primitive: int | None = None
         # per twist s: for each byte of an argument, the images of the 16
         # values of its low and of its high 4 bits under x -> x^(2^s)
@@ -244,6 +244,14 @@ class BinaryField:
             acc ^= t
             t = self.sqr(t)
         return acc & 1  # the sum lies in GF(2)
+
+    def artin_schreier(self, w: int) -> int | None:
+        """The least z with z^2 + z = w, or None when the trace of w is 1;
+        the other solution is z + 1."""
+        if self._artin_schreier is None:
+            self._artin_schreier = SubsetXorSolver(
+                [self.sqr(1 << j) ^ (1 << j) for j in range(self.degree)])
+        return self._artin_schreier.solve(w)
 
     def log(self, a: int) -> int:
         """Discrete log of a nonzero element, base primitive_element()."""

@@ -25,6 +25,7 @@ from .fields import (
     LinearizedPoly,
     POINT_LIMIT,
     ResourceLimitError,
+    SubsetXorSolver,
     extension_of,
     nth_roots,
 )
@@ -49,6 +50,11 @@ class ProjPoint:
     def infinity(cls, field: BinaryField) -> "ProjPoint":
         return cls(field, None)
 
+    @classmethod
+    def from_int(cls, field: BinaryField, i: int) -> "ProjPoint":
+        """The point of an encoding: the field order stands for infinity."""
+        return cls(field, None if i == field.order else field.element(i))
+
     @property
     def is_infinity(self) -> bool:
         return self.value is None
@@ -70,12 +76,6 @@ class ProjPoint:
 def _point_int(p: ProjPoint) -> int:
     """Internal encoding: finite points by element bits, infinity = order."""
     return p.field.order if p.value is None else p.value.bits
-
-
-def _point_from_int(field: BinaryField, i: int) -> ProjPoint:
-    if i == field.order:
-        return ProjPoint.infinity(field)
-    return ProjPoint(field, field.element(i))
 
 
 def _rank_int(field: BinaryField, rank: int) -> int:
@@ -153,7 +153,89 @@ class Semilinear:
     def eval(self, x: ProjPoint) -> ProjPoint:
         if x.field != self.field:
             raise FieldMismatchError("point lies in a different field")
-        return _point_from_int(self.field, self.eval_int(_point_int(x)))
+        return ProjPoint.from_int(self.field, self.eval_int(_point_int(x)))
+
+    def _eigenline_fixed_points(self) -> list[int] | None:
+        """The fixed points when N = f^m is not scalar, else None.
+
+        With g = gcd(s, n) and m = n/g, f^m has twist 0, so a fixed line of
+        f is an eigenline of its matrix N (McGuire and Sheekey, Finite
+        Fields Appl. 57, 2019).  A nonscalar N has one eigenline per
+        eigenvalue lam: sqrt(det) if tr = 0, else tr*z, tr*(z + 1) with
+        z^2 + z = det/tr^2, solved in F_{2^n}.  A nonzero row (alpha, beta)
+        of N + lam*I gives the line (beta : alpha); f may swap the two.
+        """
+        field, n = self.field, self.field.degree
+        mul, order = field.mul, field.order
+        (p, q), (r, t) = self.power(n // gcd(self.s, n)).m
+        if not (q or r or p != t):
+            return None
+        tr, det = p ^ t, mul(p, t) ^ mul(q, r)
+        if tr == 0:
+            lams = [field.sqrt(det)]
+        else:
+            z = field.artin_schreier(mul(det, field.inv(mul(tr, tr))))
+            lams = [] if z is None else [mul(tr, z), mul(tr, z ^ 1)]
+        points = set()
+        for lam in lams:
+            alpha, beta = (p ^ lam, q) if p ^ lam or q else (r, t ^ lam)
+            points.add(order if alpha == 0 else mul(beta, field.inv(alpha)))
+        return sorted(x for x in points if self.eval_int(x) == x)
+
+    def fixed_count(self) -> int:
+        """How many points of the line f fixes: 2^g + 1 when N is scalar
+        (see fixed_points), which needs no listing."""
+        points = self._eigenline_fixed_points()
+        if points is None:
+            return (1 << gcd(self.s, self.field.degree)) + 1
+        return len(points)
+
+    def fixed_points(self) -> list[int]:
+        """Ascending encodings of the fixed points (the field order is
+        infinity), without a search of the line.
+
+        When N = c*I, lam0 = sqrt(det M) has norm c down to F_{2^g}, as
+        Norm(det M) = det N = c^2, and every fixed line holds a w with
+        M*sigma^s(w) = lam0*w.  Those w form a plane W over F_{2^g} (2g
+        dimensions over GF(2)), whose 2^g + 1 lines are the fixed points:
+        w2 and w1 + mu*w2 for mu in F_{2^g}, with w1, w2 not proportional.
+        Refuses past POINT_LIMIT points before building any.
+        """
+        points = self._eigenline_fixed_points()
+        if points is not None:
+            return points
+        field, s = self.field, self.s
+        n, g = field.degree, gcd(s, field.degree)
+        if (1 << g) + 1 > POINT_LIMIT:
+            raise ResourceLimitError(
+                f"2^{g} + 1 fixed points exceed the budget of {POINT_LIMIT}")
+        mul, frob, order = field.mul, field.frob, field.order
+        (p, q), (r, t) = self.m
+        lam = field.sqrt(mul(p, t) ^ mul(q, r))
+
+        def image(x: int, y: int) -> int:  # M*sigma^s(w) + lam*w, packed
+            xs, ys = frob(x, s), frob(y, s)
+            return (mul(p, xs) ^ mul(q, ys) ^ mul(lam, x)
+                    | (mul(r, xs) ^ mul(t, ys) ^ mul(lam, y)) << n)
+
+        kernel = SubsetXorSolver([image(1 << j, 0) for j in range(n)] + [
+            image(0, 1 << j) for j in range(n)]).kernel_masks
+        if len(kernel) != 2 * g:
+            raise InvariantViolationError(
+                f"fixed plane of GF(2)-dimension {len(kernel)}, not {2 * g}")
+        ws = [(w & (order - 1), w >> n) for w in kernel]
+        x2, y2 = ws[0]
+        x1, y1 = next((x, y) for x, y in ws if mul(x, y2) != mul(x2, y))
+        subfield = [0]
+        for e in SubsetXorSolver(
+                [frob(1 << j, g) ^ (1 << j) for j in range(n)]).kernel_masks:
+            subfield += [u ^ e for u in subfield]
+
+        def point(x: int, y: int) -> int:
+            return order if y == 0 else mul(x, field.inv(y))
+
+        return sorted([point(x2, y2)] + [
+            point(x1 ^ mul(mu, x2), y1 ^ mul(mu, y2)) for mu in subfield])
 
     def rank_permutation(self) -> list[int]:
         """The map on ranks (g^i is i, zero N = 2^n - 1, infinity N + 1):
@@ -310,7 +392,7 @@ class CycleStructure:
     @cached_property
     def cycles(self) -> tuple[tuple[ProjPoint, ...], ...]:
         field = self.map.field
-        return tuple(tuple(_point_from_int(field, _rank_int(field, r))
+        return tuple(tuple(ProjPoint.from_int(field, _rank_int(field, r))
                            for r in cyc) for cyc in self.ranks)
 
     @property

@@ -408,7 +408,7 @@ def check_fixed_point_theorem() -> str:
 
 def check_bluher_root_counts() -> str:
     """Root counts of x^(2^k+1) + x + a over F_{2^n} stay in the allowed set
-    ({0,1,3} when gcd(k,n)=1), the root finder agrees with the one-pass
+    ({0,1,3} when gcd(k,n)=1), the eigenline count agrees with the one-pass
     sweep (whose histogram bluher_counts checks against Bluher's theorem),
     and a 2% draw agrees with a scan for the finite fixed points of
     psi_{1/a,1/a,k}."""
@@ -427,7 +427,7 @@ def check_bluher_root_counts() -> str:
                 _require(count in allowed,
                          f"n={degree} k={k} a={abits:#x}: count {count}")
                 _require(count == sweep[abits],
-                         f"n={degree} k={k} a={abits:#x}: root finder "
+                         f"n={degree} k={k} a={abits:#x}: eigenline count "
                          f"{count}, sweep {sweep[abits]}")
                 if d == 1:
                     _require(count != 2,

@@ -196,9 +196,9 @@ def test_conjugate_over_a_degree_20_field_is_fast(capsys):
 
 
 def test_conjugate_with_a_large_twist_is_sized(capsys):
-    """k = 40 over F_64 reaches q = 2^40 in its extensions; the c2 search
-    never lists 2^s coefficients, so the command answers over F_2^48 at
-    once instead of running out of memory."""
+    """k = 40 over F_64 reaches q = 2^40 in its extensions; the c2
+    eigenlines never list 2^s coefficients, so the command answers over
+    F_2^48 at once instead of running out of memory."""
     start = time.perf_counter()
     code, out, err = invoke(["conjugate", "--degree", "6", "--map", "psi",
                              "--a", "0x3f", "--b", "0x36", "--k", "40",
@@ -229,7 +229,7 @@ def test_bluher_sweep_and_single_value(capsys):
 
 
 # SHA-256 of the stdout the per-a field-scan route printed for these runs;
-# the image pass and the root finder must reproduce every byte.
+# the image pass and the eigenline count must reproduce every byte.
 BLUHER_DIGESTS = {
     "--degree 3 --k 2 --format json":
         "e53014fcf01dee464d23eeaa7f50a2dd15e16fb1341a9e14a28d1d8c49cb9217",

@@ -8,12 +8,12 @@ from collections import Counter
 import pytest
 
 from f2dyn import (BinaryField, ConjugacyData, LinearizedPoly, MapSpec,
-                   ProjPoint, ResourceLimitError, SubsetXorSolver, TauMap,
+                   ProjPoint, ResourceLimitError, Semilinear,
+                   SubsetXorSolver, TauMap,
                    bluher_counts,
                    bluher_distribution, bluher_root_count, conjugacy,
-                   extension_of, fixed_point_count, solve_conjugation,
-                   theta_fixed_points, verify_conjugation)
-from f2dyn.conjugacy import projective_roots
+                   extension_of, fixed_point_count, polynomial_roots,
+                   solve_conjugation, verify_conjugation)
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
@@ -30,6 +30,24 @@ def scan_root_count(a, k, field):
     psi = MapSpec("psi", inv, inv, k)
     fixed = sum(1 for x in range(field.order) if psi.eval_int(x) == x)
     return roots, fixed
+
+
+def ref_projective_roots(u, v, w, k):
+    """Reference for the fixed points of psi: ascending encodings of the
+    roots of u*x^(2^k+1) + v*x + w (u nonzero) in the coefficients' field,
+    by a root search on degree 2^t + 1, t = min(s, n - s), s = k mod n.
+    When n - s < s the substitution x = y^(2^(n-s)) (a bijection, with
+    x^(2^s) = y) turns the polynomial into u*y^(q+1) + v*y^q + w with
+    q = 2^(n-s)."""
+    field = u.field
+    n = field.degree
+    s = k % n
+    t = min(s, n - s)
+    q = 1 << t
+    coeffs = [w] + [field.zero] * q + [u]
+    coeffs[1 if t == s else q] = v
+    return sorted(r.bits if t == s else field.frob(r.bits, n - s)
+                  for r in polynomial_roots(coeffs))
 
 
 def line(field):
@@ -142,7 +160,8 @@ def test_fixed_point_count_matches_normal_form_sweep():
     for cbits in range(1, f.order):
         c = f.element(cbits)
         for k in (1, 2, 3):
-            assert fixed_point_count(c, k, 4) == len(theta_fixed_points(c, k, f))
+            theta = MapSpec("theta", c, f.zero, k).pair
+            assert fixed_point_count(c, k, 4) == len(theta.fixed_points())
     # both branches of the formula occur: gcd(2^2-1, 2^4-1) = 3
     g = f.primitive_element()
     assert fixed_point_count(g, 2, 4) == 2
@@ -159,11 +178,47 @@ def test_fixed_point_count_validation():
 
 
 def test_theta_fixed_points_known_case():
-    pts = theta_fixed_points(G ** 12, 2, F32)
-    assert pts == {ProjPoint.finite(F32.zero), ProjPoint.infinity(F32),
-                   ProjPoint.finite(G ** 27)}
     mp = MapSpec("theta", G ** 12, F32.zero, 2)
-    assert pts == {p for p in line(F32) if mp.eval(p) == p}
+    pts = mp.pair.fixed_points()
+    assert pts == [0, (G ** 27).bits, F32.order]
+    assert pts == [i for i in range(F32.order + 1) if mp.eval_int(i) == i]
+
+
+def test_wide_fixed_points_match_the_substituted_root_search():
+    """Over F_2^17..F_2^64, the fixed points of psi_{a,b,k} are the roots of
+    a*x^(q+1) + b*x + 1, which the reference finds by a root search of
+    degree 2^t + 1 (t <= 11 keeps it short); psi_{1/a,1/a,k} includes the
+    Bluher polynomials."""
+    rng = random.Random(71)
+    for _ in range(40):
+        f = BinaryField(rng.randrange(17, 65))
+        n, t = f.degree, rng.randrange(12)
+        k = rng.choice([t, n - t]) + n * rng.randrange(3) or n
+        a = f.element(rng.randrange(1, f.order))
+        b = rng.choice([a, f.element(rng.randrange(f.order))])
+        pair = MapSpec("psi", a, b, k).pair
+        want = ref_projective_roots(a, b, f.one, k)
+        assert pair.fixed_points() == want, (n, k, a, b)
+        assert pair.fixed_count() == len(want)
+
+
+def test_scalar_power_listing_is_sized():
+    """T*sigma^20(T)^-1 over F_2^40 is T o sigma^20 o T^-1, whose fixed
+    points are T's image of P^1(F_2^20): the count answers, the listing
+    refuses before it builds anything."""
+    f = BinaryField(40)
+    t = ((2, 3), (5, 1))
+    det_inv = f.inv(f.mul(2, 1) ^ f.mul(3, 5))
+    t_inv = Semilinear(f, ((f.mul(1, det_inv), f.mul(3, det_inv)),
+                           (f.mul(5, det_inv), f.mul(2, det_inv))), 0)
+    pair = t_inv.then(Semilinear(f, ((1, 0), (0, 1)), 20)).then(
+        Semilinear(f, t, 0))
+    assert pair.s == 20 and pair.power(2).m == ((1, 0), (0, 1))
+    start = time.perf_counter()
+    assert pair.fixed_count() == (1 << 20) + 1
+    with pytest.raises(ResourceLimitError, match="fixed points"):
+        pair.fixed_points()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_bluher_known_counts_over_f8():
@@ -243,12 +298,13 @@ def test_bluher_validation():
         bluher_root_count(G, 0, F32)
     with pytest.raises(ValueError):
         bluher_counts(0, F32)
-    # the sweep is sized before it allocates; the root search by its degree
+    # the sweep is sized before it allocates; a single count never searches
     with pytest.raises(ResourceLimitError):
         bluher_counts(2, BinaryField(21))
     f40 = BinaryField(40)
-    with pytest.raises(ResourceLimitError):
-        bluher_root_count(f40.element(2), 25, f40)  # degree 2^15 + 1
+    start = time.perf_counter()
+    assert bluher_root_count(f40.element(2), 25, f40) in (0, 1, 2, 33)
+    assert time.perf_counter() - start < 1.0
     assert bluher_root_count(f40.element(2), 36, f40) in (0, 1, 2, 5)
 
 
@@ -333,8 +389,8 @@ def test_deep_extension_instance():
 
 
 def test_c2_search_with_a_large_twist_is_sized():
-    """k = 40 over F_64 reaches q = 2^40 at relative degree 7: the c2 search
-    runs on degree 2^t + 1 with t = min(s, N - s) and never lists 2^s
+    """k = 40 over F_64 reaches q = 2^40 at relative degree 7: c2 is read
+    off the eigenlines of psi over the extension, which never lists 2^s
     coefficients, so degree 7 is ruled out at once and degree 8 answers."""
     f = BinaryField(6)
     mp = MapSpec("psi", f.element(0x3F), f.element(0x36), 40)
@@ -364,13 +420,13 @@ def test_whole_field_kernel_is_not_enumerated():
 
 def ref_degree_admits(mp, r):
     """(X^(q+1) + b*X^q + a has a root, v has a nonzero kernel) in
-    F_2^(n*r), found in the extension itself: the roots by projective_roots
+    F_2^(n*r), found in the extension itself: the roots by a root search
     on 1/X, the kernel by linear algebra."""
     emb = extension_of(mp.field, r)
     ext = emb.ext
     a, b = emb(mp.a), emb(mp.b)
     s = mp.k % ext.degree
-    has_c2 = bool(projective_roots(a, b, ext.one, mp.k))
+    has_c2 = bool(ref_projective_roots(a, b, ext.one, mp.k))
     if s == 0:  # v(x) = (1 + b + a)*x
         return has_c2, (a + b) == ext.one
     v = LinearizedPoly(1 << s, [ext.one, b, a])
@@ -424,7 +480,7 @@ def test_probes_do_not_change_answers(monkeypatch):
 def test_huge_k_is_probed_per_degree():
     """psi_{g^19, g^15} with k = 1000000002 over F_32: every degree below 9
     is ruled out by a probe or by its kernel, and degree 9 (s = 12) answers
-    through a c2 search of degree 2^12 + 1."""
+    through the fixed points of psi over F_2^45."""
     mp = MapSpec("psi", G ** 19, G ** 15, 1000000002)
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="no conjugation"):

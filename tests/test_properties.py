@@ -1,12 +1,13 @@
 """Property-based checks of the GF(2)[x] kernels, of wide-field and
 slot-wise reduction, of Frobenius powers in wide fields and of Frobenius
 exponents reduced mod the degree, of the semilinear pairs behind every
-map of the line, of the rank-space cycle decompositions against a
-pointwise walk, of the root search and the field embeddings built on it,
-and of the GF(2)-linear solver and the conjugations read off its
-kernels."""
+map of the line, of the rank-space cycle decompositions and the fixed
+points of those pairs against a pointwise walk, of the root search and
+the field embeddings built on it, and of the GF(2)-linear solver and the
+conjugations read off its kernels."""
 
 import functools
+import math
 
 import pytest
 
@@ -17,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 from f2dyn import (BinaryField, ExtensionRootCounter, LinearizedPoly,
                    MapSpec, ResourceLimitError, Semilinear, SubsetXorSolver,
                    extension_of, fields, fixed_point_count, gf2x,
-                   polynomial_roots, solve_conjugation, theta_fixed_points,
-                   verify_conjugation)
+                   polynomial_roots, solve_conjugation, verify_conjugation)
 from test_fields import poly_from_roots
 from test_gf2x import DENSE_MODULI, ref_mod, ref_mul
 
@@ -156,8 +156,8 @@ def test_frobenius_exponent_reduces_mod_the_degree(case):
     field, c, b, k, shifted = case
     n = field.degree
     assert fixed_point_count(c, k, n) == fixed_point_count(c, shifted, n)
-    assert (theta_fixed_points(c, k, field)
-            == theta_fixed_points(c, shifted, field))
+    assert (MapSpec("theta", c, field.zero, k).pair.fixed_points()
+            == MapSpec("theta", c, field.zero, shifted).pair.fixed_points())
     # the base field is the one extension where both exponents act alike
     assert (_base_field_solution(MapSpec("psi", c, b, k))
             == _base_field_solution(MapSpec("psi", c, b, shifted)))
@@ -238,8 +238,8 @@ RANK_FIELDS = [BinaryField(n) for n in range(1, 11)]
 
 
 @st.composite
-def line_pairs(draw):
-    field = draw(st.sampled_from(RANK_FIELDS))
+def line_pairs(draw, fields=RANK_FIELDS):
+    field = draw(st.sampled_from(fields))
     n, order = field.degree, field.order
     elements = st.integers(min_value=0, max_value=order - 1)
     units = st.integers(min_value=1, max_value=order - 1)
@@ -275,6 +275,44 @@ def test_rank_cycles_are_the_pointwise_cycles(pair):
         assert cyc[0] == min(cyc)
         for r, nxt in zip(cyc, cyc[1:] + cyc[:1]):
             assert pair.eval_int(point(r)) == point(nxt)
+
+
+# fixed points read off the eigenlines of f^m, against a scan of the line:
+# theta, psi, tau and any invertible pair up to F_2^9, and pairs built as
+# lam*T*sigma^s(T)^-1 with gcd(s, n) = g > 1, whose f^m is scalar, so that
+# the 2^g + 1 listing runs on every draw of that strategy
+FIXED_FIELDS = RANK_FIELDS[:9]
+
+
+@st.composite
+def scalar_power_pairs(draw):
+    field = draw(st.sampled_from(FIXED_FIELDS[1:]))
+    n = field.degree
+    g = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
+    s = g * draw(st.integers(0, 2 * n // g))
+    (p, q), (r, t) = draw(pairs(field)).m
+    lam = draw(st.integers(min_value=1, max_value=field.order - 1))
+    adjugate = Semilinear(field, ((t, q), (r, p)), 0)
+    return adjugate.then(Semilinear(field, ((lam, 0), (0, lam)), s)).then(
+        Semilinear(field, ((p, q), (r, t)), 0))
+
+
+@settings(deadline=None)
+@given(st.one_of(line_pairs(FIXED_FIELDS), scalar_power_pairs()))
+def test_fixed_points_are_the_scanned_fixed_points(pair):
+    scan = [i for i in range(pair.field.order + 1) if pair.eval_int(i) == i]
+    assert pair.fixed_points() == scan
+    assert pair.fixed_count() == len(scan)
+
+
+@settings(deadline=None)
+@given(scalar_power_pairs())
+def test_scalar_powers_fix_a_subfield_line(pair):
+    n = pair.field.degree
+    g = math.gcd(pair.s, n)
+    (p, q), (r, t) = pair.power(n // g).m
+    assert (q, r) == (0, 0) and p == t
+    assert len(pair.fixed_points()) == pair.fixed_count() == (1 << g) + 1
 
 
 # root search: polynomials of degree at most 12 over table fields and wide
