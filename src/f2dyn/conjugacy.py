@@ -18,7 +18,6 @@ from math import gcd
 from .fields import (
     BinaryField,
     ExtensionEmbedding,
-    ExtensionRootCounter,
     FieldElement,
     FieldMismatchError,
     InvariantViolationError,
@@ -27,7 +26,7 @@ from .fields import (
     SubsetXorSolver,
     extension_of,
 )
-from .maps import MapSpec, ProjPoint, Semilinear
+from .maps import MapSpec, ProjPoint, Semilinear, fixed_line_count
 
 
 @dataclass(frozen=True)
@@ -116,40 +115,51 @@ class TauMap:
     __call__ = eval
 
 
-def _candidate_degrees(map: MapSpec, bound: int):
-    """Relative degrees r worth building: F_{2^(n*r)} must contain a root of
-    X^(q+1) + b*X^q + a (for c2) and a nonzero kernel element of v (for c3).
+def _root_counts(map: MapSpec, bound: int):
+    """(P, V) over L = F_{2^(n*r)} for r = 1, ..., bound: P roots c2 of
+    X^(q+1) + b*X^q + a and V nonzero kernel elements of
+    v(x) = a*x^(q^2) + b*x^q + x, from base-field data alone.
 
-    On F_{2^(n*r)} any q = 2^e with e = k mod n*r (n*r itself for 0) acts as
-    q = 2^k, so both conditions are root-existence questions about fixed
-    polynomials with base-field coefficients, probed by gcds over the base
-    field with one pair of counters per e; no extension is constructed until
-    a degree passes both probes.  A degree whose e exceeds 6 (q^2 > 4096)
-    is built without a probe.
+    With g0 = gcd(k, n), psi's base pair has the twist-free power
+    N0 = psi^(n/g0).  With g1 = gcd(k, n*r), psi^(n*r/g1) over L is
+    N' = N0^j, j = r*g0/g1, as sigma^k acts on base-field entries as it does
+    on the base.  The 1/c2 are psi's fixed points, so P is
+    fixed_line_count(N', g1).  v(x) = 0 exactly when w = (x, x^q) satisfies
+    w = B*sigma^k(w) for B = ((b, a), (1, 0)), psi's matrix with both
+    coordinates swapped; those w form an F_{2^g1}-space that spans the
+    eigenspace of the swapped N' for 1 over L.  So V + 1 is 2^(2*g1) when
+    N' = I, 2^g1 when 1 is an eigenvalue (det + tr + 1 = 0), and 1
+    otherwise.
     """
-    base = map.field
-    a, b, one, zero = map.a, map.b, base.one, base.zero
-    c2_counters: dict[int, ExtensionRootCounter] = {}
-    c3_counters: dict[int, ExtensionRootCounter] = {}
+    base, k = map.field, map.k
+    mul, n = base.mul, base.degree
+    g0 = gcd(k, n)
+    n0 = map.pair.power(n // g0)
     for r in range(1, bound + 1):
-        e = map.k % (base.degree * r) or base.degree * r
-        if e > 6:
-            yield r
-            continue
-        q = 1 << e
-        if e not in c2_counters:
-            c2_counters[e] = ExtensionRootCounter([a] + [zero] * (q - 1)
-                                                  + [b, one])
-        if not c2_counters[e].count(r):
-            continue
-        if e not in c3_counters:
-            # nonzero roots of v(x) = a*x^(q^2) + b*x^q + x are roots of this
-            v_coeffs = [zero] * (q * q)
-            v_coeffs[0] = one
-            v_coeffs[q - 1] = b
-            v_coeffs[q * q - 1] = a
-            c3_counters[e] = ExtensionRootCounter(v_coeffs)
-        if c3_counters[e].count(r):
+        g1 = gcd(k, n * r)
+        m = n0.power(r * g0 // g1).m
+        (p, x), (y, t) = m
+        if not (x or y or p != t):
+            v = (1 << 2 * g1) - 1 if p == 1 else 0
+        else:
+            v = 0 if mul(p, t) ^ mul(x, y) ^ p ^ t ^ 1 else (1 << g1) - 1
+        yield fixed_line_count(base, m, g1), v
+
+
+def _candidate_degrees(map: MapSpec, bound: int):
+    """The relative degrees r <= bound whose extension F_{2^(n*r)} holds a
+    solution, in ascending order; no extension is built to find them.
+
+    A root c2 comes with a c3 unless ker v = ker u (u(x) = x + c2*x^q).
+    ker u lies in ker v, and the nonzero w with v(w) = 0 map g-to-one onto
+    the roots c2 whose 1/c2 is a (q - 1)-th power, g = 2^gcd(k, n*r) - 1,
+    where |ker u| = g + 1; for the other roots ker u = {0}.  So the degree
+    holds a solution exactly when both counts of _root_counts are positive
+    and V > g or P*g > V.
+    """
+    for r, (p, v) in enumerate(_root_counts(map, bound), 1):
+        g = (1 << gcd(map.k, map.field.degree * r)) - 1
+        if p and v and (v > g or p * g > v):
             yield r
 
 
@@ -158,11 +168,12 @@ def solve_conjugation(map: MapSpec, max_relative_degree: int = 24) -> ConjugacyD
 
     c2 must be a nonzero root of X^(q+1) + b*X^q + a and c3 a kernel element
     of v(x) = a*x^(q^2) + b*x^q + x avoiding the kernel of u(x) = x + c2*x^q;
-    then c = c2^q and c1 = c3^q.  The base field is searched first, then
-    extensions of increasing degree, and the smallest (extension degree,
-    encoding of c2, encoding of c3) is returned.  A degree whose c2 listing
-    is past Semilinear.fixed_points' budget raises ResourceLimitError rather
-    than being skipped, which could return a larger degree.
+    then c = c2^q and c1 = c3^q.  The smallest (extension degree, encoding
+    of c2, encoding of c3) is returned: _candidate_degrees names the least
+    degree that holds a solution, so only that extension is built.  A degree
+    whose c2 listing is past Semilinear.fixed_points' budget raises
+    ResourceLimitError rather than being skipped, which could return a
+    larger degree.
     """
     if map.kind != "psi":
         raise ValueError("conjugation targets reciprocal maps")

@@ -15,9 +15,12 @@ from typing import Callable, Iterator, Sequence
 
 from . import gf2x
 
-# Fields up to this degree get exp/log tables (built lazily) so that
-# multiplication, inversion and discrete logs are table lookups; wider fields
-# multiply with the gf2x kernels and reduce with a reducer for their modulus.
+# Fields up to this degree get exp/log tables, so that multiplication,
+# inversion and discrete logs are table lookups.  The tables hold 3*2^n
+# entries (about 5 MB and 15 ms at n = 16), so they are built on the first
+# tables(), log() or exp(), or once the field has made order/16 arithmetic
+# calls without them.  Until then, and in wider fields, arithmetic runs on the
+# gf2x kernels and reduces with a reducer for the modulus.
 _TABLE_LIMIT = 16
 
 # Pointwise scans refuse to visit more than this many points: the sweep of a
@@ -62,6 +65,8 @@ class BinaryField:
         self._reduce = gf2x.reducer(modulus)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        # arithmetic calls left before the exp/log tables get built
+        self._untabled = self.order >> 4
         self._mult_factors: list[int] | None = None
         self._trace_mask: int | None = None
         self._artin_schreier: SubsetXorSolver | None = None
@@ -110,20 +115,16 @@ class BinaryField:
     # -- raw arithmetic on int encodings -------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is None:
-            if self._wide:
-                return self._reduce(gf2x.mul(a, b))
-            self._build_tables()
+        if self._exp is None and (self._wide or not self._tabled()):
+            return self._reduce(gf2x.mul(a, b))
         if a == 0 or b == 0:
             return 0
         exp, log = self._exp, self._log
         return exp[log[a] + log[b]]
 
     def sqr(self, a: int) -> int:
-        if self._exp is None:
-            if self._wide:
-                return self._reduce(gf2x.sqr(a))
-            self._build_tables()
+        if self._exp is None and (self._wide or not self._tabled()):
+            return self._reduce(gf2x.sqr(a))
         if a == 0:
             return 0
         return self._exp[(2 * self._log[a]) % self.mult_order]
@@ -131,10 +132,8 @@ class BinaryField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._exp is None:
-            if self._wide:
-                return self._inv_euclid(a)
-            self._build_tables()
+        if self._exp is None and (self._wide or not self._tabled()):
+            return self._inv_euclid(a)
         return self._exp[self.mult_order - self._log[a]]
 
     def _inv_euclid(self, a: int) -> int:
@@ -155,10 +154,8 @@ class BinaryField:
                 raise ZeroDivisionError("zero to a negative power")
             return 1 if e == 0 else 0
         e %= self.mult_order
-        if self._exp is None:
-            if self._wide:
-                return self._pow_raw(a, e)
-            self._build_tables()
+        if self._exp is None and (self._wide or not self._tabled()):
+            return self._pow_raw(a, e)
         return self._exp[(self._log[a] * e) % self.mult_order]
 
     def _pow_raw(self, a: int, e: int) -> int:
@@ -174,28 +171,27 @@ class BinaryField:
     def frob(self, a: int, k: int) -> int:
         """a^(2^k); the exponent only matters modulo the degree.
 
-        Within the exp/log tables this is a shift of the discrete log.  Above
-        them x -> x^(2^s), s = k mod n, is GF(2)-linear: for s > 1 + n/128 it
-        is read off tables built on the first use of each s, one lookup and
-        one XOR per 4-bit window of a.  Smaller s squares s times, which is
-        cheaper there: a table read costs about one squaring up to n = 96,
-        one to two up to n = 256 and four to five at n = 960.
+        Within the exp/log tables this is a shift of the discrete log.
+        Without them x -> x^(2^s), s = k mod n, is GF(2)-linear: for
+        s > 1 + n/128 it is read off tables built on the first use of each
+        s, one lookup and one XOR per 4-bit window of a.  Smaller s squares
+        s times, which is cheaper there: a table read costs about one
+        squaring up to n = 96, one to two up to n = 256 and four to five at
+        n = 960.
         """
         k %= self.degree
-        if self._exp is None:
-            if self._wide:
-                if 128 * (k - 1) <= self.degree:
-                    reduce = self._reduce
-                    for _ in range(k):
-                        a = reduce(gf2x.sqr(a))
-                    return a
-                windows = self._frob_windows.get(k) or self._frob_table(k)
-                r = 0
-                for (lo, hi), byte in zip(
-                        windows, a.to_bytes((a.bit_length() + 7) >> 3, "little")):
-                    r ^= lo[byte & 15] ^ hi[byte >> 4]
-                return r
-            self._build_tables()
+        if self._exp is None and (self._wide or not self._tabled()):
+            if 128 * (k - 1) <= self.degree:
+                reduce = self._reduce
+                for _ in range(k):
+                    a = reduce(gf2x.sqr(a))
+                return a
+            windows = self._frob_windows.get(k) or self._frob_table(k)
+            r = 0
+            for (lo, hi), byte in zip(
+                    windows, a.to_bytes((a.bit_length() + 7) >> 3, "little")):
+                r ^= lo[byte & 15] ^ hi[byte >> 4]
+            return r
         if a == 0:
             return 0
         return self._exp[(self._log[a] << k) % self.mult_order]
@@ -205,7 +201,7 @@ class BinaryField:
         c^j with c = x^(2^s), and each 4-bit window's 16 entries are XORs of
         the images of its four basis elements."""
         reduce, n = self._reduce, self.degree
-        c = 2  # x, as the field is wide
+        c = reduce(2)  # x
         for _ in range(s):
             c = reduce(gf2x.sqr(c))
         images = [1]
@@ -264,10 +260,8 @@ class BinaryField:
 
     def exp(self, i: int) -> int:
         """primitive_element() raised to the i-th power, as an encoding."""
-        if self._exp is None:
-            if self._wide:
-                return self.pow(self.primitive_bits(), i)
-            self._build_tables()
+        if self._exp is None and not self._build_tables():
+            return self.pow(self.primitive_bits(), i)
         return self._exp[i % self.mult_order]
 
     # -- primitive elements and tables ----------------------------------------
@@ -299,6 +293,12 @@ class BinaryField:
     def primitive_element(self) -> "FieldElement":
         return FieldElement(self, self.primitive_bits())
 
+    def _tabled(self) -> bool:
+        """Counts one arithmetic call made without tables, and builds them on
+        the order/16-th such call, from where they pay for themselves."""
+        self._untabled -= 1
+        return self._untabled <= 0 and self._build_tables()
+
     def _build_tables(self) -> bool:
         if self._wide:
             return False
@@ -308,21 +308,18 @@ class BinaryField:
         M = self.mult_order
         exp = [0] * (2 * M)
         log = [-1] * self.order
-        modulus, order, reduce = self.modulus, self.order, self._reduce
+        # cur*g from the products of its low and high byte with g; each
+        # table is the XOR span of the products of its bits
+        lo, hi = [0], [0]
+        for j in range(self.degree):
+            image = self._reduce(gf2x.mul(1 << j, g))
+            table = lo if j < 8 else hi
+            table += [t ^ image for t in table]
         cur = 1
-        if g in (2, 3):  # multiplying by x (or x + 1): a shift (and an add)
-            add = g == 3
-            for i in range(M):
-                exp[i] = exp[i + M] = cur
-                log[cur] = i
-                cur = (cur << 1) ^ cur if add else cur << 1
-                if cur & order:
-                    cur ^= modulus
-        else:
-            for i in range(M):
-                exp[i] = exp[i + M] = cur
-                log[cur] = i
-                cur = reduce(gf2x.mul(cur, g))
+        for i in range(M):
+            exp[i] = exp[i + M] = cur
+            log[cur] = i
+            cur = lo[cur & 255] ^ hi[cur >> 8]
         if cur != 1:  # pragma: no cover
             raise InvariantViolationError("primitive element order mismatch")
         self._exp, self._log = exp, log
@@ -823,6 +820,11 @@ class ExtensionRootCounter:
     field is ever constructed.  Frobenius powers are cached, so probing
     r = 1, 2, 3, ... costs n squarings mod f per new step.  The search form
     of f (see _search_form) has the same count, less the root 0.
+
+    The package answers its own root counts from 2x2 matrices (see
+    maps.fixed_line_count and conjugacy._root_counts).  This counter takes
+    any polynomial; the tests, selftest and perfbench use it as their
+    independent oracle.
     """
 
     def __init__(self, coeffs: Sequence[FieldElement]):

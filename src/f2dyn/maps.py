@@ -183,12 +183,11 @@ class Semilinear:
         return sorted(x for x in points if self.eval_int(x) == x)
 
     def fixed_count(self) -> int:
-        """How many points of the line f fixes: 2^g + 1 when N is scalar
-        (see fixed_points), which needs no listing."""
-        points = self._eigenline_fixed_points()
-        if points is None:
-            return (1 << gcd(self.s, self.field.degree)) + 1
-        return len(points)
+        """How many points of the line f fixes, without listing them: the
+        fixed_line_count of N = f^m with g = gcd(s, n), m = n/g."""
+        n = self.field.degree
+        g = gcd(self.s, n)
+        return fixed_line_count(self.field, self.power(n // g).m, g)
 
     def fixed_points(self) -> list[int]:
         """Ascending encodings of the fixed points (the field order is
@@ -303,6 +302,39 @@ class Semilinear:
                 cur = image[cur]
             cycles.append(tuple(cyc))
         return tuple(cycles)
+
+
+def fixed_line_count(field: BinaryField, m, g: int) -> int:
+    """How many points of P^1(L) a semilinear map f of twist s fixes, from
+    the matrix m = ((p, q), (r, t)) of its twist-free power N = f^(D/g),
+    where L = F_{2^D} contains field, m has its entries in field, and
+    g = gcd(s, D).
+
+    f sends the eigenline of N for lam to the one for sigma^s(lam), so it
+    fixes that line exactly when lam lies in F_{2^g} (McGuire and Sheekey,
+    Finite Fields Appl. 57, 2019).  A scalar N fixes all 2^g + 1 lines of
+    a plane over F_{2^g} (see Semilinear.fixed_points); with tr = 0 there
+    is one eigenline, which f must fix.  Otherwise the eigenvalues tr*z,
+    tr*(z + 1), z^2 + z = w = det/tr^2, both lie in F_{2^g} or neither
+    does.  f commutes with N, so sigma^s(N) = M^-1*N*M for f's matrix M:
+    tr and det are fixed by sigma^s, and lie in F_{2^d}, d = gcd(n, g) for
+    field = F_{2^n}.  So z lies in F_{2^g} exactly when
+    Tr_{F_{2^g}/F_2}(w) = (g/d) * Tr_{F_{2^d}/F_2}(w) is 0.
+    """
+    mul = field.mul
+    (p, q), (r, t) = m
+    if not (q or r or p != t):
+        return (1 << g) + 1
+    tr, det = p ^ t, mul(p, t) ^ mul(q, r)
+    if tr == 0:
+        return 1
+    d = gcd(field.degree, g)
+    w = mul(det, field.inv(mul(tr, tr)))
+    trace = 0
+    for _ in range(d):
+        trace ^= w
+        w = field.sqr(w)
+    return 0 if (g // d) * trace % 2 else 2
 
 
 @dataclass(frozen=True)

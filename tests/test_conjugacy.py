@@ -7,13 +7,12 @@ from collections import Counter
 
 import pytest
 
-from f2dyn import (BinaryField, ConjugacyData, LinearizedPoly, MapSpec,
-                   ProjPoint, ResourceLimitError, Semilinear,
-                   SubsetXorSolver, TauMap,
+from f2dyn import (BinaryField, ConjugacyData, MapSpec, ProjPoint,
+                   ResourceLimitError, Semilinear, SubsetXorSolver, TauMap,
                    bluher_counts,
                    bluher_distribution, bluher_root_count, conjugacy,
-                   extension_of, fixed_point_count, polynomial_roots,
-                   solve_conjugation, verify_conjugation)
+                   element_echo, extension_of, fixed_point_count,
+                   polynomial_roots, solve_conjugation, verify_conjugation)
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
@@ -418,39 +417,74 @@ def test_whole_field_kernel_is_not_enumerated():
     assert data.system_holds() and verify_conjugation(data)
 
 
-def ref_degree_admits(mp, r):
-    """(X^(q+1) + b*X^q + a has a root, v has a nonzero kernel) in
-    F_2^(n*r), found in the extension itself: the roots by a root search
-    on 1/X, the kernel by linear algebra."""
+def ref_degree_solves(mp, r):
+    """Whether F_2^(n*r) holds a conjugation, found in the extension itself:
+    the roots c2 = 1/y by a root search on a*y^(q+1) + b*y + 1, and for
+    each a kernel of v strictly larger than that of u(x) = x + c2*x^q."""
     emb = extension_of(mp.field, r)
     ext = emb.ext
     a, b = emb(mp.a), emb(mp.b)
     s = mp.k % ext.degree
-    has_c2 = bool(ref_projective_roots(a, b, ext.one, mp.k))
-    if s == 0:  # v(x) = (1 + b + a)*x
-        return has_c2, (a + b) == ext.one
-    v = LinearizedPoly(1 << s, [ext.one, b, a])
-    kernel = SubsetXorSolver([v.eval_bits(1 << j) for j in range(ext.degree)])
-    return has_c2, bool(kernel.kernel_masks)
+
+    def kernel_dim(image):
+        return len(SubsetXorSolver(
+            [image(1 << j) for j in range(ext.degree)]).kernel_masks)
+
+    v_dim = kernel_dim(lambda x: x ^ ext.mul(b.bits, ext.frob(x, s))
+                       ^ ext.mul(a.bits, ext.frob(x, 2 * s)))
+    return any(
+        v_dim > kernel_dim(lambda x: x ^ ext.mul(ext.inv(y), ext.frob(x, s)))
+        for y in ref_projective_roots(a, b, ext.one, mp.k))
 
 
 def test_candidate_degrees_are_exact_for_every_k():
-    """The probe reduces k per degree, so it stays exact for k > 6: a degree
-    is skipped only when it lacks c2 or c3, and is built unprobed only when
-    k mod n*r exceeds 6."""
+    """A degree is yielded exactly when its extension holds a solution, for
+    every k, near 10^9 too, and without building any extension."""
     rng = random.Random(43)
+    cases = []
+    lookups = extension_of.cache_info()
     for _ in range(40):
         f = BinaryField(rng.randrange(2, 5))
         k = rng.choice([rng.randrange(1, 41), rng.randrange(10**9, 10**9 + 100)])
         mp = MapSpec("psi", f.element(rng.randrange(1, f.order)),
                      f.element(rng.randrange(f.order)), k)
-        yielded = set(conjugacy._candidate_degrees(mp, 4))
+        cases.append((mp, set(conjugacy._candidate_degrees(mp, 4))))
+    after = extension_of.cache_info()
+    assert after.hits + after.misses == lookups.hits + lookups.misses
+    for mp, yielded in cases:
         for r in range(1, 5):
-            e = k % (f.degree * r) or f.degree * r
-            if e > 6:
-                assert r in yielded, (mp, r)
-            else:
-                assert (r in yielded) == all(ref_degree_admits(mp, r)), (mp, r)
+            assert (r in yielded) == ref_degree_solves(mp, r), (mp, r)
+    assert sum(len(y) for _, y in cases) >= 20
+    assert sum(not y for _, y in cases) >= 5
+
+
+@pytest.mark.parametrize("n, a, b, k", [(12, 0x796, 0x218, 45),
+                                        (10, 0x22a, 0x3cf, 32)])
+def test_maps_without_a_conjugation_are_refused_at_once(n, a, b, k):
+    """No degree up to 24 holds a solution, and the probes say so from the
+    base field without building any of the extensions."""
+    f = BinaryField(n)
+    mp = MapSpec("psi", f.element(a), f.element(b), k)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="no conjugation found in "
+                       "extensions up to relative degree 24"):
+        solve_conjugation(mp)
+    assert time.perf_counter() - start < 0.2
+
+
+def test_a_solve_in_f2_16_builds_no_tables():
+    """The extension a solve lands in sees a few hundred operations, too
+    few to pay for its exp/log tables; the labels of the answer build them
+    and read the same discrete logs as ever."""
+    extension_of.cache_clear()
+    f = BinaryField(8)
+    data = solve_conjugation(MapSpec("psi", f.element(0x8), f.element(0x1a), 1))
+    ext = data.embedding.ext
+    assert ext.degree == 16 and ext._exp is None
+    assert [element_echo(x) for x in (data.c, data.c1, data.c2, data.c3)] == [
+        {"hex": "0xdff0", "g_exp": 15677}, {"hex": "0x9511", "g_exp": 59149},
+        {"hex": "0x8967", "g_exp": 40606}, {"hex": "0x5b20", "g_exp": 62342}]
+    assert ext._exp is not None
 
 
 def test_probes_do_not_change_answers(monkeypatch):

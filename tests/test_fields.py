@@ -6,9 +6,9 @@ import random
 import pytest
 
 from f2dyn import (BinaryField, ExtensionRootCounter, FieldMismatchError,
-                   LinearizedPoly, ResourceLimitError, SubsetXorSolver,
-                   extension_of, fields, gf2x, nth_roots, polynomial_roots,
-                   quadratic_extension)
+                   LinearizedPoly, MapSpec, ResourceLimitError, SubsetXorSolver,
+                   bluher_counts, extension_of, fields, gf2x, nth_roots,
+                   polynomial_roots, quadratic_extension)
 from f2dyn.gf2x import CONWAY_POLYNOMIALS
 from test_gf2x import DENSE_MODULI
 
@@ -184,7 +184,8 @@ def test_frob_matches_repeated_squaring():
         return a
 
     rng = random.Random(13)
-    fresh = BinaryField(10)  # its exp/log tables are built by the first frob
+    # its first 64 calls run without exp/log tables, the rest read them
+    fresh = BinaryField(10)
     assert fresh._exp is None
     assert fresh.frob(0x2F5, 3) == squarings(BinaryField(10), 0x2F5, 3)
     # wide fields on both sides of the byte and window edges (17, 33, 65
@@ -210,7 +211,7 @@ def test_frob_matches_repeated_squaring():
 
 
 def test_tables_match_repeated_mulmod_by_the_generator():
-    # g = 2 and g = 3 (F_2^16) build by shifts, g = 7 (F_2^14) by gf2x
+    # g = 2 for most degrees, g = 3 for F_2^16 and g = 7 for F_2^14
     for n in range(1, 17):
         f = BinaryField(n)
         g = f.primitive_bits()
@@ -221,6 +222,26 @@ def test_tables_match_repeated_mulmod_by_the_generator():
             assert log[cur] == i, (n, i)
             cur = gf2x.mulmod(cur, g, f.modulus)
         assert cur == 1
+
+
+def test_tables_are_built_where_they_pay():
+    """Arithmetic builds the exp/log tables on the order/16-th call without
+    them; tables(), log() and exp() build them at once, so cycle listings,
+    root-count sweeps and labels always read them."""
+    f = BinaryField(12)
+    for x in range(1, f.order >> 4):
+        f.mul(x, x)
+    assert f._exp is None
+    assert f.mul(0x5A5, 0x3C3) == gf2x.mulmod(0x5A5, 0x3C3, f.modulus)
+    assert f._exp is not None
+    f = BinaryField(16)
+    assert f.element(0x8967).log() == 40606 and f._exp is not None
+    f = BinaryField(16)
+    MapSpec("theta", f.element(0xF13A), f.element(0x2B7B), 0).cycle_structure()
+    assert f._exp is not None
+    f = BinaryField(10)
+    bluher_counts(3, f)
+    assert f._exp is not None
 
 
 def test_inverse_of_zero_raises():

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from f2dyn import (BinaryField, ExtensionRootCounter, LinearizedPoly,
                    MapSpec, ResourceLimitError, Semilinear, SubsetXorSolver,
-                   extension_of, fields, fixed_point_count, gf2x,
+                   conjugacy, extension_of, fields, fixed_point_count, gf2x,
                    polynomial_roots, solve_conjugation, verify_conjugation)
 from test_fields import poly_from_roots
 from test_gf2x import DENSE_MODULI, ref_mod, ref_mul
@@ -313,6 +313,37 @@ def test_scalar_powers_fix_a_subfield_line(pair):
     (p, q), (r, t) = pair.power(n // g).m
     assert (q, r) == (0, 0) and p == t
     assert len(pair.fixed_points()) == pair.fixed_count() == (1 << g) + 1
+
+
+# the probes of solve_conjugation: the counts over F_2^(n*r) that
+# _root_counts reads off base-field 2x2 matrices, against gcds with
+# X^(2^(n*r)) - X over the base field, for n <= 8, r <= 6 and e <= 6, where
+# q = 2^e acts as 2^k (e = k mod n*r, or n*r for 0)
+
+
+@st.composite
+def probed_degrees(draw):
+    field = draw(st.sampled_from(FIXED_FIELDS[:8]))
+    n = field.degree
+    r = draw(st.integers(min_value=1, max_value=6))
+    e = draw(st.integers(min_value=1, max_value=min(6, n * r)))
+    k = e + n * r * draw(st.sampled_from([0, 1, 3, 10**9]))
+    a = draw(st.integers(min_value=1, max_value=field.order - 1))
+    b = draw(st.integers(min_value=0, max_value=field.order - 1))
+    return MapSpec("psi", field.element(a), field.element(b), k), r, e
+
+
+@settings(deadline=None)
+@given(probed_degrees())
+def test_root_counts_are_the_extension_root_counts(case):
+    mp, r, e = case
+    q = 1 << e
+    zero, one = mp.field.zero, mp.field.one
+    v = [zero] * (q * q)  # v(x)/x = a*x^(q^2 - 1) + b*x^(q - 1) + 1
+    v[0], v[q - 1], v[q * q - 1] = one, mp.b, mp.a
+    c2 = ExtensionRootCounter([mp.a] + [zero] * (q - 1) + [mp.b, one])
+    assert list(conjugacy._root_counts(mp, r))[-1] == (
+        c2.count(r), ExtensionRootCounter(v).count(r))
 
 
 # root search: polynomials of degree at most 12 over table fields and wide
