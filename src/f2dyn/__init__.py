@@ -13,13 +13,11 @@ from .fields import (
     FieldElement,
     FieldMismatchError,
     InvariantViolationError,
-    LinearizedPoly,
     ResourceLimitError,
     SubsetXorSolver,
     extension_of,
     nth_roots,
     polynomial_roots,
-    quadratic_extension,
 )
 from .maps import (
     ClosedFormIterate,
@@ -77,7 +75,6 @@ __all__ = [
     "FieldMismatchError",
     "GroupStructure",
     "InvariantViolationError",
-    "LinearizedPoly",
     "MapSpec",
     "ProjPoint",
     "QuarticReduction",
@@ -107,7 +104,6 @@ __all__ = [
     "point_label",
     "polynomial_roots",
     "predict_orbit_length",
-    "quadratic_extension",
     "reduce_to_quartic",
     "scalar_mul",
     "solve_conjugation",

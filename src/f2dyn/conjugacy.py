@@ -170,52 +170,49 @@ def solve_conjugation(map: MapSpec, max_relative_degree: int = 24) -> ConjugacyD
     of v(x) = a*x^(q^2) + b*x^q + x avoiding the kernel of u(x) = x + c2*x^q;
     then c = c2^q and c1 = c3^q.  The smallest (extension degree, encoding
     of c2, encoding of c3) is returned: _candidate_degrees names the least
-    degree that holds a solution, so only that extension is built.  A degree
-    whose c2 listing is past Semilinear.fixed_points' budget raises
-    ResourceLimitError rather than being skipped, which could return a
-    larger degree.
+    degree that holds a solution, so only that extension is built, and a
+    degree it names without a (c2, c3) raises InvariantViolationError.  A
+    c2 listing past Semilinear.fixed_points' budget raises
+    ResourceLimitError.
     """
     if map.kind != "psi":
         raise ValueError("conjugation targets reciprocal maps")
-    base = map.field
-    for r in _candidate_degrees(map, max_relative_degree):
-        emb = extension_of(base, r)
-        ext = emb.ext
-        a, b = emb(map.a), emb(map.b)
-        s = map.k % ext.degree
+    r = next(_candidate_degrees(map, max_relative_degree), None)
+    if r is None:
+        raise ResourceLimitError(
+            f"no conjugation found in extensions up to relative degree "
+            f"{max_relative_degree}")
+    emb = extension_of(map.field, r)
+    ext = emb.ext
+    a, b = emb(map.a), emb(map.b)
+    s = map.k % ext.degree
 
-        def v(x: int) -> int:
-            t = ext.frob(x, s)
-            return x ^ ext.mul(b.bits, t) ^ ext.mul(a.bits, ext.frob(t, s))
+    def v(x: int) -> int:
+        t = ext.frob(x, s)
+        return x ^ ext.mul(b.bits, t) ^ ext.mul(a.bits, ext.frob(t, s))
 
-        kernel = SubsetXorSolver(
-            [v(1 << j) for j in range(ext.degree)]).kernel_masks
-        if not kernel:
-            continue  # only the zero solution; no usable c3 here
-        # c2 is a root of X^(q+1) + b X^q + a, never 0 as a != 0, so 1/c2 is a
-        # root of a Y^(q+1) + b Y + 1: a fixed point of psi_{a,b,k}
-        psi = MapSpec("psi", a, b, map.k).pair
-        for c2_bits in sorted(ext.inv(y) for y in psi.fixed_points()):
-            # in ascending order the span of a reduced echelon basis lists
-            # every combination of its first i vectors before the (i+1)-th,
-            # so the least kernel element outside ker u is a basis vector
-            c3_bits = next(
-                (x for x in kernel if x ^ ext.mul(c2_bits, ext.frob(x, s))),
-                None)
-            if c3_bits is None:
-                continue
-            c2, c3 = ext.element(c2_bits), ext.element(c3_bits)
-            data = ConjugacyData(map=map, embedding=emb, c=c2.frob(s),
-                                 c1=c3.frob(s), c2=c2, c3=c3)
-            if not (data.system_holds()
-                    and verify_conjugation(data)):  # pragma: no cover
-                raise InvariantViolationError(
-                    "solver output violates the defining system or "
-                    "psi o tau = tau o theta")
-            return data
-    raise ResourceLimitError(
-        f"no conjugation found in extensions up to relative degree "
-        f"{max_relative_degree}")
+    kernel = SubsetXorSolver([v(1 << j) for j in range(ext.degree)]).kernel_masks
+    # c2 is a root of X^(q+1) + b X^q + a, never 0 as a != 0, so 1/c2 is a
+    # root of a Y^(q+1) + b Y + 1: a fixed point of psi_{a,b,k}.  In
+    # ascending order the span of a reduced echelon basis lists every
+    # combination of its first i vectors before the (i+1)-th, so the least
+    # kernel element outside ker u is a basis vector.
+    psi = MapSpec("psi", a, b, map.k).pair
+    found = next(((c2, c3)
+                  for c2 in sorted(ext.inv(y) for y in psi.fixed_points())
+                  for c3 in kernel if c3 ^ ext.mul(c2, ext.frob(c3, s))), None)
+    if found is None:
+        raise InvariantViolationError(
+            f"the probes name F_2^{ext.degree}, which holds no (c2, c3)")
+    c2, c3 = (ext.element(x) for x in found)
+    data = ConjugacyData(map=map, embedding=emb, c=c2.frob(s), c1=c3.frob(s),
+                         c2=c2, c3=c3)
+    if not (data.system_holds()
+            and verify_conjugation(data)):  # pragma: no cover
+        raise InvariantViolationError(
+            "solver output violates the defining system or "
+            "psi o tau = tau o theta")
+    return data
 
 
 def verify_conjugation(data: ConjugacyData) -> bool:

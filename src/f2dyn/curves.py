@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt, lcm
+from typing import Callable
 
 from .fields import (
     BinaryField,
@@ -18,7 +19,6 @@ from .fields import (
     FieldMismatchError,
     InvariantViolationError,
     extension_of,
-    quadratic_extension,
 )
 from .gf2x import factorize
 
@@ -53,6 +53,15 @@ class CurveSpec:
         if not self.contains(x, y):
             raise ValueError(f"({x.hex}, {y.hex}) does not satisfy the curve equation")
         return CurvePoint(self, x, y)
+
+    def lift_target(self) -> Callable[[int], int]:
+        """x -> w = (x^3 + a2*x)/a1^2 on encodings of the curve's field:
+        y = a1*z turns the equation at x into z^2 + z = w, so x lifts to two
+        points over the field when Tr w = 0 and to none when Tr w = 1."""
+        f = self.field
+        mul = f.mul
+        c, a2 = f.inv(mul(self.a1.bits, self.a1.bits)), self.a2.bits
+        return lambda x: mul(c, mul(x, mul(x, x) ^ a2))
 
     def extended(self, embedding: ExtensionEmbedding) -> "CurveSpec":
         if embedding.base != self.field:
@@ -155,66 +164,50 @@ def scalar_mul(n: int, p: CurvePoint) -> CurvePoint:
 # -- lifting x-coordinates ---------------------------------------------------------
 
 
-def _halves(field: BinaryField, w: FieldElement) -> set[FieldElement]:
-    """Solutions of z^2 + z = w (empty when the trace of w is 1)."""
-    z = field.artin_schreier(w.bits)
-    return set() if z is None else {field.element(z), field.element(z ^ 1)}
-
-
-def lift_x(curve: CurveSpec, x0: FieldElement,
-           ext: ExtensionEmbedding | None = None) -> set[CurvePoint]:
+def lift_x(curve: CurveSpec, x0: FieldElement) -> set[CurvePoint]:
     """The points of E with x-coordinate x0: in the base field when
-    y^2 + a1*y = x0^3 + a2*x0 is solvable there, otherwise in the quadratic
+    Tr w(x0) = 0 (CurveSpec.lift_target), otherwise in the quadratic
     extension (where it always is).  The two returned points are negatives
     of each other."""
     if x0.field != curve.field:
         raise FieldMismatchError("x0 lies outside the curve's field")
-    a1 = curve.a1
-    rhs = x0 * x0 * x0 + curve.a2 * x0
-    w = rhs / (a1 * a1)
-    zs = _halves(curve.field, w)
-    if zs:
-        return {CurvePoint(curve, x0, a1 * z) for z in zs}
-    if ext is None:
-        ext = quadratic_extension(curve.field)
-    big = curve.extended(ext)
-    zs = _halves(ext.ext, ext(w))
-    if not zs:  # pragma: no cover
-        raise InvariantViolationError(
-            "quadratic equation unsolvable in the quadratic extension")
-    return {CurvePoint(big, ext(x0), ext(a1) * z) for z in zs}
+    w = curve.lift_target()(x0.bits)
+    z = curve.field.artin_schreier(w)
+    if z is None:
+        emb = extension_of(curve.field, 2)
+        curve, x0 = curve.extended(emb), emb(x0)
+        z = curve.field.artin_schreier(emb.embed_bits(w))
+        if z is None:  # pragma: no cover
+            raise InvariantViolationError(
+                "quadratic equation unsolvable in the quadratic extension")
+    return {CurvePoint(curve, x0, curve.a1 * curve.field.element(y))
+            for y in (z, z ^ 1)}
 
 
 # -- point counting ---------------------------------------------------------------
 
 
-def _curve_over(curve: CurveSpec, field: BinaryField | None) -> CurveSpec:
-    if field is None or field == curve.field:
-        return curve
-    if field.degree % curve.field.degree:
-        raise ValueError("target field does not extend the curve's field")
-    emb = extension_of(curve.field, field.degree // curve.field.degree)
-    if emb.ext != field:
-        raise ValueError("target field does not match the canonical extension")
-    return curve.extended(emb)
-
-
-def _zero_count(field: BinaryField, c: int, a2: int) -> int:
-    """Number of x in field with Q(x) = Tr(c*(x^3 + a2*x)) = 0.
+def point_count(curve: CurveSpec) -> int:
+    """|E| over the curve's field: 1 + twice the number of x with
+    Q(x) = Tr w(x) = 0, w = (x^3 + a2*x)/a1^2 (CurveSpec.lift_target).
 
     Q is a quadratic form over GF(2) with polar form
-    B(x, y) = Q(x+y) + Q(x) + Q(y) = Tr(c*x^2*y) + Tr(c*x*y^2).  Symplectic
-    reduction of B on the polynomial basis splits the space into p
-    hyperbolic pairs plus a radical of dimension w; when Q vanishes on the
-    radical the count is 2^w * (2^(2p-1) + (-1)^Arf * 2^(p-1)), where Arf is
-    the sum of Q(u)*Q(v) over the pairs, and otherwise it is 2^(n-1)
-    (Lidl-Niederreiter, Finite Fields, ch. 6).
+    B(x, y) = Q(x+y) + Q(x) + Q(y) = Tr(c*x^2*y) + Tr(c*x*y^2), c = 1/a1^2.
+    Symplectic reduction of B on the polynomial basis splits the space into
+    p hyperbolic pairs plus a radical of dimension d; when Q vanishes on
+    the radical the count of its zeros is 2^d * (2^(2p-1) + (-1)^Arf *
+    2^(p-1)), where Arf is the sum of Q(u)*Q(v) over the pairs, and
+    otherwise it is 2^(n-1) (Lidl-Niederreiter, Finite Fields, ch. 6): O(n^2)
+    field operations.
     """
+    field = curve.field
     n, mul, tr = field.degree, field.mul, field.trace
     gen = field.gen.bits
+    target = curve.lift_target()
+    c = field.inv(mul(curve.a1.bits, curve.a1.bits))
 
     def q(x: int) -> int:
-        return tr(mul(c, mul(x, mul(x, x) ^ a2)))
+        return tr(target(x))
 
     # Tr(v*x^j) = parity(v & (traces >> j)), bit k of traces being Tr(x^k)
     traces, power = 0, 1
@@ -250,23 +243,9 @@ def _zero_count(field: BinaryField, c: int, a2: int) -> int:
                 w, bw = w ^ v, bw ^ bv
             basis[k] = (w, bw)
     if radical_q:
-        return 1 << (n - 1)
-    sign = -1 if arf else 1  # with no pairs (n = 1) this is 2^w
-    return (1 << (radical_dim + pairs - 1)) * ((1 << pairs) + sign)
-
-
-def point_count(curve: CurveSpec, field: BinaryField | None = None) -> int:
-    """|E(field)| = 1 + twice the number of x with solvable quadratic.
-
-    y^2 + a1*y = rhs becomes z^2 + z = rhs/a1^2 after y = a1*z, which has two
-    solutions when Tr(rhs/a1^2) = 0 and none otherwise; the x with trace 0
-    are the zeros of a quadratic form, counted by its Arf invariant in
-    O(n^2) field operations.
-    """
-    cur = _curve_over(curve, field)
-    f = cur.field
-    c = f.inv(f.mul(cur.a1.bits, cur.a1.bits))
-    return 1 + 2 * _zero_count(f, c, cur.a2.bits)
+        return 1 + (1 << n)
+    sign = -1 if arf else 1  # with no pairs (n = 1) there are 2^d zeros
+    return 1 + (1 << (radical_dim + pairs)) * ((1 << pairs) + sign)
 
 
 # -- group structure ---------------------------------------------------------------
@@ -291,9 +270,9 @@ def _divisor_phis(m: int) -> dict[int, int]:
     return out
 
 
-def group_structure(curve: CurveSpec,
-                    field: BinaryField | None = None) -> GroupStructure:
-    """Compute (order, n1, n2) with E(field) = Z/n1 x Z/n2 and n1 | n2.
+def group_structure(curve: CurveSpec) -> GroupStructure:
+    """Compute (order, n1, n2) with E = Z/n1 x Z/n2 over the curve's field
+    and n1 | n2.
 
     These curves are supersingular, so the trace t = q + 1 - #E has
     t^2 in {0, q, 2q, 4q}.  By Schoof's theorem ("Nonsingular plane cubic
@@ -301,9 +280,8 @@ def group_structure(curve: CurveSpec,
     when t^2 = 4q, and cyclic otherwise (#E is odd, which rules out the
     Z/2 x Z/((q+1)/2) case).
     """
-    cur = _curve_over(curve, field)
-    q = cur.field.order
-    total = point_count(cur)
+    q = curve.field.order
+    total = point_count(curve)
     t = q + 1 - total
     if t * t not in (0, q, 2 * q, 4 * q):
         raise InvariantViolationError(

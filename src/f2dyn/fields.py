@@ -3,7 +3,7 @@
 Elements are Python ints under the hood (bit i = coefficient of x^i in the
 polynomial basis), wrapped in FieldElement for safe public arithmetic.  The
 module also provides the solvers the dynamics layers lean on: roots of
-x^N = alpha, least solutions of linearized polynomials, and roots of
+x^N = alpha, least solutions of GF(2)-linear equations, and roots of
 arbitrary polynomials inside a fixed field.
 """
 
@@ -451,55 +451,6 @@ class SubsetXorSolver:
         return mask if value == 0 else None
 
 
-# -- linearized polynomials ----------------------------------------------------
-
-
-class LinearizedPoly:
-    """L(x) = sum of coeffs[i] * x^(q^i), a GF(2)-linear map on its field,
-    solved through a SubsetXorSolver on the images of the basis x^j."""
-
-    def __init__(self, q: int, coeffs: Sequence[FieldElement]):
-        if q < 2 or q & (q - 1):
-            raise ValueError("q must be a power of two, at least 2")
-        coeffs = list(coeffs)
-        if not coeffs:
-            raise ValueError("need at least one coefficient")
-        field = coeffs[0].field
-        if any(c.field != field for c in coeffs):
-            raise FieldMismatchError("linearized coefficients mix fields")
-        self.q = q
-        self.coeffs = coeffs
-        self.field = field
-        self._step = q.bit_length() - 1  # q = 2^step
-        self._solver: SubsetXorSolver | None = None
-
-    def __call__(self, x: FieldElement) -> FieldElement:
-        if x.field != self.field:
-            raise FieldMismatchError("argument lies in a different field")
-        return self.field.element(self.eval_bits(x.bits))
-
-    def eval_bits(self, x: int) -> int:
-        field = self.field
-        acc = 0
-        t = x
-        for c in self.coeffs:
-            if c.bits:
-                acc ^= field.mul(c.bits, t)
-            t = field.frob(t, self._step)
-        return acc
-
-    def solve(self, target: FieldElement) -> FieldElement | None:
-        """The x of least encoding in the coefficient field with
-        L(x) == target, or None when there is none."""
-        if target.field != self.field:
-            raise FieldMismatchError("target lies in a different field")
-        if self._solver is None:
-            self._solver = SubsetXorSolver(
-                [self.eval_bits(1 << j) for j in range(self.field.degree)])
-        x = self._solver.solve(target.bits)
-        return None if x is None else self.field.element(x)
-
-
 # -- field extensions -----------------------------------------------------------
 
 
@@ -575,11 +526,6 @@ def _eval_binary(field: BinaryField, p: int, x: int) -> int:
     for i in range(gf2x.degree(p), -1, -1):
         acc = field.mul(acc, x) ^ ((p >> i) & 1)
     return acc
-
-
-def quadratic_extension(base: BinaryField) -> ExtensionEmbedding:
-    """F_{2^(2n)} over F_{2^n}, the setting where every x-coordinate lifts."""
-    return extension_of(base, 2)
 
 
 # -- polynomials over a field, packed into ints ---------------------------------

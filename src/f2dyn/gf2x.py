@@ -192,10 +192,6 @@ def slot_reducer(m: int) -> Callable[[int], int]:
     return divide
 
 
-def mulmod(a: int, b: int, m: int) -> int:
-    return mod(mul(a, b), m)
-
-
 def gcd(a: int, b: int) -> int:
     while b:
         a, b = b, mod(a, b)

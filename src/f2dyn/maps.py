@@ -22,7 +22,6 @@ from .fields import (
     FieldElement,
     FieldMismatchError,
     InvariantViolationError,
-    LinearizedPoly,
     POINT_LIMIT,
     ResourceLimitError,
     SubsetXorSolver,
@@ -518,8 +517,9 @@ def reduce_to_quartic(a: FieldElement, b: FieldElement, k: int,
     folded to at most N of them over F_{2^N} (_quartic_coefficients).
     Solutions are searched in extensions of increasing degree and the
     smallest (extension degree, encoding of c, encoding of d) is returned;
-    d is the least solution LinearizedPoly.solve gives.  A search for c past
-    nth_roots' degree budget raises ResourceLimitError.
+    d is the least solution, which SubsetXorSolver reads off the images of
+    the basis.  A search for c past nth_roots' degree budget raises
+    ResourceLimitError.
     """
     theta = MapSpec("theta", a, b, k).pair  # validates the coefficients
     if k < 2:
@@ -530,16 +530,26 @@ def reduce_to_quartic(a: FieldElement, b: FieldElement, k: int,
     target_a, target_b = (a.field.element(v) for v in top)
     for r in range(1, max_relative_degree + 1):
         emb = extension_of(a.field, r)
+        ext = emb.ext
         big_a, big_b = emb(target_a), emb(target_b)
-        units = emb.ext.mult_order
+        units = ext.mult_order
         # s_j mod 2^N - 1 without building 4^j (s_j = 0 reads as units)
         s_j = (pow(4, j, 3 * units) - 1) // 3 or units
         for c in sorted(nth_roots(big_a, s_j), key=lambda e: e.bits):
-            coeffs = _quartic_coefficients(c, j)
-            d = LinearizedPoly(4, coeffs).solve(big_b)
+            coeffs = [e.bits for e in _quartic_coefficients(c, j)]
+
+            def image(x: int) -> int:
+                acc = 0
+                for coef in coeffs:
+                    acc ^= ext.mul(coef, x)
+                    x = ext.frob(x, 2)
+                return acc
+
+            d = SubsetXorSolver(
+                [image(1 << i) for i in range(ext.degree)]).solve(big_b.bits)
             if d is not None:
                 return QuarticReduction(source_a=a, source_b=b, source_k=k,
-                                        c=c, d=d, embedding=emb,
+                                        c=c, d=ext.element(d), embedding=emb,
                                         parity=parity, j=j)
     raise ResourceLimitError(
         f"no quartic reduction found in extensions up to degree "

@@ -23,8 +23,7 @@ from .conjugacy import (ConjugacyData, TauMap, bluher_counts,
 from .curves import (curve_from_map, cycle_catalog, group_structure, lift_x,
                      point_count, predict_orbit_length, catalog_length_sets)
 from .fields import (BinaryField, ExtensionRootCounter, ResourceLimitError,
-                     SubsetXorSolver, extension_of, polynomial_roots,
-                     quadratic_extension)
+                     SubsetXorSolver, extension_of, polynomial_roots)
 from .maps import (MapSpec, ProjPoint, QuarticReduction, closed_form,
                    reduce_to_quartic)
 from .reporting import cycle_labels
@@ -43,12 +42,6 @@ def _f32() -> BinaryField:
     field = BinaryField(5)
     _require(field.modulus == 0b100101, "F_32 modulus is not x^5 + x^2 + 1")
     return field
-
-
-def _f1024s(field: BinaryField) -> tuple[BinaryField, BinaryField]:
-    """F_{2^10} twice: built from its default modulus, and as the quadratic
-    extension of F_32."""
-    return BinaryField(10), quadratic_extension(field).ext
 
 
 def _labels(tokens) -> list[str]:
@@ -143,13 +136,13 @@ def check_point_counts_and_catalog() -> str:
              and top.length == 10 and top.cycle_count == 2,
              f"full-order row {top}")
 
-    for big in _f1024s(field):
-        _require(point_count(curve, big) == 1025, "extension count != 1025")
-        gs2 = group_structure(curve, big)
-        _require((gs2.n1, gs2.n2) == (1, 1025), f"extension structure {gs2}")
-        rows2 = {(e.d1, e.d2): e for e in cycle_catalog(gs2)}
-        _require(rows2[(1, 205)].length == 2, "divisor 205 length != 2")
-        _require(rows2[(1, 25)].length == 10, "divisor 25 length != 10")
+    big = curve.extended(extension_of(field, 2))
+    _require(point_count(big) == 1025, "extension count != 1025")
+    gs2 = group_structure(big)
+    _require((gs2.n1, gs2.n2) == (1, 1025), f"extension structure {gs2}")
+    rows2 = {(e.d1, e.d2): e for e in cycle_catalog(gs2)}
+    _require(rows2[(1, 205)].length == 2, "divisor 205 length != 2")
+    _require(rows2[(1, 25)].length == 10, "divisor 25 length != 10")
     return "counts 41/1025; catalog rows (1,41)->2x10, 205->2, 25->10"
 
 
@@ -179,9 +172,8 @@ def check_quartic_reduction_and_curve() -> str:
     _require(point_count(curve) == 33, "order != 33 over F_32")
     gs = group_structure(curve)
     _require((gs.order, gs.n1, gs.n2) == (33, 1, 33), f"base structure {gs}")
-    for big in _f1024s(field):
-        gs2 = group_structure(curve, big)
-        _require((gs2.n1, gs2.n2) == (33, 33), f"extension structure {gs2}")
+    gs2 = group_structure(curve.extended(extension_of(field, 2)))
+    _require((gs2.n1, gs2.n2) == (33, 33), f"extension structure {gs2}")
     realized, possible = catalog_length_sets(cycle_catalog(gs))
     _require(realized == {1, 5}, f"realized lengths {realized}")
     _require(possible == {1, 2, 5, 10}, f"candidate lengths {possible}")
@@ -244,9 +236,8 @@ def check_conjugation_worked_example() -> str:
     _require((curve.a1, curve.a2) == (g**25, field.zero), "curve coefficients")
     gs = group_structure(curve)
     _require((gs.n1, gs.n2) == (1, 33), f"base structure {gs}")
-    for big in _f1024s(field):
-        gs2 = group_structure(curve, big)
-        _require((gs2.n1, gs2.n2) == (33, 33), f"extension structure {gs2}")
+    gs2 = group_structure(curve.extended(extension_of(field, 2)))
+    _require((gs2.n1, gs2.n2) == (33, 33), f"extension structure {gs2}")
     return ("tuple (g, g^3, g^8, g^12) solved and valid at all 33 points; "
             "3 fixed points")
 
@@ -522,10 +513,10 @@ def _line_and_curve_sweep(rng: random.Random, shared_k: bool) -> tuple[int, int]
             _require(math.gcd(gs.n2, order - 1) % gs.n1 == 0,
                      f"n1 does not divide gcd(n2, 2^n - 1) in {gs}")
             if degree <= 6:
-                ext = quadratic_extension(field)
-                gs2 = group_structure(curve, ext.ext)
+                big = curve.extended(extension_of(field, 2))
+                gs2 = group_structure(big)
                 _require(gs2.n2 % gs2.n1 == 0 and
-                         math.gcd(gs2.n2, ext.ext.order - 1) % gs2.n1 == 0,
+                         math.gcd(gs2.n2, big.field.order - 1) % gs2.n1 == 0,
                          f"extension structure {gs2} breaks divisibility")
             curves_tested += 1
     return maps_tested, curves_tested
@@ -612,7 +603,7 @@ def check_structural_invariants() -> str:
     field = _f32()
     g = field.primitive_element()
     a, b, c2 = g, g**2, g**3
-    ext = quadratic_extension(field)
+    ext = extension_of(field, 2)
     big = ext.ext
     ae, be, c2e = ext(a), ext(b), ext(c2)
     _require(_uv_kernel_sizes(big, 2, c2e.bits, be.bits, ae.bits) == (4, 16),

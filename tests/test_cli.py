@@ -12,8 +12,7 @@ from test_curves import sampled_group_structure
 from f2dyn import (BinaryField, ProjPoint, ResourceLimitError, cli,
                    extension_of, point_label)
 from f2dyn.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
-                       JobConfig, UsageError, emit_graph, main, parse_element,
-                       run)
+                       JobConfig, UsageError, main, parse_element, run)
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
@@ -34,7 +33,7 @@ def test_parse_element_variants():
     assert parse_element(F32, "1f") == F32.element(0x1F)
     assert parse_element(F32, "g^0") == F32.one
     assert parse_element(F32, "g^-1") == G ** 30
-    for bad in ("", "q^3", "g^x", "0xfff", "zz"):
+    for bad in ("", "q^3", "g^x", "g^", "0xfff", "zz"):
         with pytest.raises(UsageError):
             parse_element(F32, bad)
 
@@ -73,10 +72,19 @@ def test_orbits_json_document(capsys):
     assert ["g^8", "inf", "0", "g^29", "g^22"] in doc["cycles"]
 
 
-def test_emit_graph_rejects_text_format():
-    cs = __import__("f2dyn").MapSpec("theta", G, G ** 3, 2).cycle_structure()
-    with pytest.raises(UsageError):
-        emit_graph(cs, "text")
+@pytest.mark.parametrize("argv", [
+    ["curve", "--degree", "5", "--a", "g", "--b", "g^3"],
+    ["conjugate", "--degree", "5", "--map", "psi", "--a", "g", "--b", "g^2"],
+    ["bluher", "--degree", "5"],
+])
+def test_dot_format_is_offered_by_orbits_only(argv, capsys):
+    """Only a cycle listing has a graph; the other reports refuse --format
+    dot as a usage error instead of printing text."""
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--format", "dot"])
+    assert info.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'dot'" in captured.err
 
 
 def test_curve_report_contents(capsys):
@@ -114,14 +122,6 @@ def test_curve_cache_cold_and_warm_agree(capsys):
     assert warm == cold
 
 
-def oracle_group_structure(curve, field=None):
-    """The scan-and-sample group structure, in group_structure's signature."""
-    if field is not None and field != curve.field:
-        emb = extension_of(curve.field, field.degree // curve.field.degree)
-        curve = curve.extended(emb)
-    return sampled_group_structure(curve)
-
-
 def test_curve_report_matches_scan_oracle(monkeypatch):
     cases = [(n, "g", "g^3") for n in range(3, 9)]
     cases += [(n, "g^3", "g") for n in (4, 5, 6)]  # t = 0: E(F_q^2) = (Z/s)^2
@@ -129,7 +129,7 @@ def test_curve_report_matches_scan_oracle(monkeypatch):
         cfg = JobConfig(command="curve", degree=degree, a=a, b=b, k=2)
         fast = run(cfg)
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "group_structure", oracle_group_structure)
+            patch.setattr(cli, "group_structure", sampled_group_structure)
             assert run(cfg) == fast, (degree, a, b)
 
 

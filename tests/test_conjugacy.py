@@ -7,9 +7,9 @@ from collections import Counter
 
 import pytest
 
-from f2dyn import (BinaryField, ConjugacyData, MapSpec, ProjPoint,
-                   ResourceLimitError, Semilinear, SubsetXorSolver, TauMap,
-                   bluher_counts,
+from f2dyn import (BinaryField, ConjugacyData, InvariantViolationError,
+                   MapSpec, ProjPoint, ResourceLimitError, Semilinear,
+                   SubsetXorSolver, TauMap, bluher_counts,
                    bluher_distribution, bluher_root_count, conjugacy,
                    element_echo, extension_of, fixed_point_count,
                    polynomial_roots, solve_conjugation, verify_conjugation)
@@ -487,7 +487,35 @@ def test_a_solve_in_f2_16_builds_no_tables():
     assert ext._exp is not None
 
 
-def test_probes_do_not_change_answers(monkeypatch):
+def every_degree_outcome(mp, bound):
+    """solve_conjugation's answer, or its refusal, from a search that builds
+    every degree up to the bound in turn: the least c2 (a fixed point 1/c2
+    of psi over the extension) whose c3 is the least kernel element of v
+    outside ker u."""
+    for r in range(1, bound + 1):
+        emb = extension_of(mp.field, r)
+        ext = emb.ext
+        a, b = emb(mp.a), emb(mp.b)
+        s = mp.k % ext.degree
+
+        def v(x):
+            t = ext.frob(x, s)
+            return x ^ ext.mul(b.bits, t) ^ ext.mul(a.bits, ext.frob(t, s))
+
+        kernel = SubsetXorSolver(
+            [v(1 << j) for j in range(ext.degree)]).kernel_masks
+        psi = MapSpec("psi", a, b, mp.k).pair
+        for c2 in sorted(ext.inv(y) for y in psi.fixed_points()):
+            c3 = next((x for x in kernel if x ^ ext.mul(c2, ext.frob(x, s))),
+                      None)
+            if c3 is not None:
+                c2, c3 = ext.element(c2), ext.element(c3)
+                return ConjugacyData(map=mp, embedding=emb, c=c2.frob(s),
+                                     c1=c3.frob(s), c2=c2, c3=c3).describe()
+    return f"no conjugation found in extensions up to relative degree {bound}"
+
+
+def test_probes_do_not_change_answers():
     """solve_conjugation answers as if it built every degree up to the bound."""
     def outcome(mp, bound):
         try:
@@ -505,10 +533,20 @@ def test_probes_do_not_change_answers(monkeypatch):
                              f.element(rng.randrange(f.order)), k),
                      rng.randrange(1, 7)))
     probed = [outcome(mp, bound) for mp, bound in maps]
-    monkeypatch.setattr(conjugacy, "_candidate_degrees",
-                        lambda mp, bound: iter(range(1, bound + 1)))
-    assert [outcome(mp, bound) for mp, bound in maps] == probed
+    assert [every_degree_outcome(mp, bound) for mp, bound in maps] == probed
     assert sum(" over F_2^" in p for p in probed) >= 10, probed
+
+
+def test_a_probe_naming_an_empty_degree_is_an_invariant_violation(monkeypatch):
+    """Only the degree the probes name is built: if it held no (c2, c3) the
+    probes would be wrong, and the solver says so instead of searching on."""
+    f = BinaryField(12)
+    mp = MapSpec("psi", f.element(0x796), f.element(0x218), 45)
+    assert every_degree_outcome(mp, 2).startswith("no conjugation")
+    monkeypatch.setattr(conjugacy, "_candidate_degrees",
+                        lambda mp, bound: iter([2]))
+    with pytest.raises(InvariantViolationError, match="F_2\\^24"):
+        solve_conjugation(mp)
 
 
 def test_huge_k_is_probed_per_degree():

@@ -14,11 +14,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from f2dyn import (BinaryField, CurvePoint, CurveSpec, ExtensionEmbedding,
-                   FieldMismatchError, GroupStructure, LinearizedPoly,
-                   MapSpec, ProjPoint, SubsetXorSolver, catalog_length_sets,
-                   curve_from_map, cycle_catalog, extension_of, fields,
-                   group_structure, lift_x, point_count,
-                   predict_orbit_length, quadratic_extension, scalar_mul)
+                   FieldMismatchError, GroupStructure, MapSpec, ProjPoint,
+                   SubsetXorSolver, catalog_length_sets, curve_from_map,
+                   cycle_catalog, extension_of, fields, group_structure,
+                   lift_x, point_count, predict_orbit_length, scalar_mul)
 from f2dyn.gf2x import factorize
 
 F32 = BinaryField(5)
@@ -44,14 +43,16 @@ def scan_point_count(curve):
 def _rational_points(curve):
     """One representative per {P, -P} pair, in ascending x order."""
     field = curve.field
-    halves = LinearizedPoly(2, [field.one, field.one])  # z^2 + z
+    # w -> the least z with z^2 + z = w, from a scan of the field
+    halves = {}
+    for z in range(field.order):
+        halves.setdefault(field.sqr(z) ^ z, z)
     inv_sq = (curve.a1 * curve.a1).inv()
     for xbits in range(field.order):
         x = field.element(xbits)
         w = (x * x * x + curve.a2 * x) * inv_sq
         if w.trace() == 0:
-            z = halves.solve(w)
-            yield CurvePoint(curve, x, curve.a1 * z)
+            yield CurvePoint(curve, x, curve.a1 * field.element(halves[w.bits]))
 
 
 def _point_order(p, group_order, primes):
@@ -222,14 +223,11 @@ def test_point_count_against_full_enumeration():
 
 def test_point_count_known_values_and_extensions():
     curve = curve_from_map(G, G ** 3)
-    big = BinaryField(10)
     assert point_count(curve) == 41
-    assert point_count(curve, field=big) == 1025
+    assert point_count(curve.extended(extension_of(F32, 2))) == 1025
     curve33 = curve_from_map(G ** 3, G ** 15)
     assert point_count(curve33) == 33
     assert point_count(curve_from_map(G ** 12, F32.zero)) == 33
-    with pytest.raises(ValueError):
-        point_count(curve, field=BinaryField(7))  # 5 does not divide 7
 
 
 def test_point_count_parallel_agrees():
@@ -270,11 +268,10 @@ def test_point_count_matches_scan_over_quadratic_extension():
     rng = random.Random(36)
     for degree in range(1, 9):
         f = BinaryField(degree)
-        emb = quadratic_extension(f)
+        emb = extension_of(f, 2)
         for _ in range(2 if degree == 8 else 3):
-            curve = random_curve(rng, f)
-            assert point_count(curve, emb.ext) == \
-                scan_point_count(curve.extended(emb)), degree
+            big = random_curve(rng, f).extended(emb)
+            assert point_count(big) == scan_point_count(big), degree
 
 
 def test_group_shape_matches_sampled_exponent():
@@ -282,14 +279,13 @@ def test_group_shape_matches_sampled_exponent():
     shapes = set()
     for degree in range(1, 8):
         f = BinaryField(degree)
-        emb = quadratic_extension(f)
+        emb = extension_of(f, 2)
         for _ in range(4):
             curve = random_curve(rng, f)
-            for big in (f, emb.ext):
-                got = group_structure(curve, big)
-                want = sampled_group_structure(
-                    curve if big == f else curve.extended(emb))
-                assert got == want, (degree, big, curve.describe())
+            for over in (curve, curve.extended(emb)):
+                got = group_structure(over)
+                assert got == sampled_group_structure(over), (
+                    degree, over.describe())
                 shapes.add(got.n1 == 1)
     assert shapes == {True, False}  # both cyclic and (Z/s)^2 groups occur
 
@@ -349,16 +345,16 @@ def test_canonical_embedding_against_subfield_tower():
 
 
 def test_group_structure_known_values():
-    big = BinaryField(10)
+    emb = extension_of(F32, 2)
     gs = group_structure(curve_from_map(G, G ** 3))
     assert (gs.order, gs.n1, gs.n2) == (41, 1, 41)
-    gs = group_structure(curve_from_map(G, G ** 3), field=big)
+    gs = group_structure(curve_from_map(G, G ** 3).extended(emb))
     assert (gs.order, gs.n1, gs.n2) == (1025, 1, 1025)
     gs = group_structure(curve_from_map(G ** 3, G ** 15))
     assert (gs.order, gs.n1, gs.n2) == (33, 1, 33)
-    gs = group_structure(curve_from_map(G ** 3, G ** 15), field=big)
+    gs = group_structure(curve_from_map(G ** 3, G ** 15).extended(emb))
     assert (gs.order, gs.n1, gs.n2) == (1089, 33, 33)
-    gs = group_structure(curve_from_map(G ** 12, F32.zero), field=big)
+    gs = group_structure(curve_from_map(G ** 12, F32.zero).extended(emb))
     assert (gs.order, gs.n1, gs.n2) == (1089, 33, 33)
 
 
@@ -409,7 +405,7 @@ def test_cycle_catalog_of_prime_cyclic_group():
 
 
 def test_cycle_catalog_divisor_rows_over_extension():
-    gs = group_structure(curve_from_map(G, G ** 3), field=BinaryField(10))
+    gs = group_structure(curve_from_map(G, G ** 3).extended(extension_of(F32, 2)))
     assert (gs.n1, gs.n2) == (1, 1025)
     rows = {(e.d1, e.d2): e for e in cycle_catalog(gs)}
     assert rows[(1, 205)].length == 2
@@ -428,7 +424,8 @@ def test_catalog_cycle_counts_match_line_dynamics():
     # over the quadratic extension every x lifts, so the catalog of
     # E(F_2^10) accounts for the full projective line over F_32 as well as
     # the curve-rational slice of the line over F_2^10
-    gs = group_structure(curve_from_map(G ** 3, G ** 15), field=BinaryField(10))
+    gs = group_structure(
+        curve_from_map(G ** 3, G ** 15).extended(extension_of(F32, 2)))
     cat = cycle_catalog(gs)
     assert sum(e.point_count for e in cat) == 33 * 33
     sigma = MapSpec("theta", G ** 3, G ** 15, 2)

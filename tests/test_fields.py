@@ -6,11 +6,10 @@ import random
 import pytest
 
 from f2dyn import (BinaryField, ExtensionRootCounter, FieldMismatchError,
-                   LinearizedPoly, MapSpec, ResourceLimitError, SubsetXorSolver,
-                   bluher_counts, extension_of, fields, gf2x, nth_roots,
-                   polynomial_roots, quadratic_extension)
+                   MapSpec, ResourceLimitError, SubsetXorSolver, bluher_counts,
+                   extension_of, fields, gf2x, nth_roots, polynomial_roots)
 from f2dyn.gf2x import CONWAY_POLYNOMIALS
-from test_gf2x import DENSE_MODULI
+from test_gf2x import DENSE_MODULI, ref_mulmod
 
 
 # -- reference root search: coefficient lists, one field.mul per product ------
@@ -220,7 +219,7 @@ def test_tables_match_repeated_mulmod_by_the_generator():
         for i in range(f.mult_order):
             assert exp[i] == exp[i + f.mult_order] == cur, (n, i)
             assert log[cur] == i, (n, i)
-            cur = gf2x.mulmod(cur, g, f.modulus)
+            cur = ref_mulmod(cur, g, f.modulus)
         assert cur == 1
 
 
@@ -232,7 +231,7 @@ def test_tables_are_built_where_they_pay():
     for x in range(1, f.order >> 4):
         f.mul(x, x)
     assert f._exp is None
-    assert f.mul(0x5A5, 0x3C3) == gf2x.mulmod(0x5A5, 0x3C3, f.modulus)
+    assert f.mul(0x5A5, 0x3C3) == ref_mulmod(0x5A5, 0x3C3, f.modulus)
     assert f._exp is not None
     f = BinaryField(16)
     assert f.element(0x8967).log() == 40606 and f._exp is not None
@@ -355,17 +354,24 @@ def test_subset_xor_solver_round_trip():
 
 
 def test_linearized_poly_solutions_by_brute_force():
+    """L(x) = c0*x + c1*x^2 + c2*x^4 is GF(2)-linear, so a solver on the
+    images of the basis answers L(x) = t with its least solution."""
     rng = random.Random(13)
     f = BinaryField(6)
     for _ in range(20):
-        coeffs = [f.element(rng.randrange(f.order)) for _ in range(3)]
-        if all(c.is_zero for c in coeffs):
+        coeffs = [rng.randrange(f.order) for _ in range(3)]
+        if not any(coeffs):
             continue
-        poly = LinearizedPoly(2, coeffs)
-        target = f.element(rng.randrange(f.order))
-        brute = [b for b in range(f.order) if poly(f.element(b)) == target]
-        assert poly.solve(target) == (f.element(brute[0]) if brute else None)
-        assert poly.solve(f.zero) == f.zero
+
+        def poly(x):
+            return f.mul(coeffs[0], x) ^ f.mul(coeffs[1], f.frob(x, 1)) \
+                ^ f.mul(coeffs[2], f.frob(x, 2))
+
+        solver = SubsetXorSolver([poly(1 << j) for j in range(f.degree)])
+        target = rng.randrange(f.order)
+        brute = [b for b in range(f.order) if poly(b) == target]
+        assert solver.solve(target) == (brute[0] if brute else None)
+        assert solver.solve(0) == 0
 
 
 def test_polynomial_roots_by_brute_force():
@@ -424,7 +430,7 @@ def test_extension_embedding_is_a_homomorphism():
 
 def test_quadratic_extension_solves_every_lift():
     base = BinaryField(3)
-    emb = quadratic_extension(base)
+    emb = extension_of(base, 2)
     assert emb.ext.degree == 6
     # every base element becomes a square of the half-trace machinery:
     # x^2 + x = w is solvable for all w in the extension of even degree

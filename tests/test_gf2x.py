@@ -43,6 +43,10 @@ def ref_mod(a, b):
     return a
 
 
+def ref_mulmod(a, b, m):
+    return ref_mod(ref_mul(a, b), m)
+
+
 def test_degree():
     assert gf2x.degree(0) == -1
     assert gf2x.degree(1) == 0
@@ -108,8 +112,8 @@ def x_power(e, m):
     result, base = 1, 2
     while e:
         if e & 1:
-            result = gf2x.mulmod(result, base, m)
-        base = gf2x.mulmod(base, base, m)
+            result = ref_mulmod(result, base, m)
+        base = ref_mulmod(base, base, m)
         e >>= 1
     return result
 

@@ -15,9 +15,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from f2dyn import (BinaryField, ExtensionRootCounter, LinearizedPoly,
-                   MapSpec, ResourceLimitError, Semilinear, SubsetXorSolver,
-                   conjugacy, extension_of, fields, fixed_point_count, gf2x,
+from f2dyn import (BinaryField, ExtensionRootCounter, MapSpec,
+                   ResourceLimitError, Semilinear, SubsetXorSolver, conjugacy,
+                   extension_of, fields, fixed_point_count, gf2x,
                    polynomial_roots, solve_conjugation, verify_conjugation)
 from test_fields import poly_from_roots
 from test_gf2x import DENSE_MODULI, ref_mod, ref_mul
@@ -449,32 +449,41 @@ def test_solver_answers_the_least_preimage(case):
 LINEAR_FIELDS = [BinaryField(n) for n in range(1, 11)] + WIDE_FIELDS
 
 
+def _linearized(field, step, coeffs, x):
+    """sum of coeffs[i] * x^(2^(step*i)) on encodings, term by term."""
+    acc = 0
+    for c in coeffs:
+        acc ^= field.mul(c, x)
+        x = field.frob(x, step)
+    return acc
+
+
 @st.composite
 def linearized_polys(draw):
-    """(L, x, t): L(x) = sum c_i x^(q^i) over a field of degree at most 64,
-    a point x and a target t that need not be an image."""
+    """(field, L, x, t): L(x) = sum c_i x^(q^i) over a field of degree at
+    most 64, a point x and a target t that need not be an image."""
     field = draw(st.sampled_from(LINEAR_FIELDS))
     elements = st.integers(min_value=0, max_value=field.order - 1)
-    q = 1 << draw(st.integers(min_value=1, max_value=3))
+    step = draw(st.integers(min_value=1, max_value=3))  # q = 2^step
     coeffs = draw(st.lists(elements, min_size=1, max_size=4))
-    poly = LinearizedPoly(q, [field.element(c) for c in coeffs])
-    return poly, draw(elements), draw(elements)
+    poly = functools.partial(_linearized, field, step, coeffs)
+    return field, poly, draw(elements), draw(elements)
 
 
 @settings(deadline=1000)
 @given(linearized_polys())
 def test_linearized_solve_is_the_least_solution(case):
-    poly, x, t = case
-    field = poly.field
-    columns = [poly.eval_bits(1 << j) for j in range(field.degree)]
-    _assert_reduced_echelon(SubsetXorSolver(columns).kernel_masks)
-    image = field.element(poly.eval_bits(x))
-    y = poly.solve(image)
-    assert poly(y) == image and y.bits <= x
+    """A solver on the images of the basis answers L(x) = t with its least
+    solution, as the quartic reduction reads d off it."""
+    field, poly, x, t = case
+    solver = SubsetXorSolver([poly(1 << j) for j in range(field.degree)])
+    _assert_reduced_echelon(solver.kernel_masks)
+    image = poly(x)
+    y = solver.solve(image)
+    assert poly(y) == image and y <= x
     if field.degree <= 10:
-        brute = [b for b in range(field.order) if poly.eval_bits(b) == t]
-        assert poly.solve(field.element(t)) == (
-            field.element(brute[0]) if brute else None)
+        brute = [b for b in range(field.order) if poly(b) == t]
+        assert solver.solve(t) == (brute[0] if brute else None)
 
 
 @st.composite
