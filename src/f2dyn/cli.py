@@ -17,16 +17,15 @@ import argparse
 import gc
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from .conjugacy import (TauMap, bluher_counts, bluher_distribution,
                         bluher_root_count, fixed_point_count,
                         solve_conjugation)
 from .curves import (catalog_length_sets, curve_from_map, cycle_catalog,
-                     group_structure)
+                     group_structure, line_cycle_counts)
 from .fields import (BinaryField, FieldElement, InvariantViolationError,
                      ResourceLimitError, extension_of)
-from .maps import CycleStructure, MapSpec, ProjPoint
+from .maps import MapSpec, ProjPoint
 from .reporting import (AnalysisReport, cycle_labels, cycles_to_dict,
                         element_echo, emit_dot, point_label, to_json)
 
@@ -40,46 +39,19 @@ class UsageError(ValueError):
     """A syntactically valid command line that asks for something invalid."""
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    """One CLI invocation, normalized from the parsed arguments."""
-
-    command: str
-    degree: int = 0
-    modulus: int | None = None
-    map_kind: str = "theta"
-    a: str | None = None
-    b: str | None = None
-    k: int = 2
-    format: str = "text"
-    quick: bool = False
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "JobConfig":
-        return cls(
-            command=args.command,
-            degree=getattr(args, "degree", 0),
-            modulus=getattr(args, "modulus", None),
-            map_kind=getattr(args, "map_kind", "theta"),
-            a=getattr(args, "a", None),
-            b=getattr(args, "b", None),
-            k=getattr(args, "k", 2),
-            format=getattr(args, "format", "text"),
-            quick=getattr(args, "quick", False),
-        )
-
-    def echo(self) -> dict:
-        out = {"command": self.command, "degree": self.degree,
-               "k": self.k, "format": self.format}
-        if self.modulus is not None:
-            out["modulus"] = f"{self.modulus:#x}"
-        if self.command in ("orbits", "curve", "conjugate"):
-            out["map"] = self.map_kind
-        if self.a is not None:
-            out["a"] = self.a
-        if self.b is not None:
-            out["b"] = self.b
-        return out
+def _echo(args: argparse.Namespace) -> dict:
+    """The parsed command line, as a report's `input:` line echoes it."""
+    out = {"command": args.command, "degree": args.degree,
+           "k": args.k, "format": args.format}
+    if args.modulus is not None:
+        out["modulus"] = f"{args.modulus:#x}"
+    if "map_kind" in args:
+        out["map"] = args.map_kind
+    for key in ("a", "b"):
+        value = getattr(args, key, None)  # bluher takes no --b
+        if value is not None:
+            out[key] = value
+    return out
 
 
 def parse_element(field: BinaryField, text: str) -> FieldElement:
@@ -104,20 +76,20 @@ def parse_element(field: BinaryField, text: str) -> FieldElement:
         raise UsageError(str(exc)) from None
 
 
-def _field(cfg: JobConfig) -> BinaryField:
-    if cfg.degree < 1:
+def _field(args: argparse.Namespace) -> BinaryField:
+    if args.degree < 1:
         raise UsageError("--degree must be a positive integer")
     try:
-        return BinaryField(cfg.degree, cfg.modulus)
+        return BinaryField(args.degree, args.modulus)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _map(cfg: JobConfig, field: BinaryField) -> MapSpec:
-    a = parse_element(field, cfg.a)
-    b = parse_element(field, cfg.b)
+def _map(args: argparse.Namespace, field: BinaryField) -> MapSpec:
+    a = parse_element(field, args.a)
+    b = parse_element(field, args.b)
     try:
-        return MapSpec(cfg.map_kind, a, b, cfg.k)
+        return MapSpec(args.map_kind, a, b, args.k)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -125,14 +97,14 @@ def _map(cfg: JobConfig, field: BinaryField) -> MapSpec:
 # -- subcommands --------------------------------------------------------------------
 
 
-def run_orbits(cfg: JobConfig) -> str:
-    mp = _map(cfg, _field(cfg))
+def run_orbits(args: argparse.Namespace) -> str:
+    mp = _map(args, _field(args))
     cs = mp.cycle_structure()
-    if cfg.format == "dot":
+    if args.format == "dot":
         return emit_dot(cs)
-    if cfg.format == "json":
+    if args.format == "json":
         return to_json(cycles_to_dict(cs))
-    report = AnalysisReport(config=cfg.echo(),
+    report = AnalysisReport(config=_echo(args),
                             cycle_summary={str(l): c
                                            for l, c in cs.summary.items()},
                             cycles=cycle_labels(cs))
@@ -146,82 +118,46 @@ def _catalog_rows(entries, degree: int) -> list[dict]:
             for e in entries]
 
 
-def _lifting_cycle_counts(cs: CycleStructure, curve) -> Counter:
-    """Cycle counts of the map restricted to x-coordinates of curve points
-    (the classes the catalog enumerates; the rest of the line lifts only to
-    the quadratic twist)."""
-    field = curve.field
-    exp, _ = field.tables()
-    units, trace, target = field.mult_order, field.trace, curve.lift_target()
-    counts: Counter[int] = Counter()
-    for cyc in cs.ranks:
-        rank = cyc[0]  # infinity (rank units + 1) is the identity's x
-        if rank > units or not trace(target(exp[rank] if rank < units else 0)):
-            counts[len(cyc)] += 1
-    return counts
-
-
-def _catalog_cycle_counts(entries) -> Counter:
-    counts: Counter[int] = Counter()
-    for e in entries:
-        counts[e.length] += e.cycle_count
-    return counts
-
-
-def run_curve(cfg: JobConfig) -> str:
-    if cfg.map_kind != "theta" or cfg.k != 2:
+def run_curve(args: argparse.Namespace) -> str:
+    if args.map_kind != "theta" or args.k != 2:
         raise UsageError("curve analysis applies to theta maps with k=2 "
                          "(the duplication shape)")
-    field = _field(cfg)
-    mp = _map(cfg, field)
+    field = _field(args)
+    mp = _map(args, field)
     cs = mp.cycle_structure()  # first: it refuses fields above the tables
     curve = curve_from_map(mp.a, mp.b)
-    emb = extension_of(field, 2)
-    big = curve.extended(emb)
+    big = curve.extended(extension_of(field, 2))
     gs1, gs2 = group_structure(curve), group_structure(big)
     cat1, cat2 = cycle_catalog(gs1), cycle_catalog(gs2)
-    try:
-        big_cs = MapSpec("theta", emb(mp.a), emb(mp.b), 2).cycle_structure()
-    except ResourceLimitError:  # no listing above the exp/log tables
-        big_cs = None
-
-    observed = sorted(cs.lengths())
-    predicted = sorted(catalog_length_sets(cat2)[0])
-    notes = []
-    for crv, entries, line in ((curve, cat1, cs), (big, cat2, big_cs)):
-        if line is None:
-            continue
-        label = f"F_2^{crv.field.degree}"
-        got = _lifting_cycle_counts(line, crv)
-        want = _catalog_cycle_counts(entries)
-        if got != want:
-            raise InvariantViolationError(
-                f"catalog over {label} predicts cycles {dict(sorted(want.items()))}"
-                f" on lifting x-coordinates, observed {dict(sorted(got.items()))}")
-        observed = sorted(set(observed) | set(got))
-        notes.append(f"{label}: catalog matches the {sum(got.values())} cycles "
-                     f"through curve x-coordinates exactly")
+    twist, want = line_cycle_counts(gs1, field.order)
+    summary = cs.summary
+    if want != summary:
+        raise InvariantViolationError(
+            f"catalogs of the curve and its twist predict cycles {want}, "
+            f"observed {summary}")
 
     report = AnalysisReport(
-        config=cfg.echo(),
-        cycle_summary={str(l): c for l, c in cs.summary.items()},
+        config=_echo(args),
+        cycle_summary={str(l): c for l, c in summary.items()},
         curve={"a1": element_echo(curve.a1), "a2": element_echo(curve.a2),
                "base": {"order": gs1.order, "n1": gs1.n1, "n2": gs1.n2},
                "extension": {"order": gs2.order, "n1": gs2.n1, "n2": gs2.n2}},
         catalog=_catalog_rows(cat1, field.degree)
                 + _catalog_rows(cat2, big.field.degree),
-        predicted_lengths=predicted,
-        observed_lengths=observed,
-        notes=notes,
+        predicted_lengths=sorted(catalog_length_sets(cat2)[0]),
+        observed_lengths=sorted(summary),
+        notes=[f"F_2^{field.degree}: catalogs of the curve ({gs1.order} points)"
+               f" and its twist ({twist.order} points) match the "
+               f"{sum(summary.values())} cycles of the line exactly"],
     )
-    return to_json(report.to_dict()) if cfg.format == "json" else report.to_text()
+    return to_json(report.to_dict()) if args.format == "json" else report.to_text()
 
 
-def run_conjugate(cfg: JobConfig) -> str:
-    if cfg.map_kind != "psi":
+def run_conjugate(args: argparse.Namespace) -> str:
+    if args.map_kind != "psi":
         raise UsageError("conjugation applies to psi maps (pass --map psi)")
-    field = _field(cfg)
-    mp = _map(cfg, field)
+    field = _field(args)
+    mp = _map(args, field)
     data = solve_conjugation(mp)  # checked exactly on its whole line
 
     transcript = {
@@ -238,7 +174,7 @@ def run_conjugate(cfg: JobConfig) -> str:
     transcript["fixed_points"] = [point_label(p) for p in fixed]
     transcript["fixed_point_count"] = len(fixed)
     if data.is_base_field:
-        theorem = fixed_point_count(data.c, cfg.k, field.degree)
+        theorem = fixed_point_count(data.c, args.k, field.degree)
         if theorem != len(fixed):
             raise InvariantViolationError(
                 f"theorem count {theorem} != {len(fixed)} observed fixed points")
@@ -250,37 +186,37 @@ def run_conjugate(cfg: JobConfig) -> str:
         transcript["tau_images"] = {
             point_label(p): point_label(tau.eval(p)) for p in source}
 
-    report = AnalysisReport(config=cfg.echo(), conjugacy=transcript)
-    return to_json(report.to_dict()) if cfg.format == "json" else report.to_text()
+    report = AnalysisReport(config=_echo(args), conjugacy=transcript)
+    return to_json(report.to_dict()) if args.format == "json" else report.to_text()
 
 
-def run_bluher(cfg: JobConfig) -> str:
+def run_bluher(args: argparse.Namespace) -> str:
     """Root counts of x^(2^k+1) + x + a: every nonzero a from one image pass
     (bluher_counts), or the one --a value by root finding."""
-    field = _field(cfg)
-    if cfg.k < 1:
+    field = _field(args)
+    if args.k < 1:
         raise UsageError("--k must be at least 1")
-    if cfg.a is None:
+    if args.a is None:
         values = range(1, field.order)
-        counts = bluher_counts(cfg.k, field)[1:]
+        counts = bluher_counts(args.k, field)[1:]
     else:
-        a = parse_element(field, cfg.a)
+        a = parse_element(field, args.a)
         values = [a.bits]
-        counts = [bluher_root_count(a, cfg.k, field)]
+        counts = [bluher_root_count(a, args.k, field)]
     histogram = Counter(counts)
     # past 20 digits the exponent is written symbolically
-    exponent = (1 << cfg.k) + 1 if cfg.k < 64 else f"(2^{cfg.k}+1)"
+    exponent = (1 << args.k) + 1 if args.k < 64 else f"(2^{args.k}+1)"
     payload = {
         "polynomial": f"x^{exponent} + x + a",
         "values_swept": len(counts),
-        "allowed_counts": sorted(bluher_distribution(cfg.k, field.degree)),
+        "allowed_counts": sorted(bluher_distribution(args.k, field.degree)),
         "histogram": {str(c): n for c, n in sorted(histogram.items())},
     }
-    if field.order <= 256 or cfg.a is not None:
+    if field.order <= 256 or args.a is not None:
         payload["counts"] = {point_label(ProjPoint.finite(field.element(v))): c
                              for v, c in zip(values, counts)}
-    report = AnalysisReport(config=cfg.echo(), root_counts=payload)
-    return to_json(report.to_dict()) if cfg.format == "json" else report.to_text()
+    report = AnalysisReport(config=_echo(args), root_counts=payload)
+    return to_json(report.to_dict()) if args.format == "json" else report.to_text()
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -343,9 +279,9 @@ _HANDLERS = {
 }
 
 
-def run(cfg: JobConfig) -> str:
-    """Execute one parsed configuration and return its report document."""
-    return _HANDLERS[cfg.command](cfg)
+def run(args: argparse.Namespace) -> str:
+    """Execute one parsed command line and return its report document."""
+    return _HANDLERS[args.command](args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -363,12 +299,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def _command(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = JobConfig.from_args(args)
-    if cfg.command == "selftest":
+    if args.command == "selftest":
         from . import selftest  # only this command pays for its import
-        return selftest.run(quick=cfg.quick)
+        return selftest.run(quick=args.quick)
     try:
-        sys.stdout.write(run(cfg))
+        sys.stdout.write(run(args))
     except ValueError as exc:  # UsageError and FieldMismatchError among them
         print(f"f2dyn: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -272,16 +272,18 @@ def _divisor_phis(m: int) -> dict[int, int]:
 
 def group_structure(curve: CurveSpec) -> GroupStructure:
     """Compute (order, n1, n2) with E = Z/n1 x Z/n2 over the curve's field
-    and n1 | n2.
+    and n1 | n2, from the point count (see _schoof_shape)."""
+    return _schoof_shape(curve.field.order, point_count(curve))
 
-    These curves are supersingular, so the trace t = q + 1 - #E has
-    t^2 in {0, q, 2q, 4q}.  By Schoof's theorem ("Nonsingular plane cubic
-    curves over finite fields", JCTA 1987) E is (Z/s)^2 with s = sqrt(#E)
-    when t^2 = 4q, and cyclic otherwise (#E is odd, which rules out the
-    Z/2 x Z/((q+1)/2) case).
+
+def _schoof_shape(q: int, total: int) -> GroupStructure:
+    """The group of a supersingular curve over F_q with `total` points.
+
+    The trace t = q + 1 - #E has t^2 in {0, q, 2q, 4q}.  By Schoof's theorem
+    ("Nonsingular plane cubic curves over finite fields", JCTA 1987) E is
+    (Z/s)^2 with s = sqrt(#E) when t^2 = 4q, and cyclic otherwise (#E is
+    odd, which rules out the Z/2 x Z/((q+1)/2) case).
     """
-    q = curve.field.order
-    total = point_count(curve)
     t = q + 1 - total
     if t * t not in (0, q, 2 * q, 4 * q):
         raise InvariantViolationError(
@@ -311,8 +313,9 @@ def predict_orbit_length(curve: CurveSpec, p: CurvePoint) -> int:
         return 1
     neg = -p
     q = p.double()
-    cap = 4 * curve.field.order + 8  # k is at most the order of 2 mod ord(P)
-    for k in range(1, cap):
+    # Binary supersingular curves have embedding degree e <= 4: ord(P)
+    # divides 2^(e*m) - 1 over F_{2^m}, so the length is at most 4m.
+    for k in range(1, 4 * curve.field.degree + 1):
         if q == p or q == neg:
             return k
         q = q.double()
@@ -403,3 +406,23 @@ def catalog_length_sets(entries: list[CycleCatalogEntry]) -> tuple[set[int], set
     for e in entries:
         possible.update(e.possible_lengths)
     return realized, possible
+
+
+def line_cycle_counts(gs: GroupStructure,
+                      q: int) -> tuple[GroupStructure, dict[int, int]]:
+    """The twist's group and the cycle summary of x -> a*x^4 + b on P^1(F_q),
+    from the group gs of its curve E over F_q.
+
+    The quadratic twist E': y^2 + a1*y = x^3 + a2*x + a1^2*d (Tr d = 1) has
+    the same duplication x-map, and each x in F_q lifts to exactly one of
+    E(F_q) and E'(F_q).  So the catalogs of E and E' (#E' = 2(q + 1) - #E,
+    shaped by the same Schoof rule) together count every cycle of the line;
+    the fixed point at infinity, the x-coordinate of both identities, is
+    counted once.
+    """
+    twist = _schoof_shape(q, 2 * (q + 1) - gs.order)
+    counts = {1: -1}  # both identities are the point at infinity
+    for entries in (cycle_catalog(gs), cycle_catalog(twist)):
+        for e in entries:
+            counts[e.length] = counts.get(e.length, 0) + e.cycle_count
+    return twist, dict(sorted(counts.items()))

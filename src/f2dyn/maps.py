@@ -434,9 +434,6 @@ class CycleStructure:
             counts[len(c)] = counts.get(len(c), 0) + 1
         return dict(sorted(counts.items()))
 
-    def lengths(self) -> set[int]:
-        return set(map(len, self.ranks))
-
 
 # -- closed-form iteration -------------------------------------------------------
 

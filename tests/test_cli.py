@@ -5,17 +5,23 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
-from test_curves import sampled_group_structure
+from test_curves import lifting_cycle_counts, sampled_group_structure
 
-from f2dyn import (BinaryField, ProjPoint, ResourceLimitError, cli,
-                   extension_of, point_label)
+from f2dyn import (BinaryField, MapSpec, ProjPoint, ResourceLimitError, cli,
+                   curve_from_map, extension_of, point_label)
 from f2dyn.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
-                       JobConfig, UsageError, main, parse_element, run)
+                       UsageError, build_parser, main, parse_element, run)
+from f2dyn.curves import line_cycle_counts
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
+
+
+def parse(argv):
+    return build_parser().parse_args(argv)
 
 
 def invoke(argv, capsys):
@@ -103,7 +109,9 @@ def test_curve_report_contents(capsys):
     assert rows[(5, 1, 1)]["cycle_count"] == 2
     assert rows[(10, 1, 205)]["length"] == 2
     assert rows[(10, 1, 25)]["length"] == 10
-    assert any("catalog matches" in n for n in doc["notes"])
+    assert doc["notes"] == ["F_2^5: catalogs of the curve (41 points) and its "
+                            "twist (25 points) match the 5 cycles of the line "
+                            "exactly"]
 
 
 def test_curve_cache_cold_and_warm_agree(capsys):
@@ -123,14 +131,45 @@ def test_curve_cache_cold_and_warm_agree(capsys):
 
 
 def test_curve_report_matches_scan_oracle(monkeypatch):
+    """The report is the same when every group structure comes from a scan
+    of the curve's points, and each catalog it prints counts, length by
+    length, the cycles through the x-coordinates that lift to the curve,
+    over the base field and over F_2^(2n), whose line only this test lists."""
     cases = [(n, "g", "g^3") for n in range(3, 9)]
     cases += [(n, "g^3", "g") for n in (4, 5, 6)]  # t = 0: E(F_q^2) = (Z/s)^2
     for degree, a, b in cases:
-        cfg = JobConfig(command="curve", degree=degree, a=a, b=b, k=2)
-        fast = run(cfg)
+        args = parse(["curve", "--degree", str(degree), "--a", a, "--b", b,
+                      "--format", "json"])
+        fast = run(args)
         with monkeypatch.context() as patch:
             patch.setattr(cli, "group_structure", sampled_group_structure)
-            assert run(cfg) == fast, (degree, a, b)
+            assert run(args) == fast, (degree, a, b)
+        field = BinaryField(degree)
+        mp = MapSpec("theta", parse_element(field, a), parse_element(field, b), 2)
+        emb = extension_of(field, 2)
+        curve = curve_from_map(mp.a, mp.b)
+        lines = ((curve, mp),
+                 (curve.extended(emb), MapSpec("theta", emb(mp.a), emb(mp.b), 2)))
+        rows = json.loads(fast)["catalog"]
+        for crv, line in lines:
+            want = Counter()
+            for row in rows:
+                if row["over"] == crv.field.degree:
+                    want[row["length"]] += row["cycle_count"]
+            got = lifting_cycle_counts(line.cycle_structure(), crv)
+            assert got == want, (degree, a, b, crv.field.degree)
+
+
+def test_curve_exits_one_when_the_twist_catalogs_disagree(monkeypatch, capsys):
+    def off_by_one(gs, q):
+        twist, counts = line_cycle_counts(gs, q)
+        return twist, {**counts, 1: counts[1] + 1}
+
+    monkeypatch.setattr(cli, "line_cycle_counts", off_by_one)
+    code, out, err = invoke(["curve", "--degree", "5", "--a", "g",
+                             "--b", "g^3"], capsys)
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert "catalogs of the curve and its twist predict" in err
 
 
 def test_conjugate_transcript(capsys):
@@ -172,10 +211,10 @@ def test_conjugate_fixed_points_match_a_scan_of_the_line():
         a = f.element(rng.randrange(1, f.order))
         b = f.element(rng.randrange(f.order))
         k = rng.randrange(1, 2 * degree + 1)
-        cfg = JobConfig(command="conjugate", degree=degree, map_kind="psi",
-                        a=a.hex, b=b.hex, k=k, format="json")
+        args = parse(["conjugate", "--degree", str(degree), "--a", a.hex,
+                      "--b", b.hex, "--k", str(k), "--format", "json"])
         try:
-            conj = json.loads(run(cfg))["conjugacy"]
+            conj = json.loads(run(args))["conjugacy"]
         except ResourceLimitError:  # no conjugation within the search bound
             continue
         # psi(inf) = 0, and x is fixed when a*x^(2^k) + b = 1/x
@@ -369,6 +408,5 @@ def test_line_listing_above_the_tables_exits_three_at_once(command, capsys):
 
 
 def test_run_dispatches_by_command():
-    cfg = JobConfig(command="orbits", degree=5, a="g", b="g^3", k=2)
-    out = run(cfg)
+    out = run(parse(["orbits", "--degree", "5", "--a", "g", "--b", "g^3"]))
     assert "cycles: 1 of length 1, 1 of length 2, 3 of length 10" in out

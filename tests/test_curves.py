@@ -2,22 +2,27 @@
 
 The production routes are poly(n): point counts come from the Arf invariant
 of a quadratic form and group shapes from Schoof's theorem.  The scans they
-replaced live on here as oracles: scan_point_count tests every x, and
-sampled_group_structure grows the group exponent from point orders.
+replaced live on here as oracles: scan_point_count tests every x,
+sampled_group_structure grows the group exponent from point orders, and
+lifting_cycle_counts reads the cycles through curve x-coordinates off a
+listing of the line.
 """
 
 import math
 import random
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from f2dyn import (BinaryField, CurvePoint, CurveSpec, ExtensionEmbedding,
-                   FieldMismatchError, GroupStructure, MapSpec, ProjPoint,
-                   SubsetXorSolver, catalog_length_sets, curve_from_map,
-                   cycle_catalog, extension_of, fields, group_structure,
-                   lift_x, point_count, predict_orbit_length, scalar_mul)
+                   FieldMismatchError, GroupStructure, InvariantViolationError,
+                   MapSpec, ProjPoint, SubsetXorSolver, catalog_length_sets,
+                   curve_from_map, cycle_catalog, extension_of, fields,
+                   group_structure, lift_x, point_count, predict_orbit_length,
+                   scalar_mul)
+from f2dyn.curves import line_cycle_counts
 from f2dyn.gf2x import factorize
 
 F32 = BinaryField(5)
@@ -80,6 +85,21 @@ def sampled_group_structure(curve):
                 if exponent == total:
                     break
     return GroupStructure(order=total, n1=total // exponent, n2=exponent)
+
+
+def lifting_cycle_counts(cs, curve):
+    """Cycle counts of a line's map restricted to the x-coordinates of curve
+    points, the classes the curve's catalog enumerates (the rest of the line
+    lifts only to the quadratic twist)."""
+    field = curve.field
+    exp, _ = field.tables()
+    units, trace, target = field.mult_order, field.trace, curve.lift_target()
+    counts = Counter()
+    for cyc in cs.ranks:
+        rank = cyc[0]  # infinity (rank units + 1) is the identity's x
+        if rank > units or not trace(target(exp[rank] if rank < units else 0)):
+            counts[len(cyc)] += 1
+    return counts
 
 
 def random_curve(rng, field):
@@ -384,12 +404,24 @@ def test_predict_orbit_length_reproduces_line_cycles():
         assert predict_orbit_length(p.curve, p) == len(cyc)
 
 
-def test_predict_orbit_length_identity_and_mismatch():
+def test_predict_orbit_length_identity_and_mismatch(monkeypatch):
     curve = curve_from_map(G, G ** 3)
     assert predict_orbit_length(curve, curve.identity) == 1
     other = curve_from_map(G ** 3, G ** 15)
     with pytest.raises(FieldMismatchError):
         predict_orbit_length(curve, other.identity)
+    # a doubling that never comes back is caught after 4n steps, not 4q
+    p = next(base_lifts(curve))
+    doublings = []
+
+    def runaway(point):
+        doublings.append(point)
+        return curve.identity
+
+    monkeypatch.setattr(CurvePoint, "double", runaway)
+    with pytest.raises(InvariantViolationError):
+        predict_orbit_length(curve, p)
+    assert len(doublings) <= 4 * F32.degree + 1
 
 
 def test_cycle_catalog_of_prime_cyclic_group():
@@ -434,3 +466,30 @@ def test_catalog_cycle_counts_match_line_dynamics():
     # full order 33 come out as six five-cycles plus fixed points
     base = group_structure(curve_from_map(G ** 3, G ** 15))
     assert {e.length for e in cycle_catalog(base)} == {1, 5}
+    # over the base field the curve and its twist share the line: each x
+    # lifts to exactly one of them, so their catalogs are its whole summary
+    rng = random.Random(41)
+    classes = set()
+    for degree in range(1, 13):
+        f = BinaryField(degree)
+        for _ in range(6):
+            a = f.element(rng.randrange(1, f.order))
+            b = f.element(rng.randrange(f.order))
+            gs = group_structure(curve_from_map(a, b))
+            twist, counts = line_cycle_counts(gs, f.order)
+            assert gs.order + twist.order == 2 * (f.order + 1)
+            assert counts == MapSpec("theta", a, b, 2).cycle_structure().summary
+            t = f.order + 1 - gs.order
+            classes.add(t * t // f.order)
+    assert classes == {0, 1, 2, 4}
+
+
+def test_twist_completes_the_line_over_f32():
+    """The worked example: #E = 41 and #E' = 25 give the cycles of the
+    quartic figure, 1 of length 1, 1 of length 2 and 3 of length 10."""
+    gs = group_structure(curve_from_map(G, G ** 3))
+    twist, counts = line_cycle_counts(gs, F32.order)
+    assert (gs.order, twist.order) == (41, 25)
+    assert (twist.n1, twist.n2) == (1, 25)
+    assert counts == {1: 1, 2: 1, 10: 3}
+    assert counts == MapSpec("theta", G, G ** 3, 2).cycle_structure().summary
