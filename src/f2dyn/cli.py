@@ -22,9 +22,9 @@ from .conjugacy import (TauMap, bluher_counts, bluher_distribution,
                         bluher_root_count, fixed_point_count,
                         solve_conjugation)
 from .curves import (catalog_length_sets, curve_from_map, cycle_catalog,
-                     group_structure, line_cycle_counts)
+                     group_structure, line_cycle_counts, twist_and_extension)
 from .fields import (BinaryField, FieldElement, InvariantViolationError,
-                     ResourceLimitError, extension_of)
+                     ResourceLimitError)
 from .maps import MapSpec, ProjPoint
 from .reporting import (AnalysisReport, cycle_labels, cycles_to_dict,
                         element_echo, emit_dot, point_label, to_json)
@@ -126,10 +126,10 @@ def run_curve(args: argparse.Namespace) -> str:
     mp = _map(args, field)
     cs = mp.cycle_structure()  # first: it refuses fields above the tables
     curve = curve_from_map(mp.a, mp.b)
-    big = curve.extended(extension_of(field, 2))
-    gs1, gs2 = group_structure(curve), group_structure(big)
+    gs1 = group_structure(curve)
+    twist, gs2 = twist_and_extension(gs1, field.order)
     cat1, cat2 = cycle_catalog(gs1), cycle_catalog(gs2)
-    twist, want = line_cycle_counts(gs1, field.order)
+    want = line_cycle_counts(cat1, cycle_catalog(twist))
     summary = cs.summary
     if want != summary:
         raise InvariantViolationError(
@@ -143,7 +143,7 @@ def run_curve(args: argparse.Namespace) -> str:
                "base": {"order": gs1.order, "n1": gs1.n1, "n2": gs1.n2},
                "extension": {"order": gs2.order, "n1": gs2.n1, "n2": gs2.n2}},
         catalog=_catalog_rows(cat1, field.degree)
-                + _catalog_rows(cat2, big.field.degree),
+                + _catalog_rows(cat2, 2 * field.degree),
         predicted_lengths=sorted(catalog_length_sets(cat2)[0]),
         observed_lengths=sorted(summary),
         notes=[f"F_2^{field.degree}: catalogs of the curve ({gs1.order} points)"
@@ -174,7 +174,7 @@ def run_conjugate(args: argparse.Namespace) -> str:
     transcript["fixed_points"] = [point_label(p) for p in fixed]
     transcript["fixed_point_count"] = len(fixed)
     if data.is_base_field:
-        theorem = fixed_point_count(data.c, args.k, field.degree)
+        theorem = fixed_point_count(data.c, args.k)
         if theorem != len(fixed):
             raise InvariantViolationError(
                 f"theorem count {theorem} != {len(fixed)} observed fixed points")
@@ -202,7 +202,7 @@ def run_bluher(args: argparse.Namespace) -> str:
     else:
         a = parse_element(field, args.a)
         values = [a.bits]
-        counts = [bluher_root_count(a, args.k, field)]
+        counts = [bluher_root_count(a, args.k)]
     histogram = Counter(counts)
     # past 20 digits the exponent is written symbolically
     exponent = (1 << args.k) + 1 if args.k < 64 else f"(2^{args.k}+1)"

@@ -90,10 +90,10 @@ class CurvePoint:
         return CurvePoint(self.curve, self.x, self.y + self.curve.a1)
 
     def __add__(self, other: "CurvePoint") -> "CurvePoint":
-        return point_add(self.curve, self, other)
+        return point_add(self, other)
 
     def double(self) -> "CurvePoint":
-        return point_add(self.curve, self, self)
+        return point_add(self, self)
 
     def __rmul__(self, n: int) -> "CurvePoint":
         return scalar_mul(n, self)
@@ -119,7 +119,7 @@ def curve_from_map(a: FieldElement, b: FieldElement) -> CurveSpec:
     return CurveSpec(a1, a1 * b.sqrt())
 
 
-def point_add(curve: CurveSpec, p: CurvePoint, q: CurvePoint) -> CurvePoint:
+def point_add(p: CurvePoint, q: CurvePoint) -> CurvePoint:
     """Chord-and-tangent group law.
 
     For y^2 + a1*y = x^3 + a2*x over F_{2^n} the slopes are
@@ -127,8 +127,9 @@ def point_add(curve: CurveSpec, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     tangent; then x3 = lambda^2 + (x1 + x2 for the chord case) and
     y3 = lambda*(x1 + x3) + y1 + a1.
     """
-    if p.curve != curve or q.curve != curve:
-        raise FieldMismatchError("points lie on a different curve")
+    curve = p.curve
+    if q.curve != curve:
+        raise FieldMismatchError("points lie on different curves")
     if p.is_identity:
         return q
     if q.is_identity:
@@ -154,7 +155,7 @@ def scalar_mul(n: int, p: CurvePoint) -> CurvePoint:
     addend = p
     while n:
         if n & 1:
-            acc = point_add(p.curve, acc, addend)
+            acc = point_add(acc, addend)
         n >>= 1
         if n:
             addend = addend.double()
@@ -304,18 +305,16 @@ def _schoof_shape(q: int, total: int) -> GroupStructure:
 # -- cycle-length prediction ------------------------------------------------------
 
 
-def predict_orbit_length(curve: CurveSpec, p: CurvePoint) -> int:
+def predict_orbit_length(p: CurvePoint) -> int:
     """Least k >= 1 with 2^k * P = P or -P: the orbit length of x(P) under
     the duplication x-map (the identity predicts the fixed point at infinity)."""
-    if p.curve != curve:
-        raise FieldMismatchError("point lies on a different curve")
     if p.is_identity:
         return 1
     neg = -p
     q = p.double()
     # Binary supersingular curves have embedding degree e <= 4: ord(P)
     # divides 2^(e*m) - 1 over F_{2^m}, so the length is at most 4m.
-    for k in range(1, 4 * curve.field.degree + 1):
+    for k in range(1, 4 * p.curve.field.degree + 1):
         if q == p or q == neg:
             return k
         q = q.double()
@@ -408,21 +407,31 @@ def catalog_length_sets(entries: list[CycleCatalogEntry]) -> tuple[set[int], set
     return realized, possible
 
 
-def line_cycle_counts(gs: GroupStructure,
-                      q: int) -> tuple[GroupStructure, dict[int, int]]:
-    """The twist's group and the cycle summary of x -> a*x^4 + b on P^1(F_q),
-    from the group gs of its curve E over F_q.
+def twist_and_extension(gs: GroupStructure,
+                        q: int) -> tuple[GroupStructure, GroupStructure]:
+    """E'(F_q) and E(F_{q^2}) from the group gs of a curve E over F_q,
+    with no field built and no point counted.
 
     The quadratic twist E': y^2 + a1*y = x^3 + a2*x + a1^2*d (Tr d = 1) has
-    the same duplication x-map, and each x in F_q lifts to exactly one of
-    E(F_q) and E'(F_q).  So the catalogs of E and E' (#E' = 2(q + 1) - #E,
-    shaped by the same Schoof rule) together count every cycle of the line;
-    the fixed point at infinity, the x-coordinate of both identities, is
-    counted once.
+    #E' = 2(q + 1) - #E, and by Weil #E(F_{q^2}) = (q + 1)^2 - t^2 =
+    #E * #E' with t = q + 1 - #E; the same Schoof rule shapes both.
     """
     twist = _schoof_shape(q, 2 * (q + 1) - gs.order)
+    return twist, _schoof_shape(q * q, gs.order * twist.order)
+
+
+def line_cycle_counts(curve_catalog: list[CycleCatalogEntry],
+                      twist_catalog: list[CycleCatalogEntry]) -> dict[int, int]:
+    """The cycle summary of x -> a*x^4 + b on P^1(F_q) from the catalogs of
+    its curve E and of E's quadratic twist E' over F_q.
+
+    E' has the same duplication x-map, and each x in F_q lifts to exactly
+    one of E(F_q) and E'(F_q), so the two catalogs together count every
+    cycle of the line; the fixed point at infinity, the x-coordinate of both
+    identities, is counted once.
+    """
     counts = {1: -1}  # both identities are the point at infinity
-    for entries in (cycle_catalog(gs), cycle_catalog(twist)):
+    for entries in (curve_catalog, twist_catalog):
         for e in entries:
             counts[e.length] = counts.get(e.length, 0) + e.cycle_count
-    return twist, dict(sorted(counts.items()))
+    return dict(sorted(counts.items()))

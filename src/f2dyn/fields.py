@@ -14,6 +14,7 @@ from math import gcd
 from typing import Callable, Iterator, Sequence
 
 from . import gf2x
+from .gf2x import ResourceLimitError
 
 # Fields up to this degree get exp/log tables, so that multiplication,
 # inversion and discrete logs are table lookups.  The tables hold 3*2^n
@@ -39,10 +40,6 @@ class FieldMismatchError(ValueError):
 
 class InvariantViolationError(RuntimeError):
     """A computation contradicted a structural guarantee; indicates a bug."""
-
-
-class ResourceLimitError(RuntimeError):
-    """A bounded search or enumeration exhausted its configured budget."""
 
 
 class BinaryField:
@@ -810,9 +807,10 @@ def nth_roots(alpha: FieldElement, n: int) -> set[FieldElement]:
     """All x in alpha's field with x^n == alpha (alpha nonzero, n >= 1).
 
     Solvable exactly when alpha^((2^m - 1)/d) == 1 with d = gcd(n, 2^m - 1),
-    in which case there are exactly d solutions.  The solution set is cut out
-    of x^(2^m - 1) = 1 by a Euclidean descent on binomial constraints, which
-    avoids any discrete logarithms, down to the roots of x^d = beta; d above
+    in which case there are exactly d solutions.  They are the roots of
+    x^d = alpha^e with e the inverse of n/d modulo (2^m - 1)/d: as
+    x^(2^m - 1) = 1, x^d = alpha^e gives x^n = alpha^(e*n/d) = alpha, and
+    x^n = alpha gives alpha^e = x^(d*e*n/d) = x^d.  d above
     ROOT_DEGREE_LIMIT raises ResourceLimitError before that search.
     """
     if n < 1:
@@ -835,23 +833,11 @@ def nth_roots(alpha: FieldElement, n: int) -> set[FieldElement]:
     if d > ROOT_DEGREE_LIMIT:
         raise ResourceLimitError(
             f"root search on x^{d} = beta is out of range")
-    # maintain constraints x^e1 == b1, x^e2 == b2 with e1 >= e2
-    e1, b1 = M, 1
-    e2, b2 = n0, alpha.bits
-    while True:
-        q, r = divmod(e1, e2)
-        if r == 0:
-            if field.pow(b2, q) != b1:  # pragma: no cover - solvability held
-                raise InvariantViolationError("binomial descent lost solvability")
-            break
-        b3 = field.mul(b1, field.inv(field.pow(b2, q)))
-        e1, b1, e2, b2 = e2, b2, r, b3
-    if e2 != d:  # pragma: no cover
-        raise InvariantViolationError("binomial descent missed the gcd")
+    beta = field.pow(alpha.bits, pow(n0 // d, -1, M // d))
     if d == 1:
-        return {field.element(b2)}
+        return {field.element(beta)}
     coeffs = [0] * (d + 1)
-    coeffs[0] = b2
+    coeffs[0] = beta
     coeffs[d] = 1
     roots = _poly_roots_bits(field, coeffs)
     if len(roots) != d:  # pragma: no cover

@@ -209,6 +209,16 @@ def _frob_iter(t: int, reduce: Callable[[int], int], times: int) -> int:
 # Group orders 2^n - 1 and curve orders near 4^n reach 2^64 and beyond, so
 # trial division stops at a small bound and Pollard rho splits what is left.
 
+# Pollard rho steps one factorization may take.  Every 2^n - 1 and 2^n + 1
+# with n <= 121 factors within it; the slowest, 2^101 - 1, takes 6.8 million
+# steps (2-3 s), and a refusal comes after at most about 4 s.
+RHO_STEP_LIMIT = 1 << 23
+
+
+class ResourceLimitError(RuntimeError):
+    """A bounded search or enumeration exhausted its configured budget."""
+
+
 def _primes_below(bound: int) -> list[int]:
     sieve = bytearray([1]) * bound
     sieve[:2] = b"\0\0"
@@ -242,12 +252,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _split(n: int) -> int:
-    """A proper factor of the odd composite n: Pollard rho with Brent's
-    cycle finding, taking gcds over batches of 128 steps."""
+def _split(n: int, budget: int) -> tuple[int, int]:
+    """A proper factor of the odd composite n and the rho steps spent on it:
+    Pollard rho with Brent's cycle finding, taking gcds over batches of 128
+    steps.  A round that could take the count past `budget` is refused with
+    ResourceLimitError before it starts."""
+    steps = 0
     for c in range(1, n):
         y, r, acc, g = 2, 1, 1, 1
         while g == 1:
+            if steps + 2 * r > budget:  # the round takes at most 2r steps
+                raise ResourceLimitError(
+                    f"Pollard rho found no factor of the {n.bit_length()}-bit "
+                    f"{n} within the {RHO_STEP_LIMIT} steps of one factorization")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -259,6 +276,7 @@ def _split(n: int) -> int:
                     acc = acc * abs(x - y) % n
                 g = _int_gcd(acc, n)
                 k += 128
+            steps += r + min(k, r)
             r <<= 1
         if g == n:  # the batch overshot: replay it one step at a time
             g = 1
@@ -266,13 +284,15 @@ def _split(n: int) -> int:
                 saved = (saved * saved + c) % n
                 g = _int_gcd(abs(x - saved), n)
         if g != n:
-            return g
+            return g, steps
     raise AssertionError("no factor found")  # unreachable for composite n
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1, ascending in p: trial division
-    by the primes below 2^10, then Miller-Rabin and Pollard rho."""
+    by the primes below 2^10, then Miller-Rabin and Pollard rho.  The rho
+    rounds of one call share RHO_STEP_LIMIT steps; a round that could
+    pass it raises ResourceLimitError instead of starting."""
     if n < 1:
         raise ValueError("n must be positive")
     out: dict[int, int] = {}
@@ -289,12 +309,14 @@ def factorize(n: int) -> dict[int, int]:
                 e += 1
             out[p] = e
     pending = [n] if n > 1 else []  # no prime factor of n is below 2^10
+    budget = RHO_STEP_LIMIT
     while pending:
         m = pending.pop()
         if m < 1 << 20 or _is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
-            d = _split(m)
+            d, steps = _split(m, budget)
+            budget -= steps
             pending += [d, m // d]
     return dict(sorted(out.items()))
 

@@ -487,8 +487,15 @@ class QuarticReduction:
     c: FieldElement
     d: FieldElement
     embedding: ExtensionEmbedding
-    parity: str
-    j: int
+
+    @property
+    def parity(self) -> str:
+        return "odd" if self.source_k % 2 else "even"
+
+    @property
+    def j(self) -> int:
+        """Quartic steps per theta step (even k) or per two (odd k)."""
+        return self.source_k if self.source_k % 2 else self.source_k // 2
 
     def quartic_map(self) -> MapSpec:
         return MapSpec("theta", self.c, self.d, 2)
@@ -521,9 +528,9 @@ def reduce_to_quartic(a: FieldElement, b: FieldElement, k: int,
     theta = MapSpec("theta", a, b, k).pair  # validates the coefficients
     if k < 2:
         raise ValueError("k must be at least 2")
-    parity, j = ("even", k // 2) if k % 2 == 0 else ("odd", k)
+    j = k if k % 2 else k // 2
     # theta's own coefficients, or (a^(2^k + 1), a*b^(2^k) + b) for its square
-    top = (theta if parity == "even" else theta.then(theta)).m[0]
+    top = (theta.then(theta) if k % 2 else theta).m[0]
     target_a, target_b = (a.field.element(v) for v in top)
     for r in range(1, max_relative_degree + 1):
         emb = extension_of(a.field, r)
@@ -546,8 +553,7 @@ def reduce_to_quartic(a: FieldElement, b: FieldElement, k: int,
                 [image(1 << i) for i in range(ext.degree)]).solve(big_b.bits)
             if d is not None:
                 return QuarticReduction(source_a=a, source_b=b, source_k=k,
-                                        c=c, d=ext.element(d), embedding=emb,
-                                        parity=parity, j=j)
+                                        c=c, d=ext.element(d), embedding=emb)
     raise ResourceLimitError(
         f"no quartic reduction found in extensions up to degree "
         f"{max_relative_degree} over the base field")

@@ -158,8 +158,7 @@ def check_quartic_reduction_and_curve() -> str:
              f"solver found the pair ({red.c.hex}, {red.d.hex})")
     documented = QuarticReduction(source_a=g**7, source_b=g**3, source_k=3,
                                   c=g**3, d=g**15,
-                                  embedding=extension_of(field, 1),
-                                  parity="odd", j=3)
+                                  embedding=extension_of(field, 1))
     _require(documented.verify(), "pair (g^3, g^15) does not validate")
     sigma = MapSpec("theta", g**7, g**3, 3)
     step = documented.quartic_map()
@@ -217,7 +216,7 @@ def check_conjugation_worked_example() -> str:
     _require(solved.system_holds() and verify_conjugation(solved),
              "solver output fails verification")
 
-    _require(fixed_point_count(g**12, 2, 5) == 3, "theorem count != 3")
+    _require(fixed_point_count(g**12, 2) == 3, "theorem count != 3")
     inf = ProjPoint.infinity(field)
     _require(mp.eval(inf) != inf, "psi fixes infinity")
     fixed = {i for i in range(field.order + 1) if mp.eval_int(i) == i}
@@ -263,7 +262,7 @@ def check_orbit_length_prediction() -> str:
                     else:
                         p = min(lift_x(curve, x0.value),
                                 key=lambda pt: pt.y.bits)
-                    predicted = predict_orbit_length(p.curve, p)
+                    predicted = predict_orbit_length(p)
                     _require(predicted == len(cyc),
                              f"n={degree} {mp.describe()}: cycle of {x0!r} "
                              f"has length {len(cyc)}, predicted {predicted}")
@@ -326,7 +325,7 @@ def _base_field_conjugacy_maps(field: BinaryField, k: int):
             if a:
                 roots[(a, b)].append(c2)
     # the count depends on c = c2^q alone
-    theorem = {c2: fixed_point_count(field.element(frob(c2, s)), k, degree)
+    theorem = {c2: fixed_point_count(field.element(frob(c2, s)), k)
                for c2 in units}
     basis = [(1 << j, frob(1 << j, s), frob(1 << j, 2 * s))
              for j in range(degree)]
@@ -390,7 +389,7 @@ def check_fixed_point_theorem() -> str:
                 data = solve_conjugation(mp)
                 _require(data.is_base_field,
                          f"solver left the base field for {mp.describe()}")
-                _require(fixed_point_count(data.c, k, degree) == predicted,
+                _require(fixed_point_count(data.c, k) == predicted,
                          f"solver constant changes the count for {mp.describe()}")
                 solver_checks += 1
     return (f"{applicable} maps with base-field data; {scans} full scans and "
@@ -414,7 +413,7 @@ def check_bluher_root_counts() -> str:
             sweep = bluher_counts(k, field)
             for abits in range(1, field.order):
                 a = field.element(abits)
-                count = bluher_root_count(a, k, field)
+                count = bluher_root_count(a, k)
                 _require(count in allowed,
                          f"n={degree} k={k} a={abits:#x}: count {count}")
                 _require(count == sweep[abits],

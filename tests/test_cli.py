@@ -11,7 +11,7 @@ import pytest
 from test_curves import lifting_cycle_counts, sampled_group_structure
 
 from f2dyn import (BinaryField, MapSpec, ProjPoint, ResourceLimitError, cli,
-                   curve_from_map, extension_of, point_label)
+                   curve_from_map, extension_of, gf2x, point_label)
 from f2dyn.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                        UsageError, build_parser, main, parse_element, run)
 from f2dyn.curves import line_cycle_counts
@@ -114,25 +114,32 @@ def test_curve_report_contents(capsys):
                             "exactly"]
 
 
-def test_curve_cache_cold_and_warm_agree(capsys):
-    # extension_of memoizes the extension field, and with it the lazily
-    # built trace mask, across runs in one process.
+def test_curve_cache_cold_and_warm_agree(monkeypatch, capsys):
+    """The report reads E(F_2^10) off the groups over F_32, so a cold run
+    builds no field but F_32 and leaves extension_of's cache empty, and a
+    warm run prints the same document."""
     argv = ["curve", "--degree", "5", "--a", "g^3", "--b", "g^15",
             "--format", "json"]
+    built = []
+    init = BinaryField.__init__
+
+    def spy(self, degree, modulus=None):
+        built.append(degree)
+        init(self, degree, modulus)
+
+    monkeypatch.setattr(BinaryField, "__init__", spy)
     extension_of.cache_clear()
     code, cold, err = invoke(argv, capsys)
     assert code == EXIT_OK and err == ""
-    assert extension_of.cache_info().currsize  # the cold run populated the cache
-    hits = extension_of.cache_info().hits
+    assert extension_of.cache_info().currsize == 0 and set(built) == {5}
     code, warm, err = invoke(argv, capsys)
-    assert code == EXIT_OK and err == ""
-    assert extension_of.cache_info().hits > hits
-    assert warm == cold
+    assert (code, err, warm) == (EXIT_OK, "", cold)
 
 
 def test_curve_report_matches_scan_oracle(monkeypatch):
-    """The report is the same when every group structure comes from a scan
-    of the curve's points, and each catalog it prints counts, length by
+    """The report is the same when the base group comes from a scan of the
+    curve's points, the group it derives over F_2^(2n) is the one a scan of
+    the lifted curve finds, and each catalog it prints counts, length by
     length, the cycles through the x-coordinates that lift to the curve,
     over the base field and over F_2^(2n), whose line only this test lists."""
     cases = [(n, "g", "g^3") for n in range(3, 9)]
@@ -148,9 +155,13 @@ def test_curve_report_matches_scan_oracle(monkeypatch):
         mp = MapSpec("theta", parse_element(field, a), parse_element(field, b), 2)
         emb = extension_of(field, 2)
         curve = curve_from_map(mp.a, mp.b)
+        big = sampled_group_structure(curve.extended(emb))
+        doc = json.loads(fast)
+        assert doc["curve"]["extension"] == {
+            "order": big.order, "n1": big.n1, "n2": big.n2}, (degree, a, b)
         lines = ((curve, mp),
                  (curve.extended(emb), MapSpec("theta", emb(mp.a), emb(mp.b), 2)))
-        rows = json.loads(fast)["catalog"]
+        rows = doc["catalog"]
         for crv, line in lines:
             want = Counter()
             for row in rows:
@@ -161,9 +172,9 @@ def test_curve_report_matches_scan_oracle(monkeypatch):
 
 
 def test_curve_exits_one_when_the_twist_catalogs_disagree(monkeypatch, capsys):
-    def off_by_one(gs, q):
-        twist, counts = line_cycle_counts(gs, q)
-        return twist, {**counts, 1: counts[1] + 1}
+    def off_by_one(curve_catalog, twist_catalog):
+        counts = line_cycle_counts(curve_catalog, twist_catalog)
+        return {**counts, 1: counts[1] + 1}
 
     monkeypatch.setattr(cli, "line_cycle_counts", off_by_one)
     code, out, err = invoke(["curve", "--degree", "5", "--a", "g",
@@ -386,13 +397,19 @@ def test_unknown_flags_exit_two(capsys):
     capsys.readouterr()
 
 
-def test_resource_exhaustion_exits_three(capsys):
+def test_resource_exhaustion_exits_three(monkeypatch, capsys):
     # this reciprocal map has no conjugation data within the search bound
     code, out, err = invoke(
         ["conjugate", "--degree", "3", "--a", "0x2", "--b", "0x2",
          "--k", "3"], capsys)
     assert code == EXIT_RESOURCE
     assert "resource" in err
+    # g is found from the primes of 2^101 - 1, which rho splits in 6.8
+    # million steps: past a budget lowered to 10,000 the command exits 3
+    monkeypatch.setattr(gf2x, "RHO_STEP_LIMIT", 10_000)
+    code, out, err = invoke(
+        ["bluher", "--degree", "101", "--k", "2", "--a", "g"], capsys)
+    assert (code, out) == (EXIT_RESOURCE, "") and "Pollard rho" in err
 
 
 @pytest.mark.parametrize("command", ["orbits", "curve"])

@@ -22,7 +22,7 @@ from f2dyn import (BinaryField, CurvePoint, CurveSpec, ExtensionEmbedding,
                    curve_from_map, cycle_catalog, extension_of, fields,
                    group_structure, lift_x, point_count, predict_orbit_length,
                    scalar_mul)
-from f2dyn.curves import line_cycle_counts
+from f2dyn.curves import line_cycle_counts, twist_and_extension
 from f2dyn.gf2x import factorize
 
 F32 = BinaryField(5)
@@ -147,6 +147,8 @@ def test_curve_spec_validation():
     curve = CurveSpec(G, G ** 2)
     with pytest.raises(ValueError):
         curve.point(F32.zero, F32.one)  # not on the curve
+    with pytest.raises(FieldMismatchError):
+        curve.identity + CurveSpec(G, G).identity  # points on two curves
 
 
 def test_map_curve_round_trip_and_known_coefficients():
@@ -401,15 +403,12 @@ def test_predict_orbit_length_reproduces_line_cycles():
             p = curve.identity
         else:
             p = min(lift_x(curve, first.value), key=lambda q: q.y.bits)
-        assert predict_orbit_length(p.curve, p) == len(cyc)
+        assert predict_orbit_length(p) == len(cyc)
 
 
 def test_predict_orbit_length_identity_and_mismatch(monkeypatch):
     curve = curve_from_map(G, G ** 3)
-    assert predict_orbit_length(curve, curve.identity) == 1
-    other = curve_from_map(G ** 3, G ** 15)
-    with pytest.raises(FieldMismatchError):
-        predict_orbit_length(curve, other.identity)
+    assert predict_orbit_length(curve.identity) == 1
     # a doubling that never comes back is caught after 4n steps, not 4q
     p = next(base_lifts(curve))
     doublings = []
@@ -420,7 +419,7 @@ def test_predict_orbit_length_identity_and_mismatch(monkeypatch):
 
     monkeypatch.setattr(CurvePoint, "double", runaway)
     with pytest.raises(InvariantViolationError):
-        predict_orbit_length(curve, p)
+        predict_orbit_length(p)
     assert len(doublings) <= 4 * F32.degree + 1
 
 
@@ -475,10 +474,15 @@ def test_catalog_cycle_counts_match_line_dynamics():
         for _ in range(6):
             a = f.element(rng.randrange(1, f.order))
             b = f.element(rng.randrange(f.order))
-            gs = group_structure(curve_from_map(a, b))
-            twist, counts = line_cycle_counts(gs, f.order)
+            curve = curve_from_map(a, b)
+            gs = group_structure(curve)
+            twist, big = twist_and_extension(gs, f.order)
+            counts = line_cycle_counts(cycle_catalog(gs), cycle_catalog(twist))
             assert gs.order + twist.order == 2 * (f.order + 1)
             assert counts == MapSpec("theta", a, b, 2).cycle_structure().summary
+            # Weil and Schoof give the group the Arf count finds over F_q^2
+            assert big == group_structure(
+                curve.extended(extension_of(f, 2))), (degree, a, b)
             t = f.order + 1 - gs.order
             classes.add(t * t // f.order)
     assert classes == {0, 1, 2, 4}
@@ -488,7 +492,9 @@ def test_twist_completes_the_line_over_f32():
     """The worked example: #E = 41 and #E' = 25 give the cycles of the
     quartic figure, 1 of length 1, 1 of length 2 and 3 of length 10."""
     gs = group_structure(curve_from_map(G, G ** 3))
-    twist, counts = line_cycle_counts(gs, F32.order)
+    twist, big = twist_and_extension(gs, F32.order)
+    counts = line_cycle_counts(cycle_catalog(gs), cycle_catalog(twist))
+    assert (big.order, big.n1, big.n2) == (1025, 1, 1025)
     assert (gs.order, twist.order) == (41, 25)
     assert (twist.n1, twist.n2) == (1, 25)
     assert counts == {1: 1, 2: 1, 10: 3}

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -395,14 +396,26 @@ def test_polynomial_roots_by_brute_force():
 
 
 def test_nth_roots_by_brute_force():
-    f = BinaryField(5)
-    for n in (1, 2, 3, 5, 11, 31, 33):
-        for bits in (1, 7, 19):
-            alpha = f.element(bits)
-            got = nth_roots(alpha, n)
-            brute = {f.element(b) for b in range(1, f.order)
-                     if f.element(b) ** n == alpha}
-            assert got == brute, (n, bits)
+    # M = 2^m - 1 is prime for m = 5, so d = gcd(n, M) is 1 or 31 there;
+    # the composite M of m = 6, 8 and 12 give d = 3, 5, 7, 9, 13, 15, 17,
+    # 21, 35, 51, 63, 65, 85, 91 and 315
+    cases = {5: (1, 2, 3, 5, 11, 31, 33),
+             6: (3, 6, 7, 9, 14, 21, 42, 45),  # M = 63 = 3^2 * 7
+             8: (3, 5, 10, 15, 17, 34, 51, 85),  # M = 255 = 3 * 5 * 17
+             12: (9, 13, 15, 35, 63, 65, 91, 315, 4116)}  # M = 3^2 * 5 * 7 * 13
+    rng = random.Random(16)
+    for degree, exponents in cases.items():
+        f = BinaryField(degree)
+        for n in exponents:
+            roots = defaultdict(set)
+            for x in range(1, f.order):
+                roots[f.pow(x, n)].add(x)
+            powers = sorted(roots)
+            alphas = {1, 7, 19} | set(rng.sample(range(1, f.order), 3))
+            alphas |= set(rng.sample(powers, min(3, len(powers))))
+            for bits in alphas:
+                got = {x.bits for x in nth_roots(f.element(bits), n)}
+                assert got == roots.get(bits, set()), (degree, n, bits)
 
 
 def test_extension_embedding_is_a_homomorphism():

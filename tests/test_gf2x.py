@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from f2dyn import BinaryField, gf2x
+from f2dyn import BinaryField, fields, gf2x
 
 # Irreducible moduli x^n + r with deg r > n/2, which the field reducer hands to
 # gf2x.mod instead of folding.
@@ -143,6 +143,35 @@ def test_factorize_small_and_wide():
     assert gf2x.factorize(1031**2 * 2**40) == {2: 40, 1031: 2}
     with pytest.raises(ValueError):
         gf2x.factorize(0)
+
+
+def test_factorize_agrees_with_sympy():
+    """2^n - 1 and 2^n + 1 for n <= 80 against an independent factorizer."""
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 81):
+        for m in ((1 << n) - 1, (1 << n) + 1):
+            assert gf2x.factorize(m) == sympy.factorint(m), m
+
+
+def test_is_irreducible_agrees_with_sympy():
+    """Every polynomial of degree 1 to 10 over GF(2) against sympy's test."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for f in range(2, 1 << 11):
+        coeffs = [int(c) for c in format(f, "b")]
+        want = sympy.Poly(coeffs, x, modulus=2).is_irreducible
+        assert gf2x.is_irreducible(f) == want, bin(f)
+
+
+def test_factorize_refuses_past_its_rho_budget(monkeypatch):
+    """2^101 - 1 takes 6.8 million rho steps; with the budget lowered to
+    10,000 it is refused with ResourceLimitError, the class the field layer
+    re-exports, and a number rho splits within the budget still factors."""
+    monkeypatch.setattr(gf2x, "RHO_STEP_LIMIT", 10_000)
+    with pytest.raises(gf2x.ResourceLimitError, match="Pollard rho"):
+        gf2x.factorize(2**101 - 1)
+    assert gf2x.ResourceLimitError is fields.ResourceLimitError
+    assert gf2x.factorize(2**64 + 1) == {274177: 1, 67280421310721: 1}
 
 
 def test_default_modulus_and_smallest_irreducible():

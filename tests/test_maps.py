@@ -352,9 +352,9 @@ def test_reduce_to_quartic_even_k_four():
 
 def test_quartic_reduction_verify_rejects_wrong_pair():
     emb = extension_of(F32, 1)
-    good = QuarticReduction(G ** 7, G ** 3, 3, G ** 3, G ** 15, emb, "odd", 3)
+    good = QuarticReduction(G ** 7, G ** 3, 3, G ** 3, G ** 15, emb)
     assert good.verify() and ref_quartic_verify(good)
-    bad = QuarticReduction(G ** 7, G ** 3, 3, G ** 3, G ** 16, emb, "odd", 3)
+    bad = QuarticReduction(G ** 7, G ** 3, 3, G ** 3, G ** 16, emb)
     assert not bad.verify() and not ref_quartic_verify(bad)
 
 
@@ -381,7 +381,7 @@ def test_quartic_verify_matches_pointwise_reference():
             if step is None:  # over F_2 with a = 1, every b has one tail
                 continue
             moved = QuarticReduction(a, b + step, k, red.c, red.d,
-                                     red.embedding, red.parity, red.j)
+                                     red.embedding)
             assert not moved.verify() and not ref_quartic_verify(moved)
     assert solved >= 40, solved
 

@@ -2,9 +2,9 @@
 slot-wise reduction, of Frobenius powers in wide fields and of Frobenius
 exponents reduced mod the degree, of the semilinear pairs behind every
 map of the line, of the rank-space cycle decompositions and the fixed
-points of those pairs against a pointwise walk, of the root search and
-the field embeddings built on it, and of the GF(2)-linear solver and the
-conjugations read off its kernels."""
+points of those pairs against a pointwise walk, of the root search, the
+n-th roots and the field embeddings built on them, and of the GF(2)-linear
+solver and the conjugations read off its kernels."""
 
 import functools
 import math
@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from f2dyn import (BinaryField, ExtensionRootCounter, MapSpec,
                    ResourceLimitError, Semilinear, SubsetXorSolver, conjugacy,
                    extension_of, fields, fixed_point_count, gf2x,
-                   polynomial_roots, solve_conjugation, verify_conjugation)
+                   nth_roots, polynomial_roots, solve_conjugation,
+                   verify_conjugation)
 from test_fields import poly_from_roots
 from test_gf2x import DENSE_MODULI, ref_mod, ref_mul
 
@@ -154,8 +155,7 @@ def _base_field_solution(mp):
 @given(shifted_exponents())
 def test_frobenius_exponent_reduces_mod_the_degree(case):
     field, c, b, k, shifted = case
-    n = field.degree
-    assert fixed_point_count(c, k, n) == fixed_point_count(c, shifted, n)
+    assert fixed_point_count(c, k) == fixed_point_count(c, shifted)
     assert (MapSpec("theta", c, field.zero, k).pair.fixed_points()
             == MapSpec("theta", c, field.zero, shifted).pair.fixed_points())
     # the base field is the one extension where both exponents act alike
@@ -381,6 +381,31 @@ def test_polynomial_roots_are_the_distinct_roots(case):
     assert len(roots) == counter.count(1)
     if planted is not None:
         assert roots == planted
+
+
+@st.composite
+def root_powers(draw):
+    """(field, x, n) with d = gcd(n, 2^m - 1) at most 64: a cofactor of n
+    prime to 2^m - 1 times a small factor that sets d."""
+    field = draw(st.sampled_from(ROOT_FIELDS))
+    x = draw(st.integers(min_value=1, max_value=field.order - 1))
+    unit = draw(st.integers(min_value=1, max_value=1 << 70))
+    while (shared := math.gcd(unit, field.mult_order)) > 1:
+        unit //= shared
+    return field, x, draw(st.integers(min_value=1, max_value=64)) * unit
+
+
+@settings(deadline=None)
+@given(root_powers())
+def test_nth_roots_of_a_power(case):
+    """x is among the roots of y^n = x^n, every root solves it, and there
+    are gcd(n, 2^m - 1) of them."""
+    field, x, n = case
+    alpha = field.element(x) ** n
+    roots = nth_roots(alpha, n)
+    assert field.element(x) in roots
+    assert all(r ** n == alpha for r in roots)
+    assert len(roots) == math.gcd(n, field.mult_order)
 
 
 @st.composite
