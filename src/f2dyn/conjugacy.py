@@ -11,8 +11,7 @@ points from c alone; Semilinear.fixed_points lists them without a search.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import gcd
 
 from .fields import (
@@ -29,8 +28,7 @@ from .fields import (
 from .maps import MapSpec, ProjPoint, Semilinear, fixed_line_count
 
 
-@dataclass(frozen=True)
-class ConjugacyData:
+class ConjugacyData(namedtuple("ConjugacyData", "map embedding c c1 c2 c3")):
     """A solved conjugation for one reciprocal map.
 
     The constants live in embedding.ext, an extension of the map's field
@@ -38,24 +36,21 @@ class ConjugacyData:
     when the defining system is checked.
     """
 
-    map: MapSpec
-    embedding: ExtensionEmbedding
-    c: FieldElement
-    c1: FieldElement
-    c2: FieldElement
-    c3: FieldElement
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.map.kind != "psi":
+    def __new__(cls, map: MapSpec, embedding: ExtensionEmbedding,
+                c: FieldElement, c1: FieldElement, c2: FieldElement,
+                c3: FieldElement):
+        if map.kind != "psi":
             raise ValueError("conjugacy data describes reciprocal maps only")
-        if self.embedding.base != self.map.field:
+        if embedding.base != map.field:
             raise FieldMismatchError("embedding does not start at the map's field")
-        ext = self.embedding.ext
-        for name in ("c", "c1", "c2", "c3"):
-            if getattr(self, name).field != ext:
+        for name, value in (("c", c), ("c1", c1), ("c2", c2), ("c3", c3)):
+            if value.field != embedding.ext:
                 raise FieldMismatchError(f"{name} lies outside the extension field")
-        if self.c2.is_zero or self.c3.is_zero:
+        if c2.is_zero or c3.is_zero:
             raise ValueError("c2 and c3 must be nonzero")
+        return tuple.__new__(cls, (map, embedding, c, c1, c2, c3))
 
     @property
     def ext_degree(self) -> int:
@@ -95,13 +90,12 @@ class ConjugacyData:
                 f"c3={self.c3.hex} over F_2^{self.ext_degree}")
 
 
-@dataclass(frozen=True)
-class TauMap:
+class TauMap(namedtuple("TauMap", "data")):
     """tau(x) = (x + c1)/(c2*x + c3) on P^1 of the extension field: the
     untwisted pair ((1, c1), (c2, c3)), so tau(inf) = 1/c2 and the pole
     c3/c2 goes to infinity."""
 
-    data: ConjugacyData
+    __slots__ = ()
 
     @property
     def pair(self) -> Semilinear:

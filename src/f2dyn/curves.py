@@ -8,9 +8,9 @@ which this module computes and catalogs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from math import isqrt, lcm
-from typing import Callable
 
 from .fields import (
     BinaryField,
@@ -18,23 +18,24 @@ from .fields import (
     FieldElement,
     FieldMismatchError,
     InvariantViolationError,
+    POINT_LIMIT,
+    ResourceLimitError,
     extension_of,
 )
 from .gf2x import factorize
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(namedtuple("CurveSpec", "a1 a2")):
     """The curve y^2 + a1*y = x^3 + a2*x over a binary field (a1 nonzero)."""
 
-    a1: FieldElement
-    a2: FieldElement
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a1.field != self.a2.field:
+    def __new__(cls, a1: FieldElement, a2: FieldElement):
+        if a1.field != a2.field:
             raise FieldMismatchError("curve coefficients lie in different fields")
-        if self.a1.is_zero:
+        if a1.is_zero:
             raise ValueError("a1 must be nonzero (the curve would be singular)")
+        return tuple.__new__(cls, (a1, a2))
 
     @property
     def field(self) -> BinaryField:
@@ -72,13 +73,11 @@ class CurveSpec:
         return f"y^2 + {self.a1.hex}*y = x^3 + {self.a2.hex}*x"
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """A point of E: the identity, or an affine pair satisfying the equation."""
+class CurvePoint(namedtuple("CurvePoint", "curve x y")):
+    """A point of E: the identity (x and y None), or an affine pair
+    satisfying the equation."""
 
-    curve: CurveSpec
-    x: FieldElement | None
-    y: FieldElement | None
+    __slots__ = ()
 
     @property
     def is_identity(self) -> bool:
@@ -252,13 +251,10 @@ def point_count(curve: CurveSpec) -> int:
 # -- group structure ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(namedtuple("GroupStructure", "order n1 n2")):
     """E(F) as Z/n1 x Z/n2 with n1 | n2 (and n1 | field's 2^m - 1)."""
 
-    order: int
-    n1: int
-    n2: int
+    __slots__ = ()
 
 
 def _divisor_phis(m: int) -> dict[int, int]:
@@ -346,33 +342,32 @@ def _signed_exponents(modulus: int) -> tuple[int, int | None]:
     return plus, None
 
 
-@dataclass(frozen=True)
-class CycleCatalogEntry:
+class CycleCatalogEntry(namedtuple(
+        "CycleCatalogEntry",
+        "d1 d2 m1 m2 length possible_lengths point_count cycle_count")):
     """Divisor pair (d1, d2) of (n1, n2) and the dynamics of its points.
 
     The phi(m1)*phi(m2) points whose coordinates have exact orders (m1, m2)
     share one orbit length under duplication-x: the least k with 2^k = 1 or
     2^k = -1 simultaneously mod m1 and m2 (length).  possible_lengths lists
-    both one-sign candidates; over a subfield of the catalog's field only
-    those are attainable.
+    both one-sign candidates (a tuple); over a subfield of the catalog's
+    field only those are attainable.
     """
 
-    d1: int
-    d2: int
-    m1: int
-    m2: int
-    length: int
-    possible_lengths: tuple[int, ...]
-    point_count: int
-    cycle_count: int
+    __slots__ = ()
 
 
 def cycle_catalog(gs: GroupStructure) -> list[CycleCatalogEntry]:
     """One entry per divisor pair (d1 | n1, d2 | n2), sorted by
     (length, d1, d2).  The (m1, m2) = (1, 1) entry is the identity point,
-    whose x-coordinate is the fixed point at infinity."""
+    whose x-coordinate is the fixed point at infinity.  Refuses before
+    building any row when there are more than POINT_LIMIT of them."""
     entries = []
     phi1, phi2 = _divisor_phis(gs.n1), _divisor_phis(gs.n2)
+    rows = len(phi1) * len(phi2)
+    if rows > POINT_LIMIT:
+        raise ResourceLimitError(
+            f"a catalog of {rows} rows exceeds the budget of {POINT_LIMIT}")
     for d1 in sorted(phi1):
         m1 = gs.n1 // d1
         for d2 in sorted(phi2):

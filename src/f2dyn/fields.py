@@ -10,8 +10,8 @@ arbitrary polynomials inside a fixed field.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable, Iterator, Sequence
 from math import gcd
-from typing import Callable, Iterator, Sequence
 
 from . import gf2x
 from .gf2x import ResourceLimitError

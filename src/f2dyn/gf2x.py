@@ -10,9 +10,9 @@ and curve layers share.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import cache
 from math import gcd as _int_gcd, isqrt
-from typing import Callable
 
 # Default moduli for the small degrees: the Conway polynomials, which are
 # primitive and norm-compatible between a field and its subfields, so labels

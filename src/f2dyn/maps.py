@@ -12,13 +12,12 @@ at fields of 2^16 elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd
 
 from .fields import (
     BinaryField,
-    ExtensionEmbedding,
     FieldElement,
     FieldMismatchError,
     InvariantViolationError,
@@ -336,29 +335,25 @@ def fixed_line_count(field: BinaryField, m, g: int) -> int:
     return 0 if (g // d) * trace % 2 else 2
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(namedtuple("MapSpec", "kind a b k")):
     """One of the two bijection families on P^1 of a binary field.
 
     kind "theta" is x -> a*x^(2^k) + b with infinity fixed; kind "psi" is its
     reciprocal x -> 1/(a*x^(2^k) + b), which swaps infinity into the finite
-    part of the line.  a must be nonzero; psi needs k >= 1.
+    part of the line.  a must be nonzero; psi needs k >= 1.  There are no
+    __slots__: each instance's __dict__ caches pair.
     """
 
-    kind: str
-    a: FieldElement
-    b: FieldElement
-    k: int
-
-    def __post_init__(self):
-        if self.kind not in ("theta", "psi"):
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.a.field != self.b.field:
+    def __new__(cls, kind: str, a: FieldElement, b: FieldElement, k: int):
+        if kind not in ("theta", "psi"):
+            raise ValueError(f"unknown map kind {kind!r}")
+        if a.field != b.field:
             raise FieldMismatchError("coefficients lie in different fields")
-        if self.a.is_zero:
+        if a.is_zero:
             raise ValueError("coefficient a must be nonzero")
-        if self.k < 0 or (self.kind == "psi" and self.k < 1):
+        if k < 0 or (kind == "psi" and k < 1):
             raise ValueError("k must be >= 0 for theta and >= 1 for psi")
+        return tuple.__new__(cls, (kind, a, b, k))
 
     @property
     def field(self) -> BinaryField:
@@ -405,20 +400,17 @@ class MapSpec:
         return CycleStructure(map=self, ranks=self.pair.rank_cycles())
 
 
-@dataclass(frozen=True)
-class CycleStructure:
+class CycleStructure(namedtuple("CycleStructure", "map ranks")):
     """A complete cycle decomposition of P^1 under one map, held as point
     ranks (see the module docstring); the ProjPoint view is built on first
-    use."""
+    use and cached in the instance's __dict__."""
 
-    map: MapSpec
-    ranks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        total = sum(map(len, self.ranks))
-        if total != self.map.field.order + 1:
+    def __new__(cls, map: MapSpec, ranks: tuple[tuple[int, ...], ...]):
+        total = sum(len(c) for c in ranks)
+        if total != map.field.order + 1:
             raise InvariantViolationError(
-                f"cycles cover {total} points, expected {self.map.field.order + 1}")
+                f"cycles cover {total} points, expected {map.field.order + 1}")
+        return tuple.__new__(cls, (map, ranks))
 
     @cached_property
     def cycles(self) -> tuple[tuple[ProjPoint, ...], ...]:
@@ -438,8 +430,7 @@ class CycleStructure:
 # -- closed-form iteration -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedFormIterate:
+class ClosedFormIterate(namedtuple("ClosedFormIterate", "a b q m lead tail")):
     """The m-fold composite of x -> a*x^q + b, in closed form.
 
     With s_t = 1 + q + ... + q^(t-1) (and s_0 = 0), the composite is
@@ -448,12 +439,7 @@ class ClosedFormIterate:
     power of the pair ((a, b), (0, 1)).
     """
 
-    a: FieldElement
-    b: FieldElement
-    q: int
-    m: int
-    lead: FieldElement
-    tail: FieldElement
+    __slots__ = ()
 
     def eval(self, x: FieldElement) -> FieldElement:
         step = self.q.bit_length() - 1
@@ -476,17 +462,12 @@ def closed_form(a: FieldElement, b: FieldElement, q: int, m: int) -> ClosedFormI
 # -- reduction of theta_{a,b,k} to an iterated quartic map -------------------------
 
 
-@dataclass(frozen=True)
-class QuarticReduction:
+class QuarticReduction(namedtuple(
+        "QuarticReduction", "source_a source_b source_k c d embedding")):
     """theta_{a,b,k} (k even) or its square (k odd) written as the j-fold
     composite of the quartic map x -> c*x^4 + d over an extension field."""
 
-    source_a: FieldElement
-    source_b: FieldElement
-    source_k: int
-    c: FieldElement
-    d: FieldElement
-    embedding: ExtensionEmbedding
+    __slots__ = ()
 
     @property
     def parity(self) -> str:

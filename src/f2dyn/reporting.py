@@ -11,9 +11,8 @@ fields fall back to hex labels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 
-from .fields import BinaryField, InvariantViolationError, ResourceLimitError
+from .fields import InvariantViolationError, ResourceLimitError
 from .maps import CycleStructure, MapSpec, ProjPoint
 
 
@@ -82,30 +81,39 @@ def to_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass
 class AnalysisReport:
     """Everything one CLI invocation computed, with the prediction invariant
     enforced: when a prediction set is present, every observed cycle length
     must belong to it."""
 
-    config: dict
-    cycle_summary: dict | None = None
-    cycles: list[list[str]] | None = None
-    curve: dict | None = None
-    catalog: list[dict] | None = None
-    predicted_lengths: list[int] | None = None
-    observed_lengths: list[int] | None = None
-    conjugacy: dict | None = None
-    root_counts: dict | None = None
-    notes: list[str] = dc_field(default_factory=list)
+    __slots__ = ("config", "cycle_summary", "cycles", "curve", "catalog",
+                 "predicted_lengths", "observed_lengths", "conjugacy",
+                 "root_counts", "notes")
 
-    def __post_init__(self):
-        if self.predicted_lengths is not None and self.observed_lengths is not None:
-            stray = set(self.observed_lengths) - set(self.predicted_lengths)
+    def __init__(self, config: dict, cycle_summary: dict | None = None,
+                 cycles: list[list[str]] | None = None,
+                 curve: dict | None = None, catalog: list[dict] | None = None,
+                 predicted_lengths: list[int] | None = None,
+                 observed_lengths: list[int] | None = None,
+                 conjugacy: dict | None = None,
+                 root_counts: dict | None = None,
+                 notes: list[str] | None = None):
+        if predicted_lengths is not None and observed_lengths is not None:
+            stray = set(observed_lengths) - set(predicted_lengths)
             if stray:
                 raise InvariantViolationError(
                     f"observed cycle lengths {sorted(stray)} missing from the "
-                    f"prediction set {sorted(self.predicted_lengths)}")
+                    f"prediction set {sorted(predicted_lengths)}")
+        self.config = config
+        self.cycle_summary = cycle_summary
+        self.cycles = cycles
+        self.curve = curve
+        self.catalog = catalog
+        self.predicted_lengths = predicted_lengths
+        self.observed_lengths = observed_lengths
+        self.conjugacy = conjugacy
+        self.root_counts = root_counts
+        self.notes = [] if notes is None else notes
 
     def to_dict(self) -> dict:
         out = {"config": self.config}

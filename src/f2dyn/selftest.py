@@ -14,14 +14,14 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 
 from .conjugacy import (ConjugacyData, TauMap, bluher_counts,
                         bluher_root_count, fixed_point_count,
                         solve_conjugation, verify_conjugation)
-from .curves import (curve_from_map, cycle_catalog, group_structure, lift_x,
-                     point_count, predict_orbit_length, catalog_length_sets)
+from .curves import (CurveSpec, GroupStructure, catalog_length_sets,
+                     curve_from_map, cycle_catalog, group_structure, lift_x,
+                     point_count, predict_orbit_length, twist_and_extension)
 from .fields import (BinaryField, ExtensionRootCounter, ResourceLimitError,
                      SubsetXorSolver, extension_of, polynomial_roots)
 from .maps import (MapSpec, ProjPoint, QuarticReduction, closed_form,
@@ -46,6 +46,18 @@ def _f32() -> BinaryField:
 
 def _labels(tokens) -> list[str]:
     return [t if isinstance(t, str) else f"g^{t}" for t in tokens]
+
+
+def _extension_group(curve: CurveSpec, gs: GroupStructure) -> GroupStructure:
+    """E(F_{q^2}) by the Arf count over the quadratic extension, required to
+    equal the group that `curve` reports: twist_and_extension's, derived
+    from the base group gs with no field built."""
+    field = curve.field
+    counted = group_structure(curve.extended(extension_of(field, 2)))
+    derived = twist_and_extension(gs, field.order)[1]
+    _require(derived == counted,
+             f"derived extension group {derived} != Arf count {counted}")
+    return counted
 
 
 def _fixed_on_line(mp: MapSpec, finite_only: bool = False) -> int:
@@ -136,9 +148,8 @@ def check_point_counts_and_catalog() -> str:
              and top.length == 10 and top.cycle_count == 2,
              f"full-order row {top}")
 
-    big = curve.extended(extension_of(field, 2))
-    _require(point_count(big) == 1025, "extension count != 1025")
-    gs2 = group_structure(big)
+    gs2 = _extension_group(curve, gs)
+    _require(gs2.order == 1025, "extension count != 1025")
     _require((gs2.n1, gs2.n2) == (1, 1025), f"extension structure {gs2}")
     rows2 = {(e.d1, e.d2): e for e in cycle_catalog(gs2)}
     _require(rows2[(1, 205)].length == 2, "divisor 205 length != 2")
@@ -171,7 +182,7 @@ def check_quartic_reduction_and_curve() -> str:
     _require(point_count(curve) == 33, "order != 33 over F_32")
     gs = group_structure(curve)
     _require((gs.order, gs.n1, gs.n2) == (33, 1, 33), f"base structure {gs}")
-    gs2 = group_structure(curve.extended(extension_of(field, 2)))
+    gs2 = _extension_group(curve, gs)
     _require((gs2.n1, gs2.n2) == (33, 33), f"extension structure {gs2}")
     realized, possible = catalog_length_sets(cycle_catalog(gs))
     _require(realized == {1, 5}, f"realized lengths {realized}")
@@ -235,7 +246,7 @@ def check_conjugation_worked_example() -> str:
     _require((curve.a1, curve.a2) == (g**25, field.zero), "curve coefficients")
     gs = group_structure(curve)
     _require((gs.n1, gs.n2) == (1, 33), f"base structure {gs}")
-    gs2 = group_structure(curve.extended(extension_of(field, 2)))
+    gs2 = _extension_group(curve, gs)
     _require((gs2.n1, gs2.n2) == (33, 33), f"extension structure {gs2}")
     return ("tuple (g, g^3, g^8, g^12) solved and valid at all 33 points; "
             "3 fixed points")
@@ -512,10 +523,9 @@ def _line_and_curve_sweep(rng: random.Random, shared_k: bool) -> tuple[int, int]
             _require(math.gcd(gs.n2, order - 1) % gs.n1 == 0,
                      f"n1 does not divide gcd(n2, 2^n - 1) in {gs}")
             if degree <= 6:
-                big = curve.extended(extension_of(field, 2))
-                gs2 = group_structure(big)
+                gs2 = _extension_group(curve, gs)
                 _require(gs2.n2 % gs2.n1 == 0 and
-                         math.gcd(gs2.n2, big.field.order - 1) % gs2.n1 == 0,
+                         math.gcd(gs2.n2, order * order - 1) % gs2.n1 == 0,
                          f"extension structure {gs2} breaks divisibility")
             curves_tested += 1
     return maps_tested, curves_tested
@@ -635,15 +645,13 @@ CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "ok elapsed detail error",
+                         defaults=(None,))):
     """One timed check: whether it passed within budget, its wall time, and
-    its summary (or why it failed, with the exception it raised)."""
+    its summary (or why it failed, with the exception it raised, else
+    None)."""
 
-    ok: bool
-    elapsed: float
-    detail: str
-    error: Exception | None = None
+    __slots__ = ()
 
 
 def judge(fn, budget: float) -> Verdict:

@@ -4,14 +4,19 @@ curve report against the scan oracles."""
 import hashlib
 import json
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from test_curves import lifting_cycle_counts, sampled_group_structure
 
-from f2dyn import (BinaryField, MapSpec, ProjPoint, ResourceLimitError, cli,
-                   curve_from_map, extension_of, gf2x, point_label)
+import f2dyn
+from f2dyn import (BinaryField, GroupStructure, MapSpec, ProjPoint,
+                   ResourceLimitError, cli, curve_from_map, curves,
+                   extension_of, gf2x, point_label, selftest)
 from f2dyn.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                        UsageError, build_parser, main, parse_element, run)
 from f2dyn.curves import line_cycle_counts
@@ -183,6 +188,17 @@ def test_curve_exits_one_when_the_twist_catalogs_disagree(monkeypatch, capsys):
     assert "catalogs of the curve and its twist predict" in err
 
 
+def test_curve_exits_three_when_a_catalog_exceeds_its_budget(monkeypatch,
+                                                              capsys):
+    # the catalog of E(F_{2^10}) = Z/1025 has D(1025) = 6 rows
+    monkeypatch.setattr(curves, "POINT_LIMIT", 5)
+    code, out, err = invoke(["curve", "--degree", "5", "--a", "g",
+                             "--b", "g^3"], capsys)
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == ("f2dyn: resource limit: a catalog of 6 rows exceeds the "
+                   "budget of 5\n")
+
+
 def test_conjugate_transcript(capsys):
     code, out, _ = invoke(
         ["conjugate", "--degree", "5", "--a", "g", "--b", "g^2",
@@ -349,6 +365,32 @@ def test_selftest_quick_passes(capsys):
     code, out, _ = invoke(["selftest", "--quick"], capsys)
     assert code == EXIT_OK
     assert out.count("ok ") == 4
+
+
+def test_selftest_checks_the_extension_group_that_curve_prints(monkeypatch,
+                                                               capsys):
+    """With E(F_{q^2}) derived as #E^2 points instead of #E*#E', the
+    quick suite fails, as curve reports that group."""
+    def squared(gs, q):
+        twist, _ = curves.twist_and_extension(gs, q)
+        return twist, GroupStructure(gs.order ** 2, 1, gs.order ** 2)
+
+    monkeypatch.setattr(selftest, "twist_and_extension", squared)
+    code, out, _ = invoke(["selftest", "--quick"], capsys)
+    assert code == EXIT_INVARIANT
+    assert out.count("FAIL") == 3 and "derived extension group" in out
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Start-up cost: importing the command line, with site's imports out
+    of the way (-S), loads none of these modules."""
+    src = str(Path(f2dyn.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import f2dyn.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'}"
+            " & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_usage_errors_exit_two(capsys):

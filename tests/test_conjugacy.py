@@ -7,11 +7,11 @@ from collections import Counter
 
 import pytest
 
-from f2dyn import (BinaryField, ConjugacyData, InvariantViolationError,
-                   MapSpec, ProjPoint, ResourceLimitError, Semilinear,
-                   SubsetXorSolver, TauMap, bluher_counts,
-                   bluher_distribution, bluher_root_count, conjugacy,
-                   element_echo, extension_of, fixed_point_count,
+from f2dyn import (BinaryField, ConjugacyData, FieldMismatchError,
+                   InvariantViolationError, MapSpec, ProjPoint,
+                   ResourceLimitError, Semilinear, SubsetXorSolver, TauMap,
+                   bluher_counts, bluher_distribution, bluher_root_count,
+                   conjugacy, element_echo, extension_of, fixed_point_count,
                    polynomial_roots, solve_conjugation, verify_conjugation)
 
 F32 = BinaryField(5)
@@ -112,14 +112,30 @@ def test_perturbed_constant_fails_the_system():
 
 def test_conjugacy_data_validation():
     emb = extension_of(F32, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(
+            ValueError,
+            match="^conjugacy data describes reciprocal maps only$"):
         ConjugacyData(map=MapSpec("theta", G, G ** 2, 2), embedding=emb,
                       c=G ** 12, c1=G, c2=G ** 3, c3=G ** 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^c2 and c3 must be nonzero$"):
         ConjugacyData(map=PSI, embedding=emb, c=G ** 12, c1=G,
                       c2=F32.zero, c3=G ** 8)
+    with pytest.raises(FieldMismatchError,
+                       match="^c1 lies outside the extension field$"):
+        ConjugacyData(PSI, emb, G ** 12, extension_of(F32, 2).ext.one,
+                      G ** 3, G ** 8)
+    with pytest.raises(FieldMismatchError,
+                       match="^embedding does not start at the map's field$"):
+        ConjugacyData(PSI, extension_of(BinaryField(4), 1), G ** 12, G,
+                      G ** 3, G ** 8)
     with pytest.raises(ValueError):
         solve_conjugation(MapSpec("theta", G, G ** 2, 2))
+    data = ConjugacyData(PSI, emb, G ** 12, G, G ** 3, G ** 8)
+    assert data == solve_conjugation(PSI)
+    assert hash(data) == hash(solve_conjugation(PSI))
+    assert TauMap(data) == TauMap(solve_conjugation(PSI))
+    with pytest.raises(AttributeError):
+        data.c = G
 
 
 def test_tau_special_points_and_inverse():

@@ -18,10 +18,10 @@ import pytest
 
 from f2dyn import (BinaryField, CurvePoint, CurveSpec, ExtensionEmbedding,
                    FieldMismatchError, GroupStructure, InvariantViolationError,
-                   MapSpec, ProjPoint, SubsetXorSolver, catalog_length_sets,
-                   curve_from_map, cycle_catalog, extension_of, fields,
-                   group_structure, lift_x, point_count, predict_orbit_length,
-                   scalar_mul)
+                   MapSpec, ProjPoint, ResourceLimitError, SubsetXorSolver,
+                   catalog_length_sets, curve_from_map, curves, cycle_catalog,
+                   extension_of, fields, group_structure, lift_x, point_count,
+                   predict_orbit_length, scalar_mul)
 from f2dyn.curves import line_cycle_counts, twist_and_extension
 from f2dyn.gf2x import factorize
 
@@ -140,15 +140,42 @@ def base_lifts(curve):
 
 def test_curve_spec_validation():
     CurveSpec(G, F32.zero)
-    with pytest.raises(ValueError):
+    with pytest.raises(
+            ValueError,
+            match=r"^a1 must be nonzero \(the curve would be singular\)$"):
         CurveSpec(F32.zero, G)
-    with pytest.raises(FieldMismatchError):
+    with pytest.raises(FieldMismatchError,
+                       match="^curve coefficients lie in different fields$"):
         CurveSpec(G, BinaryField(4).one)
     curve = CurveSpec(G, G ** 2)
     with pytest.raises(ValueError):
         curve.point(F32.zero, F32.one)  # not on the curve
     with pytest.raises(FieldMismatchError):
         curve.identity + CurveSpec(G, G).identity  # points on two curves
+
+
+def test_curve_records_compare_hash_and_stay_frozen():
+    curve, same = curve_from_map(G, G ** 3), CurveSpec(a1=G ** 15, a2=G)
+    assert curve == same and hash(curve) == hash(same)
+    assert curve != CurveSpec(G ** 15, G ** 2)
+    p = next(pt for x in F32.elements() for pt in lift_x(curve, x)
+             if pt.curve == curve)  # a point over F_32 itself
+    q = CurvePoint(curve=same, x=p.x, y=p.y)
+    assert p == q and hash(p) == hash(q) and len({p, q, -p}) == 2
+    assert curve.identity == CurvePoint(same, None, None)
+    assert repr(p) == f"CurvePoint({p.x.hex}, {p.y.hex})"
+    assert repr(curve.identity) == "CurvePoint(identity)"
+    gs = group_structure(curve)
+    assert repr(gs) == "GroupStructure(order=41, n1=1, n2=41)"
+    assert gs == GroupStructure(41, 1, 41)
+    assert hash(gs) == hash(GroupStructure(order=41, n1=1, n2=41))
+    cat = cycle_catalog(gs)
+    assert cat == cycle_catalog(GroupStructure(41, 1, 41))
+    assert hash(cat[0]) == hash(cycle_catalog(gs)[0])
+    for record, name in ((curve, "a1"), (p, "x"), (gs, "order"),
+                         (cat[0], "length")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_map_curve_round_trip_and_known_coefficients():
@@ -433,6 +460,21 @@ def test_cycle_catalog_of_prime_cyclic_group():
     assert top.point_count == 40 and top.length == 10 and top.cycle_count == 2
     ident = by_m[(1, 1)]
     assert ident.point_count == 1
+
+
+def test_cycle_catalog_is_sized_before_its_rows(monkeypatch):
+    """(Z/33)^2 has D(33)^2 = 16 divisor pairs: past a budget of 15 rows
+    the catalog refuses before it computes any row."""
+    def no_row(modulus):
+        raise AssertionError("a row was built")
+
+    gs = GroupStructure(order=1089, n1=33, n2=33)
+    assert len(cycle_catalog(gs)) == 16
+    monkeypatch.setattr(curves, "POINT_LIMIT", 15)
+    monkeypatch.setattr(curves, "_signed_exponents", no_row)
+    with pytest.raises(ResourceLimitError,
+                       match="^a catalog of 16 rows exceeds the budget of 15$"):
+        cycle_catalog(gs)
 
 
 def test_cycle_catalog_divisor_rows_over_extension():

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from f2dyn import (BinaryField, FieldMismatchError, MapSpec, ProjPoint,
+from f2dyn import (BinaryField, CycleStructure, FieldMismatchError,
+                   InvariantViolationError, MapSpec, ProjPoint,
                    QuarticReduction, ResourceLimitError, Semilinear,
                    closed_form, extension_of, reduce_to_quartic)
 from f2dyn.maps import _quartic_coefficients
@@ -93,17 +94,41 @@ def test_proj_point_basics():
 
 
 def test_map_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown map kind 'frobnicate'$"):
         MapSpec("frobnicate", G, G, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^coefficient a must be nonzero$"):
         MapSpec("theta", F32.zero, G, 2)
-    with pytest.raises(ValueError):
+    k_message = "^k must be >= 0 for theta and >= 1 for psi$"
+    with pytest.raises(ValueError, match=k_message):
         MapSpec("psi", G, G, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=k_message):
         MapSpec("theta", G, G, -1)
-    with pytest.raises(FieldMismatchError):
+    with pytest.raises(FieldMismatchError,
+                       match="^coefficients lie in different fields$"):
         MapSpec("theta", G, BinaryField(4).one, 2)
     MapSpec("theta", G, F32.zero, 0)  # k = 0 is a valid affine map
+
+
+def test_map_records_compare_hash_and_stay_frozen():
+    mp = MapSpec("theta", G, G ** 3, 2)
+    same = MapSpec(kind="theta", a=G, b=G ** 3, k=2)
+    assert mp == same and hash(mp) == hash(same)
+    assert mp != MapSpec("theta", G, G ** 3, 3)
+    assert repr(mp) == f"MapSpec(kind='theta', a={G!r}, b={G ** 3!r}, k=2)"
+    assert mp.pair is mp.pair  # built once
+    cs = mp.cycle_structure()
+    assert cs == mp.cycle_structure() and hash(cs) == hash(mp.cycle_structure())
+    assert cs.cycles is cs.cycles  # built once
+    for record, name in ((mp, "k"), (mp, "a"), (cs, "ranks")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(InvariantViolationError,
+                       match="^cycles cover 32 points, expected 33$"):
+        CycleStructure(map=mp, ranks=cs.ranks[:-1])
+    it = closed_form(G, G ** 3, 4, 2)
+    assert it == closed_form(G, G ** 3, 4, 2)
+    with pytest.raises(AttributeError):
+        it.lead = F32.one
 
 
 def test_eval_special_points():

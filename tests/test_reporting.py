@@ -74,12 +74,26 @@ def test_report_prediction_invariant():
                         predicted_lengths=[1, 2, 5, 10],
                         observed_lengths=[1, 5])
     assert set(ok.observed_lengths) <= set(ok.predicted_lengths)
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(InvariantViolationError,
+                       match=r"^observed cycle lengths \[3\] missing from the "
+                             r"prediction set \[1, 2, 5, 10\]$"):
         AnalysisReport(config={"command": "curve"},
                        predicted_lengths=[1, 2, 5, 10],
                        observed_lengths=[1, 3])
     # no prediction set -> nothing to enforce
     AnalysisReport(config={"command": "orbits"}, observed_lengths=[7])
+
+
+def test_report_defaults_and_positional_fields():
+    first, second = AnalysisReport({"command": "orbits"}), AnalysisReport({})
+    assert first.cycle_summary is first.root_counts is None
+    first.notes.append("only in the first report")
+    assert second.notes == [] and second.to_dict() == {"config": {}}
+    report = AnalysisReport({}, {"1": 1}, [["inf"]], None, None, [1], [1],
+                            None, {"n": 1}, ["a note"])
+    assert (report.cycle_summary, report.cycles) == ({"1": 1}, [["inf"]])
+    assert report.predicted_lengths == report.observed_lengths == [1]
+    assert (report.root_counts, report.notes) == ({"n": 1}, ["a note"])
 
 
 def test_report_text_and_dict_round_out():
