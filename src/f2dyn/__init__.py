@@ -54,14 +54,13 @@ from .conjugacy import (
     solve_conjugation,
     verify_conjugation,
 )
-from .reporting import (AnalysisReport, cycle_labels, cycles_to_dict,
+from .reporting import (check_prediction, cycle_labels, cycles_to_dict,
                         element_echo, emit_dot, map_echo, point_label,
-                        to_json)
+                        report_text, to_json)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport",
     "BinaryField",
     "ClosedFormIterate",
     "ConjugacyData",
@@ -86,6 +85,7 @@ __all__ = [
     "bluher_distribution",
     "bluher_root_count",
     "catalog_length_sets",
+    "check_prediction",
     "closed_form",
     "curve_from_map",
     "cycle_catalog",
@@ -105,6 +105,7 @@ __all__ = [
     "polynomial_roots",
     "predict_orbit_length",
     "reduce_to_quartic",
+    "report_text",
     "scalar_mul",
     "solve_conjugation",
     "to_json",

@@ -26,8 +26,9 @@ from .curves import (catalog_length_sets, curve_from_map, cycle_catalog,
 from .fields import (BinaryField, FieldElement, InvariantViolationError,
                      ResourceLimitError)
 from .maps import MapSpec, ProjPoint
-from .reporting import (AnalysisReport, cycle_labels, cycles_to_dict,
-                        element_echo, emit_dot, point_label, to_json)
+from .reporting import (check_prediction, cycle_labels, cycles_to_dict,
+                        element_echo, emit_dot, point_label, report_text,
+                        to_json)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -104,11 +105,10 @@ def run_orbits(args: argparse.Namespace) -> str:
         return emit_dot(cs)
     if args.format == "json":
         return to_json(cycles_to_dict(cs))
-    report = AnalysisReport(config=_echo(args),
-                            cycle_summary={str(l): c
-                                           for l, c in cs.summary.items()},
-                            cycles=cycle_labels(cs))
-    return report.to_text()
+    return report_text({"config": _echo(args),
+                        "cycle_summary": {str(l): c
+                                          for l, c in cs.summary.items()},
+                        "cycles": cycle_labels(cs)})
 
 
 def _catalog_rows(entries, degree: int) -> list[dict]:
@@ -135,22 +135,24 @@ def run_curve(args: argparse.Namespace) -> str:
         raise InvariantViolationError(
             f"catalogs of the curve and its twist predict cycles {want}, "
             f"observed {summary}")
+    predicted, observed = sorted(catalog_length_sets(cat2)[0]), sorted(summary)
+    check_prediction(predicted, observed)
 
-    report = AnalysisReport(
-        config=_echo(args),
-        cycle_summary={str(l): c for l, c in summary.items()},
-        curve={"a1": element_echo(curve.a1), "a2": element_echo(curve.a2),
-               "base": {"order": gs1.order, "n1": gs1.n1, "n2": gs1.n2},
-               "extension": {"order": gs2.order, "n1": gs2.n1, "n2": gs2.n2}},
-        catalog=_catalog_rows(cat1, field.degree)
-                + _catalog_rows(cat2, 2 * field.degree),
-        predicted_lengths=sorted(catalog_length_sets(cat2)[0]),
-        observed_lengths=sorted(summary),
-        notes=[f"F_2^{field.degree}: catalogs of the curve ({gs1.order} points)"
-               f" and its twist ({twist.order} points) match the "
-               f"{sum(summary.values())} cycles of the line exactly"],
-    )
-    return to_json(report.to_dict()) if args.format == "json" else report.to_text()
+    doc = {
+        "config": _echo(args),
+        "cycle_summary": {str(l): c for l, c in summary.items()},
+        "curve": {"a1": element_echo(curve.a1), "a2": element_echo(curve.a2),
+                  "base": {"order": gs1.order, "n1": gs1.n1, "n2": gs1.n2},
+                  "extension": {"order": gs2.order, "n1": gs2.n1, "n2": gs2.n2}},
+        "catalog": _catalog_rows(cat1, field.degree)
+                   + _catalog_rows(cat2, 2 * field.degree),
+        "predicted_lengths": predicted,
+        "observed_lengths": observed,
+        "notes": [f"F_2^{field.degree}: catalogs of the curve ({gs1.order} "
+                  f"points) and its twist ({twist.order} points) match the "
+                  f"{sum(summary.values())} cycles of the line exactly"],
+    }
+    return to_json(doc) if args.format == "json" else report_text(doc)
 
 
 def run_conjugate(args: argparse.Namespace) -> str:
@@ -186,8 +188,8 @@ def run_conjugate(args: argparse.Namespace) -> str:
         transcript["tau_images"] = {
             point_label(p): point_label(tau.eval(p)) for p in source}
 
-    report = AnalysisReport(config=_echo(args), conjugacy=transcript)
-    return to_json(report.to_dict()) if args.format == "json" else report.to_text()
+    doc = {"config": _echo(args), "conjugacy": transcript}
+    return to_json(doc) if args.format == "json" else report_text(doc)
 
 
 def run_bluher(args: argparse.Namespace) -> str:
@@ -215,8 +217,8 @@ def run_bluher(args: argparse.Namespace) -> str:
     if field.order <= 256 or args.a is not None:
         payload["counts"] = {point_label(ProjPoint.finite(field.element(v))): c
                              for v, c in zip(values, counts)}
-    report = AnalysisReport(config=_echo(args), root_counts=payload)
-    return to_json(report.to_dict()) if args.format == "json" else report.to_text()
+    doc = {"config": _echo(args), "root_counts": payload}
+    return to_json(doc) if args.format == "json" else report_text(doc)
 
 
 # -- argument parsing ----------------------------------------------------------------

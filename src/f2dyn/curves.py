@@ -320,26 +320,20 @@ def predict_orbit_length(p: CurvePoint) -> int:
 # -- the divisor-pair catalog ------------------------------------------------------
 
 
-def _order_of_two(modulus: int) -> int:
+def _signed_exponents(modulus: int) -> tuple[int, int | None]:
+    """(least k with 2^k = 1, least k with 2^k = -1 or None) mod modulus,
+    from one walk through the powers of 2: -1, when it comes, comes first."""
     if modulus <= 1:
-        return 1
-    k, v = 1, 2 % modulus
+        return 1, 1
+    k, v, minus = 1, 2 % modulus, None
     while v != 1:
+        if v == modulus - 1:
+            minus = k
         v = (v + v) % modulus
         k += 1
         if k > modulus:  # pragma: no cover
             raise InvariantViolationError("order of 2 exceeded the modulus")
-    return k
-
-
-def _signed_exponents(modulus: int) -> tuple[int, int | None]:
-    """(least k with 2^k = 1, least k with 2^k = -1 or None) mod modulus."""
-    if modulus <= 1:
-        return 1, 1
-    plus = _order_of_two(modulus)
-    if plus % 2 == 0 and pow(2, plus // 2, modulus) == modulus - 1:
-        return plus, plus // 2
-    return plus, None
+    return k, minus
 
 
 class CycleCatalogEntry(namedtuple(

@@ -153,33 +153,6 @@ class Semilinear:
             raise FieldMismatchError("point lies in a different field")
         return ProjPoint.from_int(self.field, self.eval_int(_point_int(x)))
 
-    def _eigenline_fixed_points(self) -> list[int] | None:
-        """The fixed points when N = f^m is not scalar, else None.
-
-        With g = gcd(s, n) and m = n/g, f^m has twist 0, so a fixed line of
-        f is an eigenline of its matrix N (McGuire and Sheekey, Finite
-        Fields Appl. 57, 2019).  A nonscalar N has one eigenline per
-        eigenvalue lam: sqrt(det) if tr = 0, else tr*z, tr*(z + 1) with
-        z^2 + z = det/tr^2, solved in F_{2^n}.  A nonzero row (alpha, beta)
-        of N + lam*I gives the line (beta : alpha); f may swap the two.
-        """
-        field, n = self.field, self.field.degree
-        mul, order = field.mul, field.order
-        (p, q), (r, t) = self.power(n // gcd(self.s, n)).m
-        if not (q or r or p != t):
-            return None
-        tr, det = p ^ t, mul(p, t) ^ mul(q, r)
-        if tr == 0:
-            lams = [field.sqrt(det)]
-        else:
-            z = field.artin_schreier(mul(det, field.inv(mul(tr, tr))))
-            lams = [] if z is None else [mul(tr, z), mul(tr, z ^ 1)]
-        points = set()
-        for lam in lams:
-            alpha, beta = (p ^ lam, q) if p ^ lam or q else (r, t ^ lam)
-            points.add(order if alpha == 0 else mul(beta, field.inv(alpha)))
-        return sorted(x for x in points if self.eval_int(x) == x)
-
     def fixed_count(self) -> int:
         """How many points of the line f fixes, without listing them: the
         fixed_line_count of N = f^m with g = gcd(s, n), m = n/g."""
@@ -191,6 +164,15 @@ class Semilinear:
         """Ascending encodings of the fixed points (the field order is
         infinity), without a search of the line.
 
+        With g = gcd(s, n) and m = n/g, N = f^m has twist 0, so a fixed line
+        of f is an eigenline of N (McGuire and Sheekey, Finite Fields Appl.
+        57, 2019), and fixed_line_count says how many there are.  A
+        nonscalar N has one eigenline per eigenvalue lam: sqrt(det) if tr = 0
+        (one fixed point), else tr*z, tr*(z + 1) with z^2 + z = det/tr^2,
+        solved in F_{2^n} (two).  A nonzero row (alpha, beta) of N + lam*I
+        gives the line (beta : alpha).  Lines that do not come out as
+        exactly that many fixed points raise InvariantViolationError.
+
         When N = c*I, lam0 = sqrt(det M) has norm c down to F_{2^g}, as
         Norm(det M) = det N = c^2, and every fixed line holds a w with
         M*sigma^s(w) = lam0*w.  Those w form a plane W over F_{2^g} (2g
@@ -198,15 +180,31 @@ class Semilinear:
         w2 and w1 + mu*w2 for mu in F_{2^g}, with w1, w2 not proportional.
         Refuses past POINT_LIMIT points before building any.
         """
-        points = self._eigenline_fixed_points()
-        if points is not None:
-            return points
         field, s = self.field, self.s
         n, g = field.degree, gcd(s, field.degree)
-        if (1 << g) + 1 > POINT_LIMIT:
+        mul, frob, order = field.mul, field.frob, field.order
+        nm = self.power(n // g).m
+        count = fixed_line_count(field, nm, g)
+        if count <= 2:  # N is not scalar: its fixed eigenlines
+            (p, q), (r, t) = nm
+            tr, det = p ^ t, mul(p, t) ^ mul(q, r)
+            lams = [field.sqrt(det)] if count == 1 else []
+            if count == 2 and tr:
+                z = field.artin_schreier(mul(det, field.inv(mul(tr, tr))))
+                lams = [] if z is None else [mul(tr, z), mul(tr, z ^ 1)]
+            points = set()
+            for lam in lams:
+                alpha, beta = (p ^ lam, q) if p ^ lam or q else (r, t ^ lam)
+                points.add(order if alpha == 0 else mul(beta, field.inv(alpha)))
+            if len(points) != count or any(self.eval_int(x) != x
+                                            for x in points):
+                raise InvariantViolationError(
+                    f"eigenlines {sorted(points)} are not the {count} fixed "
+                    f"points of the map")
+            return sorted(points)
+        if count > POINT_LIMIT:
             raise ResourceLimitError(
                 f"2^{g} + 1 fixed points exceed the budget of {POINT_LIMIT}")
-        mul, frob, order = field.mul, field.frob, field.order
         (p, q), (r, t) = self.m
         lam = field.sqrt(mul(p, t) ^ mul(q, r))
 

@@ -1,4 +1,4 @@
-"""Text, JSON, and DOT views of cycle structures and whole analyses.
+"""Text, JSON, and DOT views of cycle structures and report documents.
 
 Points are labelled the way the cycle figures read: powers of the field's
 primitive element as "g^i", the zero element as "0", and the point at
@@ -81,85 +81,41 @@ def to_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class AnalysisReport:
-    """Everything one CLI invocation computed, with the prediction invariant
-    enforced: when a prediction set is present, every observed cycle length
-    must belong to it."""
+def check_prediction(predicted: list[int], observed: list[int]) -> None:
+    """Every observed cycle length must belong to the prediction set."""
+    stray = set(observed) - set(predicted)
+    if stray:
+        raise InvariantViolationError(
+            f"observed cycle lengths {sorted(stray)} missing from the "
+            f"prediction set {sorted(predicted)}")
 
-    __slots__ = ("config", "cycle_summary", "cycles", "curve", "catalog",
-                 "predicted_lengths", "observed_lengths", "conjugacy",
-                 "root_counts", "notes")
 
-    def __init__(self, config: dict, cycle_summary: dict | None = None,
-                 cycles: list[list[str]] | None = None,
-                 curve: dict | None = None, catalog: list[dict] | None = None,
-                 predicted_lengths: list[int] | None = None,
-                 observed_lengths: list[int] | None = None,
-                 conjugacy: dict | None = None,
-                 root_counts: dict | None = None,
-                 notes: list[str] | None = None):
-        if predicted_lengths is not None and observed_lengths is not None:
-            stray = set(observed_lengths) - set(predicted_lengths)
-            if stray:
-                raise InvariantViolationError(
-                    f"observed cycle lengths {sorted(stray)} missing from the "
-                    f"prediction set {sorted(predicted_lengths)}")
-        self.config = config
-        self.cycle_summary = cycle_summary
-        self.cycles = cycles
-        self.curve = curve
-        self.catalog = catalog
-        self.predicted_lengths = predicted_lengths
-        self.observed_lengths = observed_lengths
-        self.conjugacy = conjugacy
-        self.root_counts = root_counts
-        self.notes = [] if notes is None else notes
-
-    def to_dict(self) -> dict:
-        out = {"config": self.config}
-        for key in ("cycle_summary", "cycles", "curve", "catalog",
-                    "predicted_lengths", "observed_lengths", "conjugacy",
-                    "root_counts"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.notes:
-            out["notes"] = self.notes
-        return out
-
-    def to_text(self) -> str:
-        lines = []
-        cfg = self.config
-        lines.append(f"input: {json.dumps(cfg, sort_keys=True)}")
-        if self.cycle_summary is not None:
-            parts = ", ".join(f"{c} of length {l}"
-                              for l, c in sorted(self.cycle_summary.items(),
-                                                 key=lambda kv: int(kv[0])))
-            lines.append(f"cycles: {parts}")
-        if self.cycles is not None:
-            for cyc in self.cycles:
-                lines.append("  (" + " -> ".join(cyc) + ")")
-        if self.curve is not None:
-            lines.append("curve: " + json.dumps(self.curve, sort_keys=True))
-        if self.catalog is not None:
-            lines.append("catalog (d1, d2, m1, m2, length, points, cycles):")
-            for row in self.catalog:
-                where = f"F_2^{row['over']}: " if "over" in row else ""
-                lines.append(
-                    f"  {where}({row['d1']}, {row['d2']}, {row['m1']}, {row['m2']}, "
-                    f"{row['length']}, {row['point_count']}, {row['cycle_count']})"
-                    + (f"  candidates {row['possible_lengths']}"
-                       if len(row["possible_lengths"]) > 1 else ""))
-        if self.predicted_lengths is not None:
-            lines.append(f"predicted lengths: {sorted(self.predicted_lengths)}")
-        if self.observed_lengths is not None:
-            lines.append(f"observed lengths:  {sorted(set(self.observed_lengths))}")
-        if self.conjugacy is not None:
-            for key, value in sorted(self.conjugacy.items()):
-                lines.append(f"{key}: {value}")
-        if self.root_counts is not None:
-            for key, value in sorted(self.root_counts.items()):
-                lines.append(f"{key}: {value}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines) + "\n"
+def report_text(doc: dict) -> str:
+    """The text view of a report document: the input echo, then each section
+    the document holds, in a fixed order.  The JSON view is the document."""
+    lines = [f"input: {json.dumps(doc['config'], sort_keys=True)}"]
+    if "cycle_summary" in doc:
+        parts = ", ".join(f"{c} of length {l}" for l, c in sorted(
+            doc["cycle_summary"].items(), key=lambda kv: int(kv[0])))
+        lines.append(f"cycles: {parts}")
+    lines += ["  (" + " -> ".join(cyc) + ")" for cyc in doc.get("cycles", ())]
+    if "curve" in doc:
+        lines.append("curve: " + json.dumps(doc["curve"], sort_keys=True))
+    if "catalog" in doc:
+        lines.append("catalog (d1, d2, m1, m2, length, points, cycles):")
+        for row in doc["catalog"]:
+            where = f"F_2^{row['over']}: " if "over" in row else ""
+            lines.append(
+                f"  {where}({row['d1']}, {row['d2']}, {row['m1']}, {row['m2']}, "
+                f"{row['length']}, {row['point_count']}, {row['cycle_count']})"
+                + (f"  candidates {row['possible_lengths']}"
+                   if len(row["possible_lengths"]) > 1 else ""))
+    if "predicted_lengths" in doc:
+        lines.append(f"predicted lengths: {sorted(doc['predicted_lengths'])}")
+    if "observed_lengths" in doc:
+        lines.append(f"observed lengths:  {sorted(set(doc['observed_lengths']))}")
+    for section in ("conjugacy", "root_counts"):
+        lines += [f"{key}: {value}"
+                  for key, value in sorted(doc.get(section, {}).items())]
+    lines += [f"note: {note}" for note in doc.get("notes", ())]
+    return "\n".join(lines) + "\n"

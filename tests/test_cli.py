@@ -83,6 +83,36 @@ def test_orbits_json_document(capsys):
     assert ["g^8", "inf", "0", "g^29", "g^22"] in doc["cycles"]
 
 
+def leaves(node):
+    """Every scalar of a JSON document."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for child in node for x in leaves(child)]
+    return [node]
+
+
+@pytest.mark.parametrize("argv, sections", [
+    (["orbits", "--degree", "5", "--a", "g", "--b", "g^3"],
+     {"cycles", "map", "point_total", "summary"}),
+    (["curve", "--degree", "5", "--a", "g", "--b", "g^3"],
+     {"catalog", "config", "curve", "cycle_summary", "notes",
+      "observed_lengths", "predicted_lengths"}),
+    (["conjugate", "--degree", "5", "--map", "psi", "--a", "g", "--b", "g^2"],
+     {"config", "conjugacy"}),
+    (["bluher", "--degree", "5"], {"config", "root_counts"}),
+    (["bluher", "--degree", "5", "--a", "g^3"], {"config", "root_counts"}),
+])
+def test_json_documents_hold_exactly_their_sections(argv, sections, capsys):
+    """Each report holds only the sections its command fills, with no null
+    value anywhere."""
+    code, out, err = invoke(argv + ["--format", "json"], capsys)
+    assert code == EXIT_OK and err == ""
+    doc = json.loads(out)
+    assert set(doc) == sections
+    assert None not in leaves(doc)
+
+
 @pytest.mark.parametrize("argv", [
     ["curve", "--degree", "5", "--a", "g", "--b", "g^3"],
     ["conjugate", "--degree", "5", "--map", "psi", "--a", "g", "--b", "g^2"],

@@ -12,7 +12,8 @@ from f2dyn import (BinaryField, ConjugacyData, FieldMismatchError,
                    ResourceLimitError, Semilinear, SubsetXorSolver, TauMap,
                    bluher_counts, bluher_distribution, bluher_root_count,
                    conjugacy, element_echo, extension_of, fixed_point_count,
-                   polynomial_roots, solve_conjugation, verify_conjugation)
+                   maps, polynomial_roots, solve_conjugation,
+                   verify_conjugation)
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
@@ -195,6 +196,19 @@ def test_theta_fixed_points_known_case():
     pts = mp.pair.fixed_points()
     assert pts == [0, (G ** 27).bits, F32.order]
     assert pts == [i for i in range(F32.order + 1) if mp.eval_int(i) == i]
+
+
+def test_fixed_points_fail_loudly_when_the_count_disagrees(monkeypatch):
+    """The eigenlines listed must be exactly fixed_line_count fixed points.
+    With k = 5 over F_32, N is the map's own matrix: for (a, b) = (g, g^3)
+    x^2 + x = det/tr^2 has no root, and (g, g) has two fixed points."""
+    none, two = (MapSpec("psi", G, G ** j, 5).pair for j in (3, 1))
+    assert none.fixed_points() == [] and len(two.fixed_points()) == 2
+    for pair, count in ((none, 2), (two, 1)):
+        monkeypatch.setattr(maps, "fixed_line_count", lambda f, m, g: count)
+        with pytest.raises(InvariantViolationError,
+                           match=f"are not the {count} fixed points"):
+            pair.fixed_points()
 
 
 def test_wide_fixed_points_match_the_substituted_root_search():

@@ -477,6 +477,17 @@ def test_cycle_catalog_is_sized_before_its_rows(monkeypatch):
         cycle_catalog(gs)
 
 
+def test_signed_exponents_match_their_definition():
+    """Both outputs for every odd modulus below 3001, against the least
+    k >= 1 with 2^k = 1 and with 2^k = -1 (None when no power is -1) read
+    off the powers of 2 mod m; modulus 1 gives (1, 1)."""
+    for m in range(1, 3001, 2):
+        powers = [pow(2, k, m) for k in range(1, m + 1)]
+        plus = powers.index(1 % m) + 1
+        minus = powers.index(m - 1) + 1 if m - 1 in powers else None
+        assert curves._signed_exponents(m) == (plus, minus), m
+
+
 def test_cycle_catalog_divisor_rows_over_extension():
     gs = group_structure(curve_from_map(G, G ** 3).extended(extension_of(F32, 2)))
     assert (gs.n1, gs.n2) == (1, 1025)

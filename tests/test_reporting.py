@@ -2,9 +2,9 @@
 
 import pytest
 
-from f2dyn import (AnalysisReport, BinaryField, InvariantViolationError,
-                   MapSpec, ProjPoint, cycle_labels, cycles_to_dict, emit_dot,
-                   point_label, to_json)
+from f2dyn import (BinaryField, InvariantViolationError, MapSpec, ProjPoint,
+                   check_prediction, cycle_labels, cycles_to_dict, emit_dot,
+                   point_label, report_text, to_json)
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
@@ -70,50 +70,45 @@ def test_to_json_is_stable_and_sorted():
 
 
 def test_report_prediction_invariant():
-    ok = AnalysisReport(config={"command": "curve"},
-                        predicted_lengths=[1, 2, 5, 10],
-                        observed_lengths=[1, 5])
-    assert set(ok.observed_lengths) <= set(ok.predicted_lengths)
+    check_prediction([1, 2, 5, 10], [1, 5])
+    check_prediction([1, 2, 5, 10], [])
     with pytest.raises(InvariantViolationError,
                        match=r"^observed cycle lengths \[3\] missing from the "
                              r"prediction set \[1, 2, 5, 10\]$"):
-        AnalysisReport(config={"command": "curve"},
-                       predicted_lengths=[1, 2, 5, 10],
-                       observed_lengths=[1, 3])
-    # no prediction set -> nothing to enforce
-    AnalysisReport(config={"command": "orbits"}, observed_lengths=[7])
-
-
-def test_report_defaults_and_positional_fields():
-    first, second = AnalysisReport({"command": "orbits"}), AnalysisReport({})
-    assert first.cycle_summary is first.root_counts is None
-    first.notes.append("only in the first report")
-    assert second.notes == [] and second.to_dict() == {"config": {}}
-    report = AnalysisReport({}, {"1": 1}, [["inf"]], None, None, [1], [1],
-                            None, {"n": 1}, ["a note"])
-    assert (report.cycle_summary, report.cycles) == ({"1": 1}, [["inf"]])
-    assert report.predicted_lengths == report.observed_lengths == [1]
-    assert (report.root_counts, report.notes) == ({"n": 1}, ["a note"])
+        check_prediction([10, 5, 2, 1], [1, 3])
 
 
 def test_report_text_and_dict_round_out():
-    report = AnalysisReport(
-        config={"command": "curve", "degree": 5},
-        curve={"order": 41},
-        catalog=[{"d1": 1, "d2": 1, "m1": 1, "m2": 41, "length": 10,
-                  "point_count": 40, "cycle_count": 2,
-                  "possible_lengths": [10, 20], "over": 5}],
-        predicted_lengths=[1, 10],
-        observed_lengths=[10, 1],
-        notes=["catalog matches the 3 cycles through curve x-coordinates"],
-    )
-    text = report.to_text()
+    doc = {
+        "config": {"command": "curve", "degree": 5},
+        "curve": {"order": 41},
+        "catalog": [{"d1": 1, "d2": 1, "m1": 1, "m2": 41, "length": 10,
+                     "point_count": 40, "cycle_count": 2,
+                     "possible_lengths": [10, 20], "over": 5}],
+        "predicted_lengths": [1, 10],
+        "observed_lengths": [10, 1],
+        "notes": ["catalog matches the 3 cycles through curve x-coordinates"],
+    }
+    text = report_text(doc)
+    assert text.splitlines()[:3] == [
+        'input: {"command": "curve", "degree": 5}', 'curve: {"order": 41}',
+        "catalog (d1, d2, m1, m2, length, points, cycles):"]
     assert "F_2^5: (1, 1, 1, 41, 10, 40, 2)  candidates [10, 20]" in text
     assert "predicted lengths: [1, 10]" in text
     assert "observed lengths:  [1, 10]" in text
     assert "note: catalog matches" in text.splitlines()[-1]
-    d = report.to_dict()
-    assert d["config"]["command"] == "curve"
-    assert d["catalog"][0]["m2"] == 41
-    assert "cycle_summary" not in d  # unset sections stay absent
-    assert to_json(d) == to_json(report.to_dict())
+    assert to_json(doc) == to_json(dict(reversed(doc.items())))
+    # absent sections print nothing; present ones keep a fixed order
+    assert report_text({"config": {}}) == "input: {}\n"
+    doc = {"notes": ["last"], "root_counts": {"b": 2, "a": 1},
+           "conjugacy": {"c": 3}, "cycles": [["inf"], ["0", "g^0"]],
+           "cycle_summary": {"10": 1, "2": 3}, "config": {"command": "x"}}
+    assert report_text(doc) == (
+        'input: {"command": "x"}\n'
+        "cycles: 3 of length 2, 1 of length 10\n"
+        "  (inf)\n"
+        "  (0 -> g^0)\n"
+        "c: 3\n"
+        "a: 1\n"
+        "b: 2\n"
+        "note: last\n")
