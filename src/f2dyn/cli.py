@@ -9,14 +9,18 @@ Field elements on the command line are written either as powers of the
 field's primitive element ("g^12", or "g" for the generator itself) or as
 hex encodings ("0x1a").  Exit codes: 0 success, 1 invariant violation,
 2 usage error, 3 resource bound exceeded.
+
+Each command's options are declared once, in _COMMANDS.  A canonical
+command line is read straight off that table; any other goes to the
+argparse parser built from it, which also owns help, usage and errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 from .conjugacy import (TauMap, bluher_counts, bluher_distribution,
                         bluher_root_count, fixed_point_count,
@@ -26,7 +30,7 @@ from .curves import (catalog_length_sets, curve_from_map, cycle_catalog,
 from .fields import (BinaryField, FieldElement, InvariantViolationError,
                      ResourceLimitError)
 from .maps import MapSpec, ProjPoint
-from .reporting import (check_prediction, cycle_labels, cycles_to_dict,
+from .reporting import (check_prediction, cycle_paths, cycles_to_dict,
                         element_echo, emit_dot, point_label, report_text,
                         to_json)
 
@@ -40,13 +44,13 @@ class UsageError(ValueError):
     """A syntactically valid command line that asks for something invalid."""
 
 
-def _echo(args: argparse.Namespace) -> dict:
+def _echo(args: SimpleNamespace) -> dict:
     """The parsed command line, as a report's `input:` line echoes it."""
     out = {"command": args.command, "degree": args.degree,
            "k": args.k, "format": args.format}
     if args.modulus is not None:
         out["modulus"] = f"{args.modulus:#x}"
-    if "map_kind" in args:
+    if hasattr(args, "map_kind"):
         out["map"] = args.map_kind
     for key in ("a", "b"):
         value = getattr(args, key, None)  # bluher takes no --b
@@ -77,7 +81,7 @@ def parse_element(field: BinaryField, text: str) -> FieldElement:
         raise UsageError(str(exc)) from None
 
 
-def _field(args: argparse.Namespace) -> BinaryField:
+def _field(args: SimpleNamespace) -> BinaryField:
     if args.degree < 1:
         raise UsageError("--degree must be a positive integer")
     try:
@@ -86,7 +90,7 @@ def _field(args: argparse.Namespace) -> BinaryField:
         raise UsageError(str(exc)) from None
 
 
-def _map(args: argparse.Namespace, field: BinaryField) -> MapSpec:
+def _map(args: SimpleNamespace, field: BinaryField) -> MapSpec:
     a = parse_element(field, args.a)
     b = parse_element(field, args.b)
     try:
@@ -98,7 +102,7 @@ def _map(args: argparse.Namespace, field: BinaryField) -> MapSpec:
 # -- subcommands --------------------------------------------------------------------
 
 
-def run_orbits(args: argparse.Namespace) -> str:
+def run_orbits(args: SimpleNamespace) -> str:
     mp = _map(args, _field(args))
     cs = mp.cycle_structure()
     if args.format == "dot":
@@ -108,7 +112,7 @@ def run_orbits(args: argparse.Namespace) -> str:
     return report_text({"config": _echo(args),
                         "cycle_summary": {str(l): c
                                           for l, c in cs.summary.items()},
-                        "cycles": cycle_labels(cs)})
+                        "cycles": cycle_paths(cs)})
 
 
 def _catalog_rows(entries, degree: int) -> list[dict]:
@@ -118,7 +122,7 @@ def _catalog_rows(entries, degree: int) -> list[dict]:
             for e in entries]
 
 
-def run_curve(args: argparse.Namespace) -> str:
+def run_curve(args: SimpleNamespace) -> str:
     if args.map_kind != "theta" or args.k != 2:
         raise UsageError("curve analysis applies to theta maps with k=2 "
                          "(the duplication shape)")
@@ -155,7 +159,7 @@ def run_curve(args: argparse.Namespace) -> str:
     return to_json(doc) if args.format == "json" else report_text(doc)
 
 
-def run_conjugate(args: argparse.Namespace) -> str:
+def run_conjugate(args: SimpleNamespace) -> str:
     if args.map_kind != "psi":
         raise UsageError("conjugation applies to psi maps (pass --map psi)")
     field = _field(args)
@@ -192,7 +196,7 @@ def run_conjugate(args: argparse.Namespace) -> str:
     return to_json(doc) if args.format == "json" else report_text(doc)
 
 
-def run_bluher(args: argparse.Namespace) -> str:
+def run_bluher(args: SimpleNamespace) -> str:
     """Root counts of x^(2^k+1) + x + a: every nonzero a from one image pass
     (bluher_counts), or the one --a value by root finding."""
     field = _field(args)
@@ -228,62 +232,108 @@ def _hex_int(text: str) -> int:
     try:
         return int(text, 16)
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError(f"invalid hex value {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _report_options(kind: str | None, formats: tuple[str, ...] = ("text", "json")
+                    ) -> list[tuple[str, dict]]:
+    """--degree, --modulus, then --map, --a and --b when kind names the
+    default map family (bluher has none), then --k and --format."""
+    options = [
+        ("--degree", dict(type=int, required=True, metavar="N",
+                          help="field degree: work over F_{2^N}")),
+        ("--modulus", dict(type=_hex_int, metavar="HEX",
+                           help="irreducible modulus bits (default: built-in)")),
+    ]
+    if kind is not None:
+        options += [
+            ("--map", dict(dest="map_kind", choices=("theta", "psi"),
+                           default=kind, help=f"map family (default {kind})")),
+            ("--a", dict(required=True, metavar="ELT",
+                         help="coefficient a (g^i or hex, nonzero)")),
+            ("--b", dict(required=True, metavar="ELT",
+                         help="coefficient b (g^i or hex)")),
+        ]
+    return options + [
+        ("--k", dict(type=int, default=2, metavar="K",
+                     help="Frobenius exponent: the map uses x^(2^K)")),
+        ("--format", dict(choices=formats, default="text", help="output format")),
+    ]
+
+
+# The report commands: each one's handler, help line and options, as
+# (flag, add_argument keywords).  build_parser hands the keywords to
+# argparse; _read_canonical applies the same converters (type), choices,
+# defaults and required flags.  The attribute is dest, or the flag's name.
+_COMMANDS = {
+    "orbits": (run_orbits, "cycle decomposition of the map",
+               _report_options("theta", ("text", "dot", "json"))),
+    "curve": (run_curve,
+              "curve, group structure, and catalog behind a quartic theta map",
+              _report_options("theta")),
+    "conjugate": (run_conjugate, "normal form of a reciprocal map",
+                  _report_options("psi")),
+    "bluher": (run_bluher, "root counts of x^(2^k+1) + x + a",
+               _report_options(None) + [
+                   ("--a", dict(metavar="ELT",
+                                help="restrict the sweep to one a value"))]),
+}
+
+
+def build_parser():
+    """The argparse parser of every command line; it parses whatever
+    _read_canonical declines, and writes help, usage and error texts."""
+    import argparse  # canonical command lines never load it
     parser = argparse.ArgumentParser(
         prog="f2dyn",
         description="Cycle structure of x -> a*x^(2^k) + b and its "
                     "reciprocal over binary fields.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_map: bool, kind: str,
-               formats: tuple[str, ...] = ("text", "json")) -> None:
-        p.add_argument("--degree", type=int, required=True, metavar="N",
-                       help="field degree: work over F_{2^N}")
-        p.add_argument("--modulus", type=_hex_int, metavar="HEX",
-                       help="irreducible modulus bits (default: built-in)")
-        if with_map:
-            p.add_argument("--map", dest="map_kind", choices=("theta", "psi"),
-                           default=kind, help=f"map family (default {kind})")
-            p.add_argument("--a", required=True, metavar="ELT",
-                           help="coefficient a (g^i or hex, nonzero)")
-            p.add_argument("--b", required=True, metavar="ELT",
-                           help="coefficient b (g^i or hex)")
-        p.add_argument("--k", type=int, default=2, metavar="K",
-                       help="Frobenius exponent: the map uses x^(2^K)")
-        p.add_argument("--format", choices=formats, default="text",
-                       help="output format")
-
-    p = sub.add_parser("orbits", help="cycle decomposition of the map")
-    common(p, with_map=True, kind="theta", formats=("text", "dot", "json"))
-    p = sub.add_parser("curve", help="curve, group structure, and catalog "
-                                     "behind a quartic theta map")
-    common(p, with_map=True, kind="theta")
-    p = sub.add_parser("conjugate", help="normal form of a reciprocal map")
-    common(p, with_map=True, kind="psi")
-    p = sub.add_parser("bluher", help="root counts of x^(2^k+1) + x + a")
-    common(p, with_map=False, kind="theta")
-    p.add_argument("--a", metavar="ELT",
-                   help="restrict the sweep to one a value")
+    for command, (_, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
     p = sub.add_parser("selftest", help="run the verification suite")
     p.add_argument("--quick", action="store_true",
                    help="only the four worked-example checks")
     return parser
 
 
-_HANDLERS = {
-    "orbits": run_orbits,
-    "curve": run_curve,
-    "conjugate": run_conjugate,
-    "bluher": run_bluher,
-}
+def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes build_parser().parse_args(argv) sets, read off
+    _COMMANDS without argparse, for argv in canonical form: a report
+    command, then exact `--flag VALUE` pairs, each flag at most once and no
+    value starting with "-".  None for any other argv (help, abbreviations,
+    `--flag=value`, a bad value, a missing option), which argparse then
+    parses or reports."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    options = _COMMANDS[argv[0]][2]
+    specs, given = dict(options), {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        spec = specs.get(flag)
+        if spec is None or flag in given or text.startswith("-"):
+            return None
+        convert, choices = spec.get("type"), spec.get("choices")
+        try:
+            value = text if convert is None else convert(text)
+        except Exception:  # int's ValueError, _hex_int's ArgumentTypeError
+            return None  # argparse reruns the converter and reports it
+        if choices is not None and value not in choices:
+            return None
+        given[flag] = value
+    args = {"command": argv[0]}
+    for flag, spec in options:
+        if flag not in given and spec.get("required"):
+            return None
+        args[spec.get("dest", flag[2:])] = given.get(flag, spec.get("default"))
+    return SimpleNamespace(**args)
 
 
-def run(args: argparse.Namespace) -> str:
+def run(args: SimpleNamespace) -> str:
     """Execute one parsed command line and return its report document."""
-    return _HANDLERS[args.command](args)
+    return _COMMANDS[args.command][0](args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -300,7 +350,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _command(argv: list[str] | None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_canonical(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.command == "selftest":
         from . import selftest  # only this command pays for its import
         return selftest.run(quick=args.quick)

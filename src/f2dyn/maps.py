@@ -236,19 +236,23 @@ class Semilinear:
         """The map on ranks (g^i is i, zero N = 2^n - 1, infinity N + 1):
         g^i goes to log(p*y + q) - log(r*y + t) mod N, y = g^(i*2^s), with
         the zero of the numerator sent to N and that of the denominator to
-        N + 1.  Refuses, through the field's tables, above 2^16 elements."""
+        N + 1.  Refuses, through the field's tables, above 2^16 elements.
+
+        The image is built untwisted, with y = g^i, and then twisted: i goes
+        to 2^s*i mod N, and the i with floor(2^s*i / N) = j read the untwisted
+        row at 2^s*i - j*N, one stride-2^s slice per j < 2^s."""
         field = self.field
         exp, log = field.tables()
         n, N, s = field.degree, field.mult_order, self.s
         (p, q), (r, t) = self.m
-        ys = range(N) if s == 0 else [(i << s) % N for i in range(N)]
+        mod = N.__rmod__
 
         def logs(c: int, d: int) -> list[int] | None:
-            # log(c*y + d) for every y (log 0 reads -1), None when c = 0
+            # log(c*g^i + d) for every i < N (log 0 reads -1), None when c = 0
             if c == 0:
                 return None
             lc = log[c]
-            return [log[exp[lc + y] ^ d] for y in ys]
+            return list(map(log.__getitem__, map(d.__xor__, exp[lc:lc + N])))
 
         def vanishes_at(c: int, d: int) -> int | None:
             # the rank i with c*y + d = 0, y = g^(i*2^s); 2^(n-s) inverts 2^s
@@ -264,12 +268,15 @@ class Semilinear:
         num, den = logs(p, q), logs(r, t)
         if den is None:  # theta: the denominator is the unit t
             lt = log[t]
-            image = num if lt == 0 else [(u - lt) % N for u in num]
+            image = num if lt == 0 else list(map(mod, map((-lt).__add__, num)))
         elif num is None:  # psi: the numerator is the unit q
-            lq = log[q]
-            image = [(lq - v) % N for v in den]
+            image = list(map(mod, map(log[q].__sub__, den)))
         else:
-            image = [(u - v) % N for u, v in zip(num, den)]
+            image = list(map(mod, map(int.__sub__, num, den)))
+        if s:
+            step, row, image = 1 << s, image, []
+            for j in range(step):
+                image += row[(-j * N) % step::step]
         for c, d, rank in ((p, q, N), (r, t, N + 1)):
             i = vanishes_at(c, d)
             if i is not None:

@@ -49,10 +49,28 @@ def map_echo(m: MapSpec) -> dict:
     }
 
 
-def cycle_labels(cs: CycleStructure) -> list[list[str]]:
+def cycle_paths(cs: CycleStructure) -> list[str]:
+    """Each cycle of the listing as one string of labels, "g^i -> ... -> 0".
+    A cycle of ranks below N = 2^n - 1 fills a "g^%d" template of its length;
+    the at most two cycles through zero (rank N) or infinity (rank N + 1)
+    are labelled point by point."""
     units = cs.map.field.mult_order
-    labels = [f"g^{i}" for i in range(units)] + ["0", "inf"]  # by rank
-    return [[labels[r] for r in cyc] for cyc in cs.ranks]
+    special = {units: "0", units + 1: "inf"}
+    templates: dict[int, str] = {}
+    paths = []
+    for cyc in cs.ranks:
+        if units in cyc or units + 1 in cyc:
+            paths.append(" -> ".join([special.get(r) or f"g^{r}" for r in cyc]))
+            continue
+        template = templates.get(len(cyc))
+        if template is None:
+            template = templates[len(cyc)] = " -> ".join(["g^%d"] * len(cyc))
+        paths.append(template % cyc)
+    return paths
+
+
+def cycle_labels(cs: CycleStructure) -> list[list[str]]:
+    return [path.split(" -> ") for path in cycle_paths(cs)]
 
 
 def cycles_to_dict(cs: CycleStructure) -> dict:
@@ -98,7 +116,7 @@ def report_text(doc: dict) -> str:
         parts = ", ".join(f"{c} of length {l}" for l, c in sorted(
             doc["cycle_summary"].items(), key=lambda kv: int(kv[0])))
         lines.append(f"cycles: {parts}")
-    lines += ["  (" + " -> ".join(cyc) + ")" for cyc in doc.get("cycles", ())]
+    lines += ["  (" + path + ")" for path in doc.get("cycles", ())]
     if "curve" in doc:
         lines.append("curve: " + json.dumps(doc["curve"], sort_keys=True))
     if "catalog" in doc:

@@ -413,14 +413,112 @@ def test_selftest_checks_the_extension_group_that_curve_prints(monkeypatch,
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     """Start-up cost: importing the command line, with site's imports out
-    of the way (-S), loads none of these modules."""
+    of the way (-S), loads none of these modules, and neither does a
+    canonical command line, which is read without argparse."""
     src = str(Path(f2dyn.__file__).resolve().parents[1])
+    avoided = "{'dataclasses', 'inspect', 'typing', 'argparse', 'gettext', 'locale'}"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import f2dyn.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'}"
-            " & set(sys.modules)))")
+            f"print(sorted({avoided} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import f2dyn.cli; "
+            "code = f2dyn.cli.main(sys.argv[2:]); "
+            f"print(code, sorted({avoided} & set(sys.modules)), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src, "curve",
+                           "--degree", "5", "--a", "g", "--b", "g^3"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.startswith("input: ")
+    assert (done.returncode, done.stderr) == (0, "0 []\n")
+
+
+# -- the canonical-argv reader against argparse ---------------------------------------
+
+
+def canonical_corpus(seed: int = 20) -> list[list[str]]:
+    """Canonical command lines of every report command: each subset of its
+    optional options, each in every position of a shuffled order (all
+    rotations), with every choice and hex moduli in several spellings."""
+    rng = random.Random(seed)
+    values = {
+        "--degree": lambda: str(rng.randrange(0, 40)),
+        "--modulus": lambda: rng.choice(["0x25", "25", "0X11B", "11b", "0x0"]),
+        "--a": lambda: rng.choice(["g", f"g^{rng.randrange(-9, 99)}",
+                                   hex(rng.randrange(1 << 16)), "zz", ""]),
+        "--b": lambda: rng.choice(["g^3", "0x0", "1f", "G^-2"]),
+        "--k": lambda: str(rng.randrange(0, 70)),
+    }
+    corpus = []
+    for command, (_, _, options) in cli._COMMANDS.items():
+        optional = [flag for flag, spec in options if not spec.get("required")]
+        for mask in range(1 << len(optional)):
+            flags = [flag for flag, spec in options if spec.get("required")
+                     or mask >> optional.index(flag) & 1]
+            rng.shuffle(flags)
+            for turn in range(len(flags)):
+                argv = [command]
+                for flag in flags[turn:] + flags[:turn]:
+                    choices = dict(options)[flag].get("choices")
+                    argv += [flag, rng.choice(choices) if choices
+                             else values[flag]()]
+                corpus.append(argv)
+    return corpus
+
+
+def test_canonical_argv_is_read_as_argparse_reads_it():
+    parser = build_parser()
+    corpus = canonical_corpus()
+    positions, values = set(), set()
+    for argv in corpus:
+        fast = cli._read_canonical(argv)
+        assert fast is not None, argv
+        assert vars(fast) == vars(parser.parse_args(argv)), argv
+        for i in range(1, len(argv), 2):
+            positions.add((argv[0], argv[i], i // 2))
+            values.add((argv[0], argv[i], argv[i + 1]))
+    for command, (_, _, options) in cli._COMMANDS.items():
+        for flag, spec in options:
+            for position in range(len(options)):
+                assert (command, flag, position) in positions
+            for choice in spec.get("choices", ()):
+                assert (command, flag, choice) in values
+    assert any("--modulus" in argv for argv in corpus)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["orbits", "-h"], EXIT_OK),
+    (["orbits", "--deg", "5", "--a", "g", "--b", "g^3"], EXIT_OK),
+    (["orbits", "--degree", "5", "--k=3", "--a", "g", "--b", "g^3"], EXIT_OK),
+    (["orbits", "--degree", "5", "--k", "3", "--a", "g", "--b", "g^3",
+      "--k", "4"], EXIT_OK),
+    (["orbits", "--degree", "5", "--k", "-1", "--a", "g", "--b", "g^3"],
+     EXIT_USAGE),
+    (["orbits", "--degree", "5", "--a", "g", "--b", "g^3", "--style", "fancy"],
+     EXIT_USAGE),
+    (["orbits", "--degree", "5", "--b", "g^3"], EXIT_USAGE),
+    (["curve", "--degree", "5", "--a", "g", "--b", "g^3", "--format", "dot"],
+     EXIT_USAGE),
+    (["orbits", "--degree", "5", "--modulus", "zz", "--a", "g", "--b", "g"],
+     EXIT_USAGE),
+])
+def test_other_argv_is_left_to_argparse(argv, want, monkeypatch, capsys):
+    """The reader declines, and main prints what argparse alone makes of
+    the command line: the same exit code, stdout and stderr."""
+    assert cli._read_canonical(argv) is None
+
+    def outcome():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    got = outcome()
+    monkeypatch.setattr(cli, "_read_canonical", lambda argv: None)
+    assert outcome() == got
+    assert got[0] == want
+    assert (got[2] == "") == (want == EXIT_OK)
 
 
 def test_usage_errors_exit_two(capsys):

@@ -252,6 +252,30 @@ def test_cycles_are_the_ranks_as_points():
         assert [len(c) for c in cs.cycles] == [len(c) for c in cs.ranks]
 
 
+def test_rank_permutation_matches_the_pointwise_map_at_every_twist():
+    """rank_permutation twists its row by 2^s strided slices, one per
+    j < 2^s; every s in range(n), given as k = s and as k = s + n, must
+    send each rank where eval_int sends its point."""
+    rng = random.Random(20)
+    for n in (1, 2, 3, 4, 5, 6, 9, 12):
+        f = BinaryField(n)
+        units, (exp, log) = f.mult_order, f.tables()
+        point = [exp[r] for r in range(units)] + [0, f.order]  # by rank
+        rank = {x: r for r, x in enumerate(point)}
+        a, b = rng.randrange(1, f.order), rng.randrange(f.order)
+        while True:  # a general pair: p, r nonzero, so neither row is a unit
+            p, r = rng.randrange(1, f.order), rng.randrange(1, f.order)
+            q, t = rng.randrange(f.order), rng.randrange(f.order)
+            if f.mul(p, t) != f.mul(q, r):
+                break
+        for s in range(n):
+            for k in (s, s + n):
+                for m in (((a, b), (0, 1)), ((0, 1), (a, b)), ((p, q), (r, t))):
+                    pair = Semilinear(f, m, k)
+                    want = [rank[pair.eval_int(x)] for x in point]
+                    assert pair.rank_permutation() == want, (n, k, m)
+
+
 def test_line_scans_are_sized_before_they_start():
     """Above the exp/log tables the rank kernel refuses at once, and the
     pointwise permutation refuses a line above the point budget before it

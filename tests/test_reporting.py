@@ -5,6 +5,7 @@ import pytest
 from f2dyn import (BinaryField, InvariantViolationError, MapSpec, ProjPoint,
                    check_prediction, cycle_labels, cycles_to_dict, emit_dot,
                    point_label, report_text, to_json)
+from f2dyn.reporting import cycle_paths
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
@@ -29,11 +30,26 @@ def test_cycle_labels_match_known_figure():
 
 
 def test_cycle_labels_of_ranks_are_the_point_labels():
-    """Labels read straight off the ranks equal point_label of the lazily
-    built points, on the degree-16 map the benchmark ladder lists."""
+    """Labels read straight off the ranks, and the text listing, equal
+    point_label of the lazily built points over F_2^16, also on the cycles
+    through zero and infinity, which are labelled point by point."""
     f = BinaryField(16)
-    cs = MapSpec("theta", f.element(0xF13A), f.element(0x2B7B), 2).cycle_structure()
-    assert cycle_labels(cs) == [[point_label(p) for p in c] for c in cs.cycles]
+    for kind, a, b, k in (
+            ("theta", 0xF13A, 0x2B7B, 2),  # the map the benchmark ladder lists
+            ("psi", 0xF13A, 0x2B7B, 3),  # inf -> 0 inside a longer cycle
+            ("theta", 0x2B7B, 0x0, 1)):  # b = 0: zero and inf are fixed
+        cs = MapSpec(kind, f.element(a), f.element(b), k).cycle_structure()
+        want = [[point_label(p) for p in c] for c in cs.cycles]
+        assert cycle_labels(cs) == want, kind
+        text = report_text({"config": {}, "cycles": cycle_paths(cs)})
+        assert text.splitlines()[1:] == [
+            "  (" + " -> ".join(c) + ")" for c in want], kind
+        special = [c for c in want if "0" in c or "inf" in c]
+        if kind == "psi":
+            [cyc] = special
+            assert len(cyc) > 2 and cyc[cyc.index("inf") - len(cyc) + 1] == "0"
+        else:
+            assert ["inf"] in special and (["0"] in special) == (b == 0)
 
 
 def test_cycles_to_dict_contents():
@@ -101,7 +117,7 @@ def test_report_text_and_dict_round_out():
     # absent sections print nothing; present ones keep a fixed order
     assert report_text({"config": {}}) == "input: {}\n"
     doc = {"notes": ["last"], "root_counts": {"b": 2, "a": 1},
-           "conjugacy": {"c": 3}, "cycles": [["inf"], ["0", "g^0"]],
+           "conjugacy": {"c": 3}, "cycles": ["inf", "0 -> g^0"],
            "cycle_summary": {"10": 1, "2": 3}, "config": {"command": "x"}}
     assert report_text(doc) == (
         'input: {"command": "x"}\n'
