@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import gc
 import sys
-from collections import Counter
 from types import SimpleNamespace
 
 from .conjugacy import (TauMap, bluher_counts, bluher_distribution,
@@ -103,8 +102,9 @@ def _map(args: SimpleNamespace, field: BinaryField) -> MapSpec:
 
 
 def run_orbits(args: SimpleNamespace) -> str:
-    mp = _map(args, _field(args))
-    cs = mp.cycle_structure()
+    field = _field(args)
+    field.tables()  # a listing needs them: refuse before parsing --a, --b
+    cs = _map(args, field).cycle_structure()
     if args.format == "dot":
         return emit_dot(cs)
     if args.format == "json":
@@ -127,14 +127,14 @@ def run_curve(args: SimpleNamespace) -> str:
         raise UsageError("curve analysis applies to theta maps with k=2 "
                          "(the duplication shape)")
     field = _field(args)
+    field.tables()  # a listing needs them: refuse before parsing --a, --b
     mp = _map(args, field)
-    cs = mp.cycle_structure()  # first: it refuses fields above the tables
+    summary = mp.cycle_structure().summary
     curve = curve_from_map(mp.a, mp.b)
     gs1 = group_structure(curve)
     twist, gs2 = twist_and_extension(gs1, field.order)
     cat1, cat2 = cycle_catalog(gs1), cycle_catalog(gs2)
     want = line_cycle_counts(cat1, cycle_catalog(twist))
-    summary = cs.summary
     if want != summary:
         raise InvariantViolationError(
             f"catalogs of the curve and its twist predict cycles {want}, "
@@ -197,28 +197,31 @@ def run_conjugate(args: SimpleNamespace) -> str:
 
 
 def run_bluher(args: SimpleNamespace) -> str:
-    """Root counts of x^(2^k+1) + x + a: every nonzero a from one image pass
-    (bluher_counts), or the one --a value by root finding."""
-    field = _field(args)
+    """Root counts of x^(2^k+1) + x + a.  A sweep over every nonzero a takes
+    its histogram from Bluher's theorem (bluher_distribution) at every
+    degree; the per-a counts it lists up to 256 elements come from one image
+    pass (bluher_counts), which checks its histogram against the theorem.
+    The one --a value is counted on the eigenlines of its map."""
+    field = _field(args)  # built even for a sweep: it validates --modulus
     if args.k < 1:
         raise UsageError("--k must be at least 1")
+    theorem = bluher_distribution(args.k, field.degree)
     if args.a is None:
-        values = range(1, field.order)
-        counts = bluher_counts(args.k, field)[1:]
+        values = range(1, field.order) if field.order <= 256 else ()
+        counts = bluher_counts(args.k, field)[1:] if values else ()
     else:
         a = parse_element(field, args.a)
-        values = [a.bits]
-        counts = [bluher_root_count(a, args.k)]
-    histogram = Counter(counts)
+        values, counts = [a.bits], [bluher_root_count(a, args.k)]
+    histogram = theorem if args.a is None else {counts[0]: 1}
     # past 20 digits the exponent is written symbolically
     exponent = (1 << args.k) + 1 if args.k < 64 else f"(2^{args.k}+1)"
     payload = {
         "polynomial": f"x^{exponent} + x + a",
-        "values_swept": len(counts),
-        "allowed_counts": sorted(bluher_distribution(args.k, field.degree)),
-        "histogram": {str(c): n for c, n in sorted(histogram.items())},
+        "values_swept": sum(histogram.values()),
+        "allowed_counts": sorted(theorem),
+        "histogram": {str(c): m for c, m in histogram.items() if m},
     }
-    if field.order <= 256 or args.a is not None:
+    if values:
         payload["counts"] = {point_label(ProjPoint.finite(field.element(v))): c
                              for v, c in zip(values, counts)}
     doc = {"config": _echo(args), "root_counts": payload}

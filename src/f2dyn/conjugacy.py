@@ -268,6 +268,10 @@ def bluher_counts(k: int, field: BinaryField) -> list[int]:
     against facts it does not use: x^(2^k+1) + x = x(x + 1)^(2^k) has the
     two roots 0 and 1, and the histogram over nonzero a is the one Bluher's
     theorem gives, so every count lies in the admissible set.
+
+    The pass is sized: it refuses fields above POINT_LIMIT elements.  The
+    bluher command runs it only for its per-a listing of fields of at most
+    256 elements; a sweep's histogram is bluher_distribution at any degree.
     """
     if k < 1:
         raise ValueError("k must be positive")

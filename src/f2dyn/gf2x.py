@@ -211,7 +211,11 @@ def _frob_iter(t: int, reduce: Callable[[int], int], times: int) -> int:
 
 # Pollard rho steps one factorization may take.  Every 2^n - 1 and 2^n + 1
 # with n <= 121 factors within it; the slowest, 2^101 - 1, takes 6.8 million
-# steps (2-3 s), and a refusal comes after at most about 4 s.
+# steps (2-3 s).  The budget counts steps, and a step costs more the wider
+# the number, so the time to a refusal grows with it: about 4-6 s on
+# 2^137 - 1, 7-8 s on the 266-bit cofactor of 2^500 - 1, 18-21 s on the
+# 549-bit one of 2^1000 - 1 and 73-98 s on the 1418-bit one of 2^2000 - 1
+# (2 vCPUs, Python 3.11).
 RHO_STEP_LIMIT = 1 << 23
 
 

@@ -15,8 +15,9 @@ from test_curves import lifting_cycle_counts, sampled_group_structure
 
 import f2dyn
 from f2dyn import (BinaryField, GroupStructure, MapSpec, ProjPoint,
-                   ResourceLimitError, cli, curve_from_map, curves,
-                   extension_of, gf2x, point_label, selftest)
+                   ResourceLimitError, bluher_distribution, cli,
+                   curve_from_map, curves, extension_of, gf2x, point_label,
+                   selftest)
 from f2dyn.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
                        UsageError, build_parser, main, parse_element, run)
 from f2dyn.curves import line_cycle_counts
@@ -324,8 +325,10 @@ def test_bluher_sweep_and_single_value(capsys):
     assert doc["root_counts"]["counts"] == {"g^3": 1}
 
 
-# SHA-256 of the stdout the per-a field-scan route printed for these runs;
-# the image pass and the eigenline count must reproduce every byte.
+# SHA-256 of the stdout printed for these runs when every sweep histogram
+# still came from a pass over the field (a per-a field scan up to degree 9,
+# the image pass from degree 10); Bluher's theorem, the pass that lists
+# small fields and the eigenline count must reproduce every byte.
 BLUHER_DIGESTS = {
     "--degree 3 --k 2 --format json":
         "e53014fcf01dee464d23eeaa7f50a2dd15e16fb1341a9e14a28d1d8c49cb9217",
@@ -341,6 +344,38 @@ BLUHER_DIGESTS = {
         "b83eb3ddd30b166bb6b4e77551a381b2d9f9aa25fa5db00952d2585951d6ea25",
     "--degree 9 --a g^5":
         "d709f96a1b11e4a34bed5fbd7e90a259c586cd711b2356ffaf143560caabb310",
+    "--degree 10 --k 2":
+        "19b84b7ae344dc6265bb5eaf55570bf32e947981b514a704e036425675c1ced3",
+    "--degree 10 --k 2 --format json":
+        "52648e1f7c0b2cba05e411a765b28de3cf3afe0157a51878ce432bf097c63224",
+    "--degree 10 --k 3":
+        "273c36ccbe2fadfbef63c2823ba3f9adc53d8ce509bd548d47cf47b933e01174",
+    "--degree 10 --k 3 --format json":
+        "b83163c3d99d01e41ca170064c01506a53824faae1fa6506a7be1744a7828c4b",
+    "--degree 12 --k 2":
+        "80be4d77851b8aa61a870c6064c819bdffbef99aea8aee815a4ea3ffc69ae27b",
+    "--degree 12 --k 2 --format json":
+        "34f63ec245fc7a23b0b77f4abc893c3dde5a26fe057977a6af79dacf3176103a",
+    "--degree 12 --k 3":
+        "e49fe1126b3210956e6e186c0c1273397d2fec701b2c8fcc432c2c97a624eda5",
+    "--degree 12 --k 3 --format json":
+        "8063d2b65b5b15038ecbbbffee8361970be5bb600fee9c9ddd48cb9a08330a25",
+    "--degree 16 --k 2":
+        "64dfd1977f1f91f37ca3cf34ec9f6026623ab34fae430bf489c616a68ff40207",
+    "--degree 16 --k 2 --format json":
+        "82db98c0dc58efa6df4ed90d9810c8b338fb83eb453530e3b37adcac912e60ff",
+    "--degree 16 --k 3":
+        "f3c96bb1364bbd930980fe711425a32e6c35ab2a819ec4f4cce0073a776c318c",
+    "--degree 16 --k 3 --format json":
+        "fa23e478f779669d8a43a20e66613d70e4786e34e34fd55b8c0b517a3d6ea181",
+    "--degree 20 --k 2":
+        "16f5643ff583b178f498f60da919c1e3d0deac157a1cfb7511a4433f994e2a21",
+    "--degree 20 --k 2 --format json":
+        "ccbc270ab3f77244dc84b91b8d2c12947f9892e17c9c5f43f533f27534536f0e",
+    "--degree 20 --k 3":
+        "d3401fe5924269559cd17c032af906743dbcd8bd2857c6880b1af992cad4a708",
+    "--degree 20 --k 3 --format json":
+        "25728ee9f7ccf2da3eabec503392adfb95423c6c007ca25c75f15bf99c7e7d32",
 }
 
 
@@ -363,11 +398,19 @@ def test_bluher_output_is_unchanged(capsys):
 
 
 def test_bluher_is_sized_and_reaches_wide_fields(capsys):
-    start = time.perf_counter()
-    code, out, err = invoke(["bluher", "--degree", "21"], capsys)
-    assert code == EXIT_RESOURCE and out == ""
-    assert "resource limit" in err and "Traceback" not in err
-    assert time.perf_counter() - start < 1.0
+    # a sweep's histogram is Bluher's theorem at every degree, so fields far
+    # past any pass over their elements answer at once, with no per-a list
+    for n, k in ((21, 2), (64, 6)):
+        start = time.perf_counter()
+        code, out, err = invoke(["bluher", "--degree", str(n), "--k", str(k),
+                                 "--format", "json"], capsys)
+        assert time.perf_counter() - start < 1.0, n
+        assert (code, err) == (EXIT_OK, ""), n
+        counts = json.loads(out)["root_counts"]
+        assert counts["histogram"] == {
+            str(c): m for c, m in bluher_distribution(k, n).items() if m}
+        assert counts["values_swept"] == (1 << n) - 1
+        assert "counts" not in counts
     for argv, want in ((["--degree", "40", "--a", "g"], {"5": 1}),
                        (["--degree", "64", "--a", "0x3"], {"2": 1})):
         start = time.perf_counter()
@@ -375,6 +418,24 @@ def test_bluher_is_sized_and_reaches_wide_fields(capsys):
         assert (code, err) == (EXIT_OK, ""), argv
         assert json.loads(out)["root_counts"]["histogram"] == want
         assert time.perf_counter() - start < 2.0, argv
+
+
+def test_bluher_runs_the_pass_only_where_it_lists_counts(monkeypatch, capsys):
+    def no_pass(k, field):
+        raise AssertionError(f"image pass over F_2^{field.degree}")
+
+    monkeypatch.setattr(cli, "bluher_counts", no_pass)
+    # 512 elements: no per-a listing, so the theorem alone answers, byte
+    # for byte as the pass did
+    code, out, err = invoke(["bluher", "--degree", "9"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert "\ncounts: " not in out
+    digest = BLUHER_DIGESTS["--degree 9 --k 2"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # 256 elements: the listing comes from the pass
+    with pytest.raises(AssertionError, match="F_2\\^8"):
+        main(["bluher", "--degree", "8"])
+    capsys.readouterr()
 
 
 def test_bluher_label_of_a_huge_exponent(capsys):
@@ -584,14 +645,16 @@ def test_resource_exhaustion_exits_three(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["orbits", "curve"])
 def test_line_listing_above_the_tables_exits_three_at_once(command, capsys):
-    """A cycle listing needs discrete-log tables, so F_2^40 is refused
-    before any scan of its line or its curve starts."""
-    start = time.perf_counter()
-    code, out, err = invoke(
-        [command, "--degree", "40", "--a", "g", "--b", "g^3"], capsys)
-    assert time.perf_counter() - start < 1.0
-    assert code == EXIT_RESOURCE and out == ""
-    assert "2^16" in err
+    """A cycle listing needs discrete-log tables, so F_2^40 and F_2^500 are
+    refused before any scan of the line or the curve starts, and before g
+    is parsed: over F_2^500 that would factorize 2^500 - 1 for seconds."""
+    for degree, a in (("40", "g"), ("500", "g"), ("500", "zz")):
+        start = time.perf_counter()
+        code, out, err = invoke(
+            [command, "--degree", degree, "--a", a, "--b", "g^3"], capsys)
+        assert time.perf_counter() - start < 1.0, (degree, a)
+        assert code == EXIT_RESOURCE and out == "", (degree, a)
+        assert "2^16" in err
 
 
 def test_run_dispatches_by_command():
