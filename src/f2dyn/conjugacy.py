@@ -25,7 +25,8 @@ from .fields import (
     SubsetXorSolver,
     extension_of,
 )
-from .maps import MapSpec, ProjPoint, Semilinear, fixed_line_count
+from .maps import (MapSpec, ProjPoint, Semilinear, fixed_line_count,
+                   plane_lines)
 
 
 class ConjugacyData(namedtuple("ConjugacyData", "map embedding c c1 c2 c3")):
@@ -157,6 +158,23 @@ def _candidate_degrees(map: MapSpec, bound: int):
             yield r
 
 
+def kernel_c2_candidates(ext: BinaryField, s: int,
+                         kernel: list[int]) -> list[int]:
+    """The roots c2 of X^(q+1) + b*X^q + a in ext = F_{2^N} when the kernel
+    of v(x) = a*x^(q^2) + b*x^q + x, q = 2^s, has GF(2)-dimension 2g,
+    g = gcd(s, N); kernel is its GF(2) basis.
+
+    That dimension means psi's twist-free power N' is I (see _root_counts).
+    Every fixed line of psi then holds a w with M*sigma^s(w) = w (Hilbert
+    90: the line's eigenvalue has norm 1 down to F_{2^g}), and those w are
+    (x^q, x) for x in ker v.  So psi's fixed points 1/c2 are the x^q/x, one
+    per line of ker v over F_{2^g} (plane_lines, which refuses past
+    POINT_LIMIT), and c2 = x/x^q.
+    """
+    return [ext.mul(x, ext.inv(xq)) for xq, x in plane_lines(
+        ext, gcd(s, ext.degree), lambda: [(ext.frob(x, s), x) for x in kernel])]
+
+
 def solve_conjugation(map: MapSpec, max_relative_degree: int = 24) -> ConjugacyData:
     """Find conjugation constants for a reciprocal map.
 
@@ -165,9 +183,10 @@ def solve_conjugation(map: MapSpec, max_relative_degree: int = 24) -> ConjugacyD
     then c = c2^q and c1 = c3^q.  The smallest (extension degree, encoding
     of c2, encoding of c3) is returned: _candidate_degrees names the least
     degree that holds a solution, so only that extension is built, and a
-    degree it names without a (c2, c3) raises InvariantViolationError.  A
-    c2 listing past Semilinear.fixed_points' budget raises
-    ResourceLimitError.
+    degree it names without a (c2, c3) raises InvariantViolationError.
+    The c2 come from kernel_c2_candidates when ker v is 2g-dimensional
+    (g = gcd(k, N) in F_{2^N}) and from Semilinear.fixed_points otherwise;
+    either listing refuses past POINT_LIMIT with ResourceLimitError.
     """
     if map.kind != "psi":
         raise ValueError("conjugation targets reciprocal maps")
@@ -187,13 +206,19 @@ def solve_conjugation(map: MapSpec, max_relative_degree: int = 24) -> ConjugacyD
 
     kernel = SubsetXorSolver([v(1 << j) for j in range(ext.degree)]).kernel_masks
     # c2 is a root of X^(q+1) + b X^q + a, never 0 as a != 0, so 1/c2 is a
-    # root of a Y^(q+1) + b Y + 1: a fixed point of psi_{a,b,k}.  In
-    # ascending order the span of a reduced echelon basis lists every
-    # combination of its first i vectors before the (i+1)-th, so the least
-    # kernel element outside ker u is a basis vector.
-    psi = MapSpec("psi", a, b, map.k).pair
-    found = next(((c2, c3)
-                  for c2 in sorted(ext.inv(y) for y in psi.fixed_points())
+    # root of a Y^(q+1) + b Y + 1: a fixed point of psi_{a,b,k}.  The roots
+    # come off ker v when it is 2g-dimensional; otherwise psi.fixed_points()
+    # lists its fixed points, which at a degree the probes name come from
+    # the eigenlines of a nonscalar N'.  In ascending order the span of a
+    # reduced echelon basis lists every combination of its first i vectors
+    # before the (i+1)-th, so the least kernel element outside ker u is a
+    # basis vector.
+    if len(kernel) == 2 * gcd(s, ext.degree):
+        c2s = kernel_c2_candidates(ext, s, kernel)
+    else:
+        psi = MapSpec("psi", a, b, map.k).pair
+        c2s = [ext.inv(y) for y in psi.fixed_points()]
+    found = next(((c2, c3) for c2 in sorted(c2s)
                   for c3 in kernel if c3 ^ ext.mul(c2, ext.frob(c3, s))), None)
     if found is None:
         raise InvariantViolationError(

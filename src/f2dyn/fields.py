@@ -495,8 +495,10 @@ def extension_of(base: BinaryField, relative_degree: int) -> ExtensionEmbedding:
     modulus inside the extension, so the construction is reproducible.  The
     modulus is irreducible over GF(2), so its roots in the extension are the
     Frobenius orbit rho, rho^2, ..., rho^(2^(n-1)) of any one of them: a
-    single root is split out, and its orbit is checked to be n distinct
-    roots before the smallest is taken.
+    single root is split out, its orbit is checked to be n distinct
+    elements closed under squaring, and the smallest is checked to be a
+    root.  Squaring permutes the roots of a polynomial over GF(2), so that
+    one evaluation vouches for the whole orbit.
     """
     if relative_degree < 1:
         raise ValueError("relative degree must be positive")
@@ -511,10 +513,11 @@ def extension_of(base: BinaryField, relative_degree: int) -> ExtensionEmbedding:
     orbit = [rho]
     for _ in range(n - 1):
         orbit.append(ext.sqr(orbit[-1]))
+    image = min(orbit)
     if (len(set(orbit)) != n or ext.sqr(orbit[-1]) != rho
-            or any(_eval_binary(ext, modulus, x) for x in orbit)):
+            or _eval_binary(ext, modulus, image)):
         raise InvariantViolationError("base modulus did not split in extension")
-    return ExtensionEmbedding(base, ext, min(orbit))
+    return ExtensionEmbedding(base, ext, image)
 
 
 def _eval_binary(field: BinaryField, p: int, x: int) -> int:

@@ -175,10 +175,9 @@ class Semilinear:
 
         When N = c*I, lam0 = sqrt(det M) has norm c down to F_{2^g}, as
         Norm(det M) = det N = c^2, and every fixed line holds a w with
-        M*sigma^s(w) = lam0*w.  Those w form a plane W over F_{2^g} (2g
-        dimensions over GF(2)), whose 2^g + 1 lines are the fixed points:
-        w2 and w1 + mu*w2 for mu in F_{2^g}, with w1, w2 not proportional.
-        Refuses past POINT_LIMIT points before building any.
+        M*sigma^s(w) = lam0*w.  Those w form a plane over F_{2^g}, whose
+        2^g + 1 lines are the fixed points: plane_lines lists them, and
+        refuses past POINT_LIMIT before the plane is solved for.
         """
         field, s = self.field, self.s
         n, g = field.degree, gcd(s, field.degree)
@@ -202,9 +201,6 @@ class Semilinear:
                     f"eigenlines {sorted(points)} are not the {count} fixed "
                     f"points of the map")
             return sorted(points)
-        if count > POINT_LIMIT:
-            raise ResourceLimitError(
-                f"2^{g} + 1 fixed points exceed the budget of {POINT_LIMIT}")
         (p, q), (r, t) = self.m
         lam = field.sqrt(mul(p, t) ^ mul(q, r))
 
@@ -213,24 +209,13 @@ class Semilinear:
             return (mul(p, xs) ^ mul(q, ys) ^ mul(lam, x)
                     | (mul(r, xs) ^ mul(t, ys) ^ mul(lam, y)) << n)
 
-        kernel = SubsetXorSolver([image(1 << j, 0) for j in range(n)] + [
-            image(0, 1 << j) for j in range(n)]).kernel_masks
-        if len(kernel) != 2 * g:
-            raise InvariantViolationError(
-                f"fixed plane of GF(2)-dimension {len(kernel)}, not {2 * g}")
-        ws = [(w & (order - 1), w >> n) for w in kernel]
-        x2, y2 = ws[0]
-        x1, y1 = next((x, y) for x, y in ws if mul(x, y2) != mul(x2, y))
-        subfield = [0]
-        for e in SubsetXorSolver(
-                [frob(1 << j, g) ^ (1 << j) for j in range(n)]).kernel_masks:
-            subfield += [u ^ e for u in subfield]
+        def plane() -> list[tuple[int, int]]:
+            kernel = SubsetXorSolver([image(1 << j, 0) for j in range(n)] + [
+                image(0, 1 << j) for j in range(n)]).kernel_masks
+            return [(w & (order - 1), w >> n) for w in kernel]
 
-        def point(x: int, y: int) -> int:
-            return order if y == 0 else mul(x, field.inv(y))
-
-        return sorted([point(x2, y2)] + [
-            point(x1 ^ mul(mu, x2), y1 ^ mul(mu, y2)) for mu in subfield])
+        return sorted(order if y == 0 else mul(x, field.inv(y))
+                      for x, y in plane_lines(field, g, plane))
 
     def rank_permutation(self) -> list[int]:
         """The map on ranks (g^i is i, zero N = 2^n - 1, infinity N + 1):
@@ -338,6 +323,33 @@ def fixed_line_count(field: BinaryField, m, g: int) -> int:
         trace ^= w
         w = field.sqr(w)
     return 0 if (g // d) * trace % 2 else 2
+
+
+def plane_lines(field: BinaryField, g: int, plane) -> list[tuple[int, int]]:
+    """One vector on each of the 2^g + 1 lines of a plane W over F_{2^g}
+    inside field^2 (g dividing the field's degree): w2, and w1 + mu*w2 for
+    mu in F_{2^g}, with w1, w2 not proportional.  plane() returns a GF(2)
+    basis of W (2g vectors (x, y)); it is called only once the lines are
+    within budget, so past POINT_LIMIT the listing is refused before W is
+    solved for.  The lines of a twist-free power's fixed plane are the
+    fixed points of a semilinear map, so that is what the refusal names.
+    """
+    if (1 << g) + 1 > POINT_LIMIT:
+        raise ResourceLimitError(
+            f"2^{g} + 1 fixed points exceed the budget of {POINT_LIMIT}")
+    mul, frob = field.mul, field.frob
+    ws = plane()
+    if len(ws) != 2 * g:
+        raise InvariantViolationError(
+            f"fixed plane of GF(2)-dimension {len(ws)}, not {2 * g}")
+    x2, y2 = ws[0]
+    x1, y1 = next((x, y) for x, y in ws if mul(x, y2) != mul(x2, y))
+    subfield = [0]
+    for e in SubsetXorSolver([frob(1 << j, g) ^ (1 << j)
+                              for j in range(field.degree)]).kernel_masks:
+        subfield += [u ^ e for u in subfield]
+    return [(x2, y2)] + [(x1 ^ mul(mu, x2), y1 ^ mul(mu, y2))
+                         for mu in subfield]
 
 
 class MapSpec(namedtuple("MapSpec", "kind a b k")):

@@ -18,7 +18,8 @@ from collections import Counter, defaultdict, namedtuple
 
 from .conjugacy import (ConjugacyData, TauMap, bluher_counts,
                         bluher_root_count, fixed_point_count,
-                        solve_conjugation, verify_conjugation)
+                        kernel_c2_candidates, solve_conjugation,
+                        verify_conjugation)
 from .curves import (CurveSpec, GroupStructure, catalog_length_sets,
                      curve_from_map, cycle_catalog, group_structure, lift_x,
                      point_count, predict_orbit_length, twist_and_extension)
@@ -450,18 +451,18 @@ def check_bluher_root_counts() -> str:
     return f"{tested} polynomials, counts {{{spread}}}; {scans} scans agree"
 
 
-def _uv_kernel_sizes(field: BinaryField, s: int, c2: int, b: int,
-                     a: int) -> tuple[int, int]:
-    """Kernel sizes in the field of u(x) = x + c2*x^(2^s) and
+def _uv_kernels(field: BinaryField, s: int, c2: int, b: int,
+                a: int) -> tuple[list[int], list[int]]:
+    """GF(2) kernel bases in the field of u(x) = x + c2*x^(2^s) and
     v(x) = x + b*x^(2^s) + a*x^(2^(2s)), coefficients given as encodings."""
     mul, frob = field.mul, field.frob
 
-    def size(fn) -> int:
+    def kernel(fn) -> list[int]:
         columns = [fn(1 << j) for j in range(field.degree)]
-        return 1 << len(SubsetXorSolver(columns).kernel_masks)
+        return SubsetXorSolver(columns).kernel_masks
 
-    return (size(lambda x: x ^ mul(c2, frob(x, s))),
-            size(lambda x: x ^ mul(b, frob(x, s)) ^ mul(a, frob(x, 2 * s))))
+    return (kernel(lambda x: x ^ mul(c2, frob(x, s))),
+            kernel(lambda x: x ^ mul(b, frob(x, s)) ^ mul(a, frob(x, 2 * s))))
 
 
 def _uv_counters(field: BinaryField, q: int, c2, b, a):
@@ -531,12 +532,14 @@ def _line_and_curve_sweep(rng: random.Random, shared_k: bool) -> tuple[int, int]
     return maps_tested, curves_tested
 
 
-def _solved_kernel_sizes(rng: random.Random) -> int:
+def _solved_kernel_sizes(rng: random.Random) -> tuple[int, int]:
     """Random solved conjugations (two per degree, n in 2..6): kernels stay
-    GF(2)-subspaces of the right bounds in the field of definition, and
-    (for quartic maps solved in the base field) the closure totals are
-    exactly q and q^2."""
-    solved = 0
+    GF(2)-subspaces of the right bounds in the field of definition, (for
+    quartic maps solved in the base field) the closure totals are exactly q
+    and q^2, and where ker v is 2g-dimensional the c2 read off its lines are
+    the inverses of psi's fixed points, listed from psi's own matrix.
+    Returns the solves and the cross-checked ones."""
+    solved = planes = 0
     for degree in range(2, 7):
         base = BinaryField(degree)
         hits = tries = 0
@@ -554,7 +557,8 @@ def _solved_kernel_sizes(rng: random.Random) -> int:
             s = data.q_step
             q = 1 << k  # the formal power; the field may fold the exponents
             ae, be = data.embedding(a), data.embedding(b)
-            usize, vsize = _uv_kernel_sizes(f, s, data.c2.bits, be.bits, ae.bits)
+            ukernel, vkernel = _uv_kernels(f, s, data.c2.bits, be.bits, ae.bits)
+            usize, vsize = 1 << len(ukernel), 1 << len(vkernel)
             _require(vsize & (vsize - 1) == 0 and
                      2 <= vsize <= min(f.order, q * q),
                      f"kernel of v has size {vsize} for {data.describe()}")
@@ -564,9 +568,16 @@ def _solved_kernel_sizes(rng: random.Random) -> int:
                 for counter, deg in _uv_counters(f, q, data.c2, be, ae):
                     _require(_closure_root_total(counter, deg) == deg,
                              f"closure total != {deg} for {data.describe()}")
+            if len(vkernel) == 2 * math.gcd(s, f.degree):
+                fixed = data.embedded_map().pair.fixed_points()
+                _require(sorted(kernel_c2_candidates(f, s, vkernel))
+                         == sorted(f.inv(y) for y in fixed),
+                         f"c2 from ker v are not 1/(psi's fixed points) for "
+                         f"{data.describe()}")
+                planes += 1
             hits += 1
             solved += 1
-    return solved
+    return solved, planes
 
 
 def _random_closures(rng: random.Random) -> int:
@@ -615,20 +626,25 @@ def check_structural_invariants() -> str:
     ext = extension_of(field, 2)
     big = ext.ext
     ae, be, c2e = ext(a), ext(b), ext(c2)
-    _require(_uv_kernel_sizes(big, 2, c2e.bits, be.bits, ae.bits) == (4, 16),
+    sizes = [1 << len(k) for k in _uv_kernels(big, 2, c2e.bits, be.bits,
+                                              ae.bits)]
+    _require(sizes == [4, 16],
              "kernels of u and v over F_{2^10} are not of sizes q and q^2")
-    _require(_uv_kernel_sizes(field, 2, c2.bits, b.bits, a.bits) == (2, 4),
+    sizes = [1 << len(k) for k in _uv_kernels(field, 2, c2.bits, b.bits, a.bits)]
+    _require(sizes == [2, 4],
              "kernels of u and v over F_32 should have sizes 2 and 4")
     # Closure totals recovered from extension root counts: deg many roots.
     for name, (counter, deg) in zip("uv", _uv_counters(field, 4, c2, b, a)):
         _require(_closure_root_total(counter, deg) == deg,
                  f"{name} does not reach {deg} roots in the closure")
 
-    solved = _solved_kernel_sizes(rng)
+    solved, planes = _solved_kernel_sizes(rng)
+    _require(planes > 0, "no solved conjugation had a 2g-dimensional ker v")
     closures = _random_closures(draw_rng)
     return (f"{maps_tested} maps bijective with full cycle covers, "
             f"{curves_tested} curves odd with divisible structure, "
-            f"kernel sizes verified on {solved} solved conjugations and "
+            f"kernel sizes verified on {solved} solved conjugations "
+            f"({planes} with c2 from ker v matching psi's fixed points) and "
             f"closure totals on {closures} random pairs")
 
 

@@ -1,5 +1,6 @@
 """Conjugating reciprocal maps to theta_{c,0,k} and counting fixed points."""
 
+import hashlib
 import math
 import random
 import time
@@ -14,6 +15,7 @@ from f2dyn import (BinaryField, ConjugacyData, FieldMismatchError,
                    conjugacy, element_echo, extension_of, fixed_point_count,
                    maps, polynomial_roots, solve_conjugation,
                    verify_conjugation)
+from f2dyn.cli import main
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
@@ -417,7 +419,7 @@ def test_deep_extension_instance():
 
 def test_c2_search_with_a_large_twist_is_sized():
     """k = 40 over F_64 reaches q = 2^40 at relative degree 7: c2 is read
-    off the eigenlines of psi over the extension, which never lists 2^s
+    off the lines of ker v over the extension, which never lists 2^s
     coefficients, so degree 7 is ruled out at once and degree 8 answers."""
     f = BinaryField(6)
     mp = MapSpec("psi", f.element(0x3F), f.element(0x36), 40)
@@ -515,6 +517,16 @@ def test_a_solve_in_f2_16_builds_no_tables():
     assert ext._exp is not None
 
 
+def ker_v(ext, a, b, s):
+    """A GF(2) basis of the kernel of v(x) = a*x^(q^2) + b*x^q + x, q = 2^s,
+    over ext, coefficients given as encodings."""
+    def v(x):
+        t = ext.frob(x, s)
+        return x ^ ext.mul(b, t) ^ ext.mul(a, ext.frob(t, s))
+
+    return SubsetXorSolver([v(1 << j) for j in range(ext.degree)]).kernel_masks
+
+
 def every_degree_outcome(mp, bound):
     """solve_conjugation's answer, or its refusal, from a search that builds
     every degree up to the bound in turn: the least c2 (a fixed point 1/c2
@@ -525,13 +537,7 @@ def every_degree_outcome(mp, bound):
         ext = emb.ext
         a, b = emb(mp.a), emb(mp.b)
         s = mp.k % ext.degree
-
-        def v(x):
-            t = ext.frob(x, s)
-            return x ^ ext.mul(b.bits, t) ^ ext.mul(a.bits, ext.frob(t, s))
-
-        kernel = SubsetXorSolver(
-            [v(1 << j) for j in range(ext.degree)]).kernel_masks
+        kernel = ker_v(ext, a.bits, b.bits, s)
         psi = MapSpec("psi", a, b, mp.k).pair
         for c2 in sorted(ext.inv(y) for y in psi.fixed_points()):
             c3 = next((x for x in kernel if x ^ ext.mul(c2, ext.frob(x, s))),
@@ -580,7 +586,8 @@ def test_a_probe_naming_an_empty_degree_is_an_invariant_violation(monkeypatch):
 def test_huge_k_is_probed_per_degree():
     """psi_{g^19, g^15} with k = 1000000002 over F_32: every degree below 9
     is ruled out by a probe or by its kernel, and degree 9 (s = 12) answers
-    through the fixed points of psi over F_2^45."""
+    through the lines of ker v over F_2^45, whose 6 GF(2) dimensions make a
+    plane over F_8 (g = gcd(12, 45) = 3)."""
     mp = MapSpec("psi", G ** 19, G ** 15, 1000000002)
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="no conjugation"):
@@ -591,3 +598,83 @@ def test_huge_k_is_probed_per_degree():
     assert data.ext_degree == 45
     assert (data.c2.bits, data.c3.bits) == (0xD5CAED233F, 0x352050658)
     assert data.system_holds() and verify_conjugation(data)
+
+
+def test_kernel_c2_candidates_invert_the_fixed_points():
+    """Whenever ker v is 2g-dimensional over F_2^N, its lines give exactly
+    the c2 = 1/y for y a fixed point of psi over F_2^N: the listing that
+    every_degree_outcome, the oracle of test_probes_do_not_change_answers,
+    still takes.  k runs over [1, 3n], multiples of N and k near 10^9."""
+    rng = random.Random(45)
+    planes = others = 0
+    for _ in range(100):
+        base = BinaryField(rng.randrange(1, 11))
+        n = base.degree
+        a = base.element(rng.randrange(1, base.order))
+        b = base.element(rng.randrange(base.order))
+        for r in range(1, min(6, 30 // n) + 1):
+            emb = extension_of(base, r)
+            ext = emb.ext
+            k = rng.choice([rng.randrange(1, 3 * n + 1),
+                            ext.degree * rng.randrange(1, 4),
+                            rng.randrange(10**9, 10**9 + 100)])
+            s = k % ext.degree
+            kernel = ker_v(ext, emb(a).bits, emb(b).bits, s)
+            if len(kernel) != 2 * math.gcd(s, ext.degree):
+                others += 1
+                continue
+            planes += 1
+            fixed = MapSpec("psi", emb(a), emb(b), k).pair.fixed_points()
+            got = conjugacy.kernel_c2_candidates(ext, s, kernel)
+            assert sorted(got) == sorted(ext.inv(y) for y in fixed), (n, r, k)
+            g = math.gcd(k, ext.degree)
+            assert len(got) == len(set(got)) == (1 << g) + 1, (n, r, k)
+    assert planes >= 60 and others >= 60, (planes, others)
+
+
+def test_kernel_route_refuses_before_listing(monkeypatch):
+    """PSI lands in F_32 with a 2-dimensional ker v (g = 1): with the budget
+    below its 2^1 + 1 lines, the solve refuses with the listing's message,
+    before the subfield is solved for or psi's fixed points are asked."""
+    def unreachable(*args):
+        raise AssertionError("listed past the budget")
+
+    monkeypatch.setattr(maps, "POINT_LIMIT", 2)
+    monkeypatch.setattr(maps, "SubsetXorSolver", unreachable)
+    monkeypatch.setattr(Semilinear, "fixed_points", unreachable)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^2\^1 \+ 1 fixed points exceed the budget of 2$"):
+        solve_conjugation(PSI)
+    monkeypatch.setattr(maps, "POINT_LIMIT", 3)
+    with pytest.raises(AssertionError, match="listed past the budget"):
+        solve_conjugation(PSI)
+
+
+# SHA-256 of the stdout of `conjugate --degree 12 ... --k 2` for the three
+# ladder maps that land in F_2^60 (r = 5), recorded while every c2 still
+# came from psi's fixed points over the extension; the lines of ker v must
+# reproduce every byte.
+CONJUGATE_DIGESTS = {
+    "--a 0xe9f --b 0xfc7":
+        "fc980f2437accaebd48b382edab7cfd030e8fbe70f6fb6502cf41977640a35d7",
+    "--a 0xe9f --b 0xfc7 --format json":
+        "46a3c5853e0a0da30500c99bdd35d19cf018c28acba75107772a74ca668d788a",
+    "--a 0x6d1 --b 0x872":
+        "ff78643582fcde789c520e654fb4d658feb04992562134e9ab5f2306f8f4f6bf",
+    "--a 0x6d1 --b 0x872 --format json":
+        "a23f49a7427f431a2043ab47c78dfa6fed719075211110e0ef426c95d8f0bf1b",
+    "--a 0x989 --b 0xc37":
+        "42dbc030ce4452976b3812cacc836a2a2b435e95489b84a96f25a3fe22139beb",
+    "--a 0x989 --b 0xc37 --format json":
+        "d3d93c98295040876c8b65738a6c58e089b77d3e4b204d28c1b8e907a68f3d5c",
+}
+
+
+def test_conjugate_output_is_unchanged(capsys):
+    for args, digest in CONJUGATE_DIGESTS.items():
+        code = main(["conjugate", "--degree", "12", "--map", "psi", "--k", "2"]
+                    + args.split())
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), args
+        assert "relative_degree: 5" in out or '"relative_degree": 5' in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args

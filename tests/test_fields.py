@@ -7,8 +7,9 @@ from collections import defaultdict
 import pytest
 
 from f2dyn import (BinaryField, ExtensionRootCounter, FieldMismatchError,
-                   MapSpec, ResourceLimitError, SubsetXorSolver, bluher_counts,
-                   extension_of, fields, gf2x, nth_roots, polynomial_roots)
+                   InvariantViolationError, MapSpec, ResourceLimitError,
+                   SubsetXorSolver, bluher_counts, extension_of, fields, gf2x,
+                   nth_roots, polynomial_roots)
 from f2dyn.gf2x import CONWAY_POLYNOMIALS
 from test_gf2x import DENSE_MODULI, ref_mulmod
 
@@ -439,6 +440,23 @@ def test_extension_embedding_is_a_homomorphism():
             assert emb(x + y) == emb(x) + emb(y)
             assert emb(x * y) == emb(x) * emb(y)
         assert emb(base.one) == emb.ext.one
+
+
+def test_embedding_refuses_an_image_that_is_not_a_root(monkeypatch):
+    """Only the kept image is evaluated on the base modulus, which vouches
+    for its whole orbit; an image off the modulus, or an orbit that is not
+    n distinct elements, is still refused."""
+    base = BinaryField(4)  # x^4 + x + 1
+    # a root of x^4 + x^3 + 1 in F_2^8: its orbit has 4 distinct elements
+    # and closes under squaring, but it is no root of base's modulus
+    foreign = extension_of(BinaryField(4, 0b11001), 2).image_of_root.bits
+    build = extension_of.__wrapped__
+    assert build(base, 2).image_of_root == extension_of(base, 2).image_of_root
+    for image in (foreign, 1):
+        monkeypatch.setattr(fields._Splitter, "split",
+                            lambda self, *args, image=image, **kw: [image])
+        with pytest.raises(InvariantViolationError, match="did not split"):
+            build(base, 2)
 
 
 def test_quadratic_extension_solves_every_lift():
