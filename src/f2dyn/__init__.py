@@ -55,59 +55,12 @@ from .conjugacy import (
     verify_conjugation,
 )
 from .reporting import (check_prediction, cycle_labels, cycles_to_dict,
-                        element_echo, emit_dot, map_echo, point_label,
+                        element_echo, emit_dot, point_label,
                         report_text, to_json)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryField",
-    "ClosedFormIterate",
-    "ConjugacyData",
-    "CurvePoint",
-    "CurveSpec",
-    "CycleCatalogEntry",
-    "CycleStructure",
-    "ExtensionEmbedding",
-    "ExtensionRootCounter",
-    "FieldElement",
-    "FieldMismatchError",
-    "GroupStructure",
-    "InvariantViolationError",
-    "MapSpec",
-    "ProjPoint",
-    "QuarticReduction",
-    "ResourceLimitError",
-    "Semilinear",
-    "SubsetXorSolver",
-    "TauMap",
-    "bluher_counts",
-    "bluher_distribution",
-    "bluher_root_count",
-    "catalog_length_sets",
-    "check_prediction",
-    "closed_form",
-    "curve_from_map",
-    "cycle_catalog",
-    "cycle_labels",
-    "cycles_to_dict",
-    "element_echo",
-    "emit_dot",
-    "extension_of",
-    "fixed_point_count",
-    "group_structure",
-    "lift_x",
-    "nth_roots",
-    "point_add",
-    "point_count",
-    "map_echo",
-    "point_label",
-    "polynomial_roots",
-    "predict_orbit_length",
-    "reduce_to_quartic",
-    "report_text",
-    "scalar_mul",
-    "solve_conjugation",
-    "to_json",
-    "verify_conjugation",
-]
+# The public surface is the import block above: every name bound here that
+# one of the package's modules defines.
+__all__ = sorted(name for name, value in vars().items()
+                 if getattr(value, "__module__", "").startswith("f2dyn."))

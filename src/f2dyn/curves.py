@@ -48,13 +48,6 @@ class CurveSpec(namedtuple("CurveSpec", "a1 a2")):
     def contains(self, x: FieldElement, y: FieldElement) -> bool:
         return y * y + self.a1 * y == x * x * x + self.a2 * x
 
-    def point(self, x: FieldElement, y: FieldElement) -> "CurvePoint":
-        if x.field != self.field or y.field != self.field:
-            raise FieldMismatchError("coordinates lie outside the curve's field")
-        if not self.contains(x, y):
-            raise ValueError(f"({x.hex}, {y.hex}) does not satisfy the curve equation")
-        return CurvePoint(self, x, y)
-
     def lift_target(self) -> Callable[[int], int]:
         """x -> w = (x^3 + a2*x)/a1^2 on encodings of the curve's field:
         y = a1*z turns the equation at x into z^2 + z = w, so x lifts to two
@@ -68,9 +61,6 @@ class CurveSpec(namedtuple("CurveSpec", "a1 a2")):
         if embedding.base != self.field:
             raise FieldMismatchError("embedding does not start at the curve's field")
         return CurveSpec(embedding(self.a1), embedding(self.a2))
-
-    def describe(self) -> str:
-        return f"y^2 + {self.a1.hex}*y = x^3 + {self.a2.hex}*x"
 
 
 class CurvePoint(namedtuple("CurvePoint", "curve x y")):
@@ -88,14 +78,8 @@ class CurvePoint(namedtuple("CurvePoint", "curve x y")):
             return self
         return CurvePoint(self.curve, self.x, self.y + self.curve.a1)
 
-    def __add__(self, other: "CurvePoint") -> "CurvePoint":
-        return point_add(self, other)
-
     def double(self) -> "CurvePoint":
         return point_add(self, self)
-
-    def __rmul__(self, n: int) -> "CurvePoint":
-        return scalar_mul(n, self)
 
     def __repr__(self) -> str:
         if self.is_identity:

@@ -10,7 +10,7 @@ arbitrary polynomials inside a fixed field.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from math import gcd
 
 from . import gf2x
@@ -19,13 +19,16 @@ from .gf2x import ResourceLimitError
 # Fields up to this degree get exp/log tables, so that multiplication,
 # inversion and discrete logs are table lookups.  The tables hold 3*2^n
 # entries (about 5 MB and 15 ms at n = 16), so they are built on the first
-# tables(), log() or exp(), or once the field has made order/16 arithmetic
-# calls without them.  Until then, and in wider fields, arithmetic runs on the
-# gf2x kernels and reduces with a reducer for the modulus.
+# tables() or log(), or once the field has made order/16 arithmetic calls
+# without them.  Until then, and in wider fields, arithmetic runs on the gf2x
+# kernels and reduces with a reducer for the modulus.
 _TABLE_LIMIT = 16
 
-# Pointwise scans refuse to visit more than this many points: the sweep of a
-# field in conjugacy.bluher_counts, the line in maps.MapSpec.permutation.
+# Enumerations refuse to list more than this many items: the points of the
+# line in maps.MapSpec.permutation, the 2^g + 1 fixed lines of a plane in
+# maps.plane_lines, the rows of curves.cycle_catalog, and the field elements
+# of conjugacy.bluher_counts' image pass (which the bluher command runs only
+# for its per-a listing, up to 256 elements).
 POINT_LIMIT = 1 << 20
 
 # nth_roots refuses to search for the roots of x^d = beta above this degree.
@@ -104,10 +107,6 @@ class BinaryField:
     def gen(self) -> "FieldElement":
         """The class of x modulo the field modulus."""
         return FieldElement(self, gf2x.mod(2, self.modulus))
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for bits in range(self.order):
-            yield FieldElement(self, bits)
 
     # -- raw arithmetic on int encodings -------------------------------------
 
@@ -255,12 +254,6 @@ class BinaryField:
                 f"no discrete logs for fields larger than 2^{_TABLE_LIMIT}")
         return self._log[a]
 
-    def exp(self, i: int) -> int:
-        """primitive_element() raised to the i-th power, as an encoding."""
-        if self._exp is None and not self._build_tables():
-            return self.pow(self.primitive_bits(), i)
-        return self._exp[i % self.mult_order]
-
     # -- primitive elements and tables ----------------------------------------
 
     def _factors_of_mult_order(self) -> list[int]:
@@ -352,9 +345,6 @@ class FieldElement:
 
     __sub__ = __add__  # characteristic 2
 
-    def __neg__(self) -> "FieldElement":
-        return self
-
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         return FieldElement(self.field, self.field.mul(self.bits, self._coerce(other)))
 
@@ -374,9 +364,6 @@ class FieldElement:
 
     def sqrt(self) -> "FieldElement":
         return FieldElement(self.field, self.field.sqrt(self.bits))
-
-    def trace(self) -> int:
-        return self.field.trace(self.bits)
 
     def log(self) -> int:
         return self.field.log(self.bits)

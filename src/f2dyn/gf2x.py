@@ -15,8 +15,10 @@ from functools import cache
 from math import gcd as _int_gcd, isqrt
 
 # Default moduli for the small degrees: the Conway polynomials, which are
-# primitive and norm-compatible between a field and its subfields, so labels
-# like g^6 mean the same thing across nested fields.
+# primitive, so x generates each field and its g^i labels are reproducible.
+# Labels are per field: fields.extension_of embeds a field by the least root
+# of its modulus, so the image of its g is in general not the extension's
+# g^((Q - 1)/(q - 1)): a label such as g^6 names an element of one field.
 CONWAY_POLYNOMIALS = {
     1: 0x3,     # x + 1
     2: 0x7,     # x^2 + x + 1
@@ -209,13 +211,13 @@ def _frob_iter(t: int, reduce: Callable[[int], int], times: int) -> int:
 # Group orders 2^n - 1 and curve orders near 4^n reach 2^64 and beyond, so
 # trial division stops at a small bound and Pollard rho splits what is left.
 
-# Pollard rho steps one factorization may take.  Every 2^n - 1 and 2^n + 1
-# with n <= 121 factors within it; the slowest, 2^101 - 1, takes 6.8 million
-# steps (2-3 s).  The budget counts steps, and a step costs more the wider
-# the number, so the time to a refusal grows with it: about 4-6 s on
-# 2^137 - 1, 7-8 s on the 266-bit cofactor of 2^500 - 1, 18-21 s on the
-# 549-bit one of 2^1000 - 1 and 73-98 s on the 1418-bit one of 2^2000 - 1
-# (2 vCPUs, Python 3.11).
+# Pollard rho steps one factorization may take, counted at 128 bits: a step
+# on a b-bit number is charged max(1, (b/128)^2) steps, the growth of its
+# modular squaring.  Every 2^n - 1 and 2^n + 1 with n <= 121 is below 128
+# bits and factors within it; the slowest, 2^101 - 1, takes 6.8 million
+# steps (2-3 s).  Charged by width, a refusal comes no later on a wider
+# number: factorize refuses 2^137 - 1 in about 2 s, 2^500 - 1 in 1.2-1.4 s,
+# 2^1000 - 1 in 0.9-1 s and 2^2000 - 1 in 0.7 s (2 vCPUs, Python 3.11).
 RHO_STEP_LIMIT = 1 << 23
 
 
@@ -256,19 +258,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _split(n: int, budget: int) -> tuple[int, int]:
-    """A proper factor of the odd composite n and the rho steps spent on it:
-    Pollard rho with Brent's cycle finding, taking gcds over batches of 128
-    steps.  A round that could take the count past `budget` is refused with
+def _split(n: int, budget: float) -> tuple[int, float]:
+    """A proper factor of the odd composite n and the rho steps charged for
+    it: Pollard rho with Brent's cycle finding, taking gcds over batches of
+    128 steps, each step charged max(1, (bits/128)^2) for n of that many
+    bits.  A round that could take the charge past `budget` is refused with
     ResourceLimitError before it starts."""
-    steps = 0
+    bits = n.bit_length()
+    weight = max(1.0, (bits / 128) ** 2)
+    steps = 0.0
     for c in range(1, n):
         y, r, acc, g = 2, 1, 1, 1
         while g == 1:
-            if steps + 2 * r > budget:  # the round takes at most 2r steps
+            if steps + 2 * r * weight > budget:  # a round takes at most 2r steps
                 raise ResourceLimitError(
-                    f"Pollard rho found no factor of the {n.bit_length()}-bit "
-                    f"{n} within the {RHO_STEP_LIMIT} steps of one factorization")
+                    f"Pollard rho found no factor of the {bits}-bit {n} within "
+                    f"the budget of one factorization, {RHO_STEP_LIMIT} steps "
+                    f"at 128 bits, each step on {bits} bits charged "
+                    f"{weight:.2f}")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -280,7 +287,7 @@ def _split(n: int, budget: int) -> tuple[int, int]:
                     acc = acc * abs(x - y) % n
                 g = _int_gcd(acc, n)
                 k += 128
-            steps += r + min(k, r)
+            steps += (r + min(k, r)) * weight
             r <<= 1
         if g == n:  # the batch overshot: replay it one step at a time
             g = 1
@@ -295,8 +302,9 @@ def _split(n: int, budget: int) -> tuple[int, int]:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1, ascending in p: trial division
     by the primes below 2^10, then Miller-Rabin and Pollard rho.  The rho
-    rounds of one call share RHO_STEP_LIMIT steps; a round that could
-    pass it raises ResourceLimitError instead of starting."""
+    rounds of one call share RHO_STEP_LIMIT steps, charged by the width of
+    the number they split (see _split); a round that could pass it raises
+    ResourceLimitError instead of starting."""
     if n < 1:
         raise ValueError("n must be positive")
     out: dict[int, int] = {}

@@ -76,14 +76,6 @@ def _point_int(p: ProjPoint) -> int:
     return p.field.order if p.value is None else p.value.bits
 
 
-def _rank_int(field: BinaryField, rank: int) -> int:
-    """The point encoding of a rank: g^rank below N = 2^n - 1, zero at N,
-    infinity (encoded as the field order) at N + 1."""
-    if rank < field.mult_order:
-        return field.exp(rank)
-    return 0 if rank == field.mult_order else field.order
-
-
 class Semilinear:
     """A Frobenius-semilinear fractional-linear map of P^1: w -> M*sigma^s(w)
     on homogeneous coordinates, sigma the squaring automorphism.  M holds
@@ -419,8 +411,9 @@ class MapSpec(namedtuple("MapSpec", "kind a b k")):
 
 class CycleStructure(namedtuple("CycleStructure", "map ranks")):
     """A complete cycle decomposition of P^1 under one map, held as point
-    ranks (see the module docstring); the ProjPoint view is built on first
-    use and cached in the instance's __dict__."""
+    ranks (see the module docstring)."""
+
+    __slots__ = ()
 
     def __new__(cls, map: MapSpec, ranks: tuple[tuple[int, ...], ...]):
         total = sum(len(c) for c in ranks)
@@ -428,12 +421,6 @@ class CycleStructure(namedtuple("CycleStructure", "map ranks")):
             raise InvariantViolationError(
                 f"cycles cover {total} points, expected {map.field.order + 1}")
         return tuple.__new__(cls, (map, ranks))
-
-    @cached_property
-    def cycles(self) -> tuple[tuple[ProjPoint, ...], ...]:
-        field = self.map.field
-        return tuple(tuple(ProjPoint.from_int(field, _rank_int(field, r))
-                           for r in cyc) for cyc in self.ranks)
 
     @property
     def summary(self) -> dict[int, int]:

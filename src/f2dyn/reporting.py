@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from .fields import InvariantViolationError, ResourceLimitError
-from .maps import CycleStructure, MapSpec, ProjPoint
+from .maps import CycleStructure, ProjPoint
 
 
 def point_label(p: ProjPoint) -> str:
@@ -36,17 +36,6 @@ def element_echo(e) -> dict:
         except ResourceLimitError:
             pass
     return out
-
-
-def map_echo(m: MapSpec) -> dict:
-    return {
-        "kind": m.kind,
-        "a": element_echo(m.a),
-        "b": element_echo(m.b),
-        "k": m.k,
-        "field_degree": m.field.degree,
-        "field_modulus": f"{m.field.modulus:#x}",
-    }
 
 
 def cycle_paths(cs: CycleStructure) -> list[str]:
@@ -74,8 +63,12 @@ def cycle_labels(cs: CycleStructure) -> list[list[str]]:
 
 
 def cycles_to_dict(cs: CycleStructure) -> dict:
+    m = cs.map
     return {
-        "map": map_echo(cs.map),
+        "map": {"kind": m.kind, "a": element_echo(m.a),
+                "b": element_echo(m.b), "k": m.k,
+                "field_degree": m.field.degree,
+                "field_modulus": f"{m.field.modulus:#x}"},
         "point_total": cs.map.field.order + 1,
         "summary": {str(length): count for length, count in cs.summary.items()},
         "cycles": cycle_labels(cs),

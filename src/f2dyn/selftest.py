@@ -24,7 +24,7 @@ from .curves import (CurveSpec, GroupStructure, catalog_length_sets,
                      curve_from_map, cycle_catalog, group_structure, lift_x,
                      point_count, predict_orbit_length, twist_and_extension)
 from .fields import (BinaryField, ExtensionRootCounter, ResourceLimitError,
-                     SubsetXorSolver, extension_of, polynomial_roots)
+                     SubsetXorSolver, extension_of)
 from .maps import (MapSpec, ProjPoint, QuarticReduction, closed_form,
                    reduce_to_quartic)
 from .reporting import cycle_labels
@@ -262,22 +262,24 @@ def check_orbit_length_prediction() -> str:
         rng = random.Random(seed)
         for degree in range(2, 9):
             field = BinaryField(degree)
+            exp, units = field.tables()[0], field.mult_order
             for _ in range(25):
                 a = field.element(rng.randrange(1, field.order))
                 b = field.element(rng.randrange(field.order))
                 mp = MapSpec("theta", a, b, 2)
                 curve = curve_from_map(a, b)
-                for cyc in mp.cycle_structure().cycles:
-                    x0 = cyc[0]
-                    if x0.is_infinity:
+                for cyc in mp.cycle_structure().ranks:
+                    start = cyc[0]  # rank N is 0, N + 1 infinity, else g^rank
+                    if start > units:
                         p = curve.identity
                     else:
-                        p = min(lift_x(curve, x0.value),
-                                key=lambda pt: pt.y.bits)
+                        x0 = field.element(0 if start == units else exp[start])
+                        p = min(lift_x(curve, x0), key=lambda pt: pt.y.bits)
                     predicted = predict_orbit_length(p)
                     _require(predicted == len(cyc),
-                             f"n={degree} {mp.describe()}: cycle of {x0!r} "
-                             f"has length {len(cyc)}, predicted {predicted}")
+                             f"n={degree} {mp.describe()}: cycle from rank "
+                             f"{start} has length {len(cyc)}, predicted "
+                             f"{predicted}")
                     orbits += 1
     return f"{orbits} orbit lengths predicted exactly"
 
@@ -363,8 +365,9 @@ def _base_field_conjugacy_maps(field: BinaryField, k: int):
 def check_fixed_point_theorem() -> str:
     """For every psi map with base-field conjugacy data (n <= 8, k <= 3), the
     theorem's fixed-point count equals the number of solutions of
-    a*x^(q+1) + b*x + 1 = 0; projective scans confirm every map for n <= 6
-    and two samples above, and the solver reproduces three counts per (n, k)."""
+    a*x^(q+1) + b*x + 1 = 0, counted by a gcd with x^(2^n) - x; projective
+    scans confirm every map for n <= 6 and two samples above, and the solver
+    reproduces three counts per (n, k)."""
     sample_rng, draw_rng = random.Random(51), random.Random(777)
     applicable = scans = solver_checks = 0
     for degree in range(1, 9):
@@ -377,7 +380,7 @@ def check_fixed_point_theorem() -> str:
             for abits, bbits, predicted in rows:
                 a_el, b_el = field.element(abits), field.element(bbits)
                 coeffs = [one, b_el] + [zero] * (q - 1) + [a_el]
-                actual = len(polynomial_roots(coeffs))
+                actual = ExtensionRootCounter(coeffs).count(1)
                 _require(actual == predicted,
                          f"n={degree} k={k} a={abits:#x} b={bbits:#x}: theorem "
                          f"gives {predicted}, polynomial has {actual} roots")

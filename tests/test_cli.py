@@ -250,6 +250,19 @@ def test_conjugate_transcript(capsys):
     assert conj["tau_images"] == {"0": "g^24", "g^27": "g^14", "inf": "g^28"}
 
 
+def test_conjugate_requires_tau_to_carry_the_fixed_points(monkeypatch, capsys):
+    """The tau images of the normal form's fixed points must be the map's
+    fixed points: with tau replaced by the identity the report exits 1 and
+    prints nothing."""
+    argv = ["conjugate", "--degree", "5", "--a", "g", "--b", "g^2"]
+    assert invoke(argv, capsys)[0] == EXIT_OK
+    monkeypatch.setattr(f2dyn.TauMap, "eval", lambda self, p: p)
+    code, out, err = invoke(argv, capsys)
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert "tau maps the normal form's fixed points to ['0', 'g^27', 'inf']" \
+        in err
+
+
 def test_conjugate_verifies_a_degree_60_line_exactly(capsys):
     code, out, err = invoke(
         ["conjugate", "--degree", "12", "--map", "psi", "--a", "0xe9f",
@@ -276,8 +289,9 @@ def test_conjugate_fixed_points_match_a_scan_of_the_line():
         except ResourceLimitError:  # no conjugation within the search bound
             continue
         # psi(inf) = 0, and x is fixed when a*x^(2^k) + b = 1/x
-        scan = [point_label(ProjPoint.finite(x)) for x in f.elements()
-                if not x.is_zero and (a * x.frob(k) + b) * x == f.one]
+        scan = [point_label(ProjPoint.finite(x))
+                for x in map(f.element, range(1, f.order))
+                if (a * x.frob(k) + b) * x == f.one]
         assert conj["fixed_points"] == scan, (degree, a, b, k)
         assert conj["fixed_point_count"] == len(scan)
         compared += 1

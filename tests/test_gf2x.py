@@ -174,6 +174,21 @@ def test_factorize_refuses_past_its_rho_budget(monkeypatch):
     assert gf2x.factorize(2**64 + 1) == {274177: 1, 67280421310721: 1}
 
 
+def test_rho_charges_each_step_by_the_width_of_its_number():
+    """Rho meets the factor p = 2^31 - 1 after the same steps whatever its
+    cofactor, as its sequence runs mod p; a step on a number wider than 128
+    bits is charged (bits/128)^2.  So the 552-bit p * (2^521 - 1) costs
+    (552/128)^2 times what the 120-bit p * (2^89 - 1) costs, and a budget
+    of twice the narrow cost refuses the wide number."""
+    p = 2**31 - 1
+    narrow, wide = p * (2**89 - 1), p * (2**521 - 1)
+    assert gf2x._split(narrow, gf2x.RHO_STEP_LIMIT) == (p, 50302)
+    factor, charged = gf2x._split(wide, gf2x.RHO_STEP_LIMIT)
+    assert factor == p and charged == pytest.approx(50302 * (552 / 128) ** 2)
+    with pytest.raises(gf2x.ResourceLimitError, match="552-bit"):
+        gf2x._split(wide, 2 * 50302)
+
+
 def test_default_modulus_and_smallest_irreducible():
     for n in range(1, 13):
         assert gf2x.default_modulus(n) == gf2x.CONWAY_POLYNOMIALS[n]

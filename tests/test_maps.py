@@ -66,6 +66,16 @@ def ref_linearized(coeffs, x):
     return acc
 
 
+def point_cycles(cs):
+    """The cycles of cs as points: rank i < N = 2^n - 1 is g^i, rank N is
+    zero and rank N + 1 infinity."""
+    field = cs.map.field
+    units, g = field.mult_order, field.primitive_element()
+    special = (ProjPoint.finite(field.zero), ProjPoint.infinity(field))
+    return [tuple(ProjPoint.finite(g ** r) if r < units else special[r - units]
+                  for r in cyc) for cyc in cs.ranks]
+
+
 def tokens(cycle):
     """Cycle as g-exponents, with '0' for zero and 'inf' for infinity."""
     out = []
@@ -80,7 +90,7 @@ def tokens(cycle):
 
 
 def figure(map_spec):
-    return [tokens(c) for c in map_spec.cycle_structure().cycles]
+    return [tokens(c) for c in point_cycles(map_spec.cycle_structure())]
 
 
 def test_proj_point_basics():
@@ -118,7 +128,6 @@ def test_map_records_compare_hash_and_stay_frozen():
     assert mp.pair is mp.pair  # built once
     cs = mp.cycle_structure()
     assert cs == mp.cycle_structure() and hash(cs) == hash(mp.cycle_structure())
-    assert cs.cycles is cs.cycles  # built once
     for record, name in ((mp, "k"), (mp, "a"), (cs, "ranks")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -180,10 +189,11 @@ def test_both_families_are_bijections():
 def test_cycle_structure_partitions_the_line():
     mp = MapSpec("psi", G ** 4, G ** 9, 3)
     cs = mp.cycle_structure()
-    points = [p for c in cs.cycles for p in c]
+    cycles = point_cycles(cs)
+    points = [p for c in cycles for p in c]
     assert len(points) == F32.order + 1
     assert len(set(points)) == F32.order + 1
-    for cyc in cs.cycles:
+    for cyc in cycles:
         for p, nxt in zip(cyc, cyc[1:] + cyc[:1]):
             assert mp.eval(p) == nxt
     assert sum(length * n for length, n in cs.summary.items()) == F32.order + 1
@@ -200,10 +210,10 @@ def test_cycle_ordering_is_canonical():
     for spec in (MapSpec("theta", G, G ** 3, 2),
                  MapSpec("psi", G ** 2, G ** 11, 2),
                  MapSpec("theta", G ** 9, F32.zero, 3)):
-        cs = spec.cycle_structure()
-        starts = [key(c[0]) for c in cs.cycles]
+        cycles = point_cycles(spec.cycle_structure())
+        starts = [key(c[0]) for c in cycles]
         assert starts == sorted(starts)
-        for cyc in cs.cycles:
+        for cyc in cycles:
             assert key(cyc[0]) == min(key(p) for p in cyc)
 
 
@@ -236,20 +246,16 @@ def test_reciprocal_psi_cycle_figure():
 
 
 def test_cycles_are_the_ranks_as_points():
-    """The lazy ProjPoint view lists the same cycles as the ranks: g^i for
-    rank i < N, zero for N and infinity for N + 1."""
-    units = F32.mult_order
+    """The ranks, read as points (g^i for rank i < N, zero for N and
+    infinity for N + 1), are the cycles of the pointwise permutation."""
     for mp in (MapSpec("theta", G, G ** 3, 2), MapSpec("psi", G ** 4, G ** 9, 3),
                MapSpec("theta", G ** 9, F32.zero, 0)):
-        cs = mp.cycle_structure()
-        assert "cycles" not in vars(cs)  # built on first use
-        want = tuple(tuple(ProjPoint.finite(G ** r) if r < units
-                           else ProjPoint.finite(F32.zero) if r == units
-                           else ProjPoint.infinity(F32) for r in cyc)
-                     for cyc in cs.ranks)
-        assert cs.cycles == want
-        assert cs.cycles is cs.cycles
-        assert [len(c) for c in cs.cycles] == [len(c) for c in cs.ranks]
+        perm, seen = mp.permutation(), []
+        for cyc in point_cycles(mp.cycle_structure()):
+            codes = [F32.order if p.is_infinity else p.value.bits for p in cyc]
+            assert [perm[c] for c in codes] == codes[1:] + codes[:1]
+            seen += codes
+        assert sorted(seen) == list(range(F32.order + 1))
 
 
 def test_rank_permutation_matches_the_pointwise_map_at_every_twist():
@@ -425,7 +431,7 @@ def test_quartic_verify_matches_pointwise_reference():
                 continue
             solved += 1
             assert red.verify() and ref_quartic_verify(red), (degree, a, b, k)
-            step = next((d for d in f.elements() if not d.is_zero and (
+            step = next((d for d in map(f.element, range(1, f.order)) if (
                 d if red.parity == "even" else a * d.frob(k) + d)), None)
             if step is None:  # over F_2 with a = 1, every b has one tail
                 continue

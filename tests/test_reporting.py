@@ -6,6 +6,7 @@ from f2dyn import (BinaryField, InvariantViolationError, MapSpec, ProjPoint,
                    check_prediction, cycle_labels, cycles_to_dict, emit_dot,
                    point_label, report_text, to_json)
 from f2dyn.reporting import cycle_paths
+from test_maps import point_cycles
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
@@ -31,7 +32,7 @@ def test_cycle_labels_match_known_figure():
 
 def test_cycle_labels_of_ranks_are_the_point_labels():
     """Labels read straight off the ranks, and the text listing, equal
-    point_label of the lazily built points over F_2^16, also on the cycles
+    point_label of the ranks read as points over F_2^16, also on the cycles
     through zero and infinity, which are labelled point by point."""
     f = BinaryField(16)
     for kind, a, b, k in (
@@ -39,7 +40,7 @@ def test_cycle_labels_of_ranks_are_the_point_labels():
             ("psi", 0xF13A, 0x2B7B, 3),  # inf -> 0 inside a longer cycle
             ("theta", 0x2B7B, 0x0, 1)):  # b = 0: zero and inf are fixed
         cs = MapSpec(kind, f.element(a), f.element(b), k).cycle_structure()
-        want = [[point_label(p) for p in c] for c in cs.cycles]
+        want = [[point_label(p) for p in c] for c in point_cycles(cs)]
         assert cycle_labels(cs) == want, kind
         text = report_text({"config": {}, "cycles": cycle_paths(cs)})
         assert text.splitlines()[1:] == [
