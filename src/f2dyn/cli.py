@@ -44,17 +44,12 @@ class UsageError(ValueError):
 
 
 def _echo(args: SimpleNamespace) -> dict:
-    """The parsed command line, as a report's `input:` line echoes it."""
-    out = {"command": args.command, "degree": args.degree,
-           "k": args.k, "format": args.format}
+    """The parsed command line, as a report's `input:` line echoes it: every
+    attribute that holds a value, map_kind as `map` and the modulus in hex."""
+    out = {("map" if key == "map_kind" else key): value
+           for key, value in vars(args).items() if value is not None}
     if args.modulus is not None:
         out["modulus"] = f"{args.modulus:#x}"
-    if hasattr(args, "map_kind"):
-        out["map"] = args.map_kind
-    for key in ("a", "b"):
-        value = getattr(args, key, None)  # bluher takes no --b
-        if value is not None:
-            out[key] = value
     return out
 
 
@@ -83,19 +78,12 @@ def parse_element(field: BinaryField, text: str) -> FieldElement:
 def _field(args: SimpleNamespace) -> BinaryField:
     if args.degree < 1:
         raise UsageError("--degree must be a positive integer")
-    try:
-        return BinaryField(args.degree, args.modulus)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return BinaryField(args.degree, args.modulus)
 
 
 def _map(args: SimpleNamespace, field: BinaryField) -> MapSpec:
-    a = parse_element(field, args.a)
-    b = parse_element(field, args.b)
-    try:
-        return MapSpec(args.map_kind, a, b, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return MapSpec(args.map_kind, parse_element(field, args.a),
+                   parse_element(field, args.b), args.k)
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -116,10 +104,8 @@ def run_orbits(args: SimpleNamespace) -> str:
 
 
 def _catalog_rows(entries, degree: int) -> list[dict]:
-    return [{"over": degree, "d1": e.d1, "d2": e.d2, "m1": e.m1, "m2": e.m2,
-             "length": e.length, "possible_lengths": list(e.possible_lengths),
-             "point_count": e.point_count, "cycle_count": e.cycle_count}
-            for e in entries]
+    return [dict(e._asdict(), over=degree,
+                 possible_lengths=list(e.possible_lengths)) for e in entries]
 
 
 def run_curve(args: SimpleNamespace) -> str:

@@ -67,9 +67,6 @@ class BinaryField:
         self._log: list[int] | None = None
         # arithmetic calls left before the exp/log tables get built
         self._untabled = self.order >> 4
-        self._mult_factors: list[int] | None = None
-        self._trace_mask: int | None = None
-        self._artin_schreier: SubsetXorSolver | None = None
         self._primitive: int | None = None
         # per twist s: for each byte of an argument, the images of the 16
         # values of its low and of its high 4 bits under x -> x^(2^s)
@@ -221,13 +218,13 @@ class BinaryField:
 
     def trace(self, a: int) -> int:
         """Absolute trace down to GF(2)."""
-        if self._trace_mask is None:
-            mask = 0
-            for i in range(self.degree):
-                if self._trace_slow(1 << i):
-                    mask |= 1 << i
-            self._trace_mask = mask
         return (a & self._trace_mask).bit_count() & 1
+
+    @functools.cached_property
+    def _trace_mask(self) -> int:
+        """The basis elements x^i of trace 1, as a bit mask."""
+        return sum(1 << i for i in range(self.degree)
+                   if self._trace_slow(1 << i))
 
     def _trace_slow(self, a: int) -> int:
         acc = 0
@@ -240,10 +237,12 @@ class BinaryField:
     def artin_schreier(self, w: int) -> int | None:
         """The least z with z^2 + z = w, or None when the trace of w is 1;
         the other solution is z + 1."""
-        if self._artin_schreier is None:
-            self._artin_schreier = SubsetXorSolver(
-                [self.sqr(1 << j) ^ (1 << j) for j in range(self.degree)])
         return self._artin_schreier.solve(w)
+
+    @functools.cached_property
+    def _artin_schreier(self) -> SubsetXorSolver:
+        return SubsetXorSolver(
+            [self.sqr(1 << j) ^ (1 << j) for j in range(self.degree)])
 
     def log(self, a: int) -> int:
         """Discrete log of a nonzero element, base primitive_element()."""
@@ -256,28 +255,16 @@ class BinaryField:
 
     # -- primitive elements and tables ----------------------------------------
 
-    def _factors_of_mult_order(self) -> list[int]:
-        if self._mult_factors is None:
-            self._mult_factors = list(gf2x.factorize(self.mult_order))
-        return self._mult_factors
-
-    def _order_of(self, a: int) -> int:
-        # raw arithmetic only: this runs while exp/log tables are being built
-        order = self.mult_order
-        for p in self._factors_of_mult_order():
-            while order % p == 0 and self._pow_raw(a, order // p) == 1:
-                order //= p
-        return order
-
     def primitive_bits(self) -> int:
-        """Encoding of the smallest generator of the multiplicative group."""
+        """Encoding of the smallest generator of the multiplicative group:
+        the least v with v^(M/p) != 1 for every prime p of M = mult_order."""
         if self._primitive is None:
-            for v in range(1, self.order):
-                if self._order_of(v) == self.mult_order:
-                    self._primitive = v
-                    break
-            else:  # pragma: no cover - the group is cyclic
-                raise InvariantViolationError("no primitive element found")
+            # raw arithmetic only: this runs while exp/log tables are being built
+            cofactors = [self.mult_order // p
+                         for p in gf2x.factorize(self.mult_order)]
+            self._primitive = next(
+                v for v in range(1, self.order)
+                if all(self._pow_raw(v, c) != 1 for c in cofactors))
         return self._primitive
 
     def primitive_element(self) -> "FieldElement":
@@ -734,13 +721,19 @@ def _poly_roots_bits(field: BinaryField, coeffs: Sequence[int]) -> list[int]:
     return sorted(roots)
 
 
-def polynomial_roots(coeffs: Sequence[FieldElement]) -> list[FieldElement]:
-    """Roots, inside the coefficients' own field, sorted by encoding."""
+def _coefficient_field(coeffs: Sequence[FieldElement]) -> BinaryField:
+    """The one field a nonempty coefficient list lies in."""
     if not coeffs:
         raise ValueError("empty coefficient list")
     field = coeffs[0].field
     if any(c.field != field for c in coeffs):
         raise FieldMismatchError("polynomial coefficients mix fields")
+    return field
+
+
+def polynomial_roots(coeffs: Sequence[FieldElement]) -> list[FieldElement]:
+    """Roots, inside the coefficients' own field, sorted by encoding."""
+    field = _coefficient_field(coeffs)
     return [field.element(r)
             for r in _poly_roots_bits(field, [c.bits for c in coeffs])]
 
@@ -761,11 +754,7 @@ class ExtensionRootCounter:
     """
 
     def __init__(self, coeffs: Sequence[FieldElement]):
-        if not coeffs:
-            raise ValueError("empty coefficient list")
-        self.field = coeffs[0].field
-        if any(c.field != self.field for c in coeffs):
-            raise FieldMismatchError("polynomial coefficients mix fields")
+        self.field = _coefficient_field(coeffs)
         if not any(c.bits for c in coeffs[1:]):
             raise ValueError("the polynomial must have positive degree")
         self._ring = ring = _ring(self.field)

@@ -213,11 +213,14 @@ def _frob_iter(t: int, reduce: Callable[[int], int], times: int) -> int:
 
 # Pollard rho steps one factorization may take, counted at 128 bits: a step
 # on a b-bit number is charged max(1, (b/128)^2) steps, the growth of its
-# modular squaring.  Every 2^n - 1 and 2^n + 1 with n <= 121 is below 128
-# bits and factors within it; the slowest, 2^101 - 1, takes 6.8 million
-# steps (2-3 s).  Charged by width, a refusal comes no later on a wider
-# number: factorize refuses 2^137 - 1 in about 2 s, 2^500 - 1 in 1.2-1.4 s,
-# 2^1000 - 1 in 0.9-1 s and 2^2000 - 1 in 0.7 s (2 vCPUs, Python 3.11).
+# modular squaring.  Steps are charged as they run, batch by batch, so the
+# whole budget is usable.  Every 2^n - 1 and 2^n + 1 with n <= 121 is below
+# 128 bits and factors within it; the slowest, 2^101 - 1, takes 6.8 million
+# steps (2-3 s).  Wider ones factor when their second-largest prime is small
+# enough: 2^139 - 1 (7.5 million charged steps) in 2.6 s, 2^215 + 1 in 2.3 s.
+# Charged by width, a refusal comes no later on a wider number: factorize
+# refuses 2^137 - 1 in about 4 s, 2^151 + 1 in 2 s and 2^1000 - 1 in
+# 0.8 s (2 vCPUs, Python 3.11).
 RHO_STEP_LIMIT = 1 << 23
 
 
@@ -262,32 +265,40 @@ def _split(n: int, budget: float) -> tuple[int, float]:
     """A proper factor of the odd composite n and the rho steps charged for
     it: Pollard rho with Brent's cycle finding, taking gcds over batches of
     128 steps, each step charged max(1, (bits/128)^2) for n of that many
-    bits.  A round that could take the charge past `budget` is refused with
-    ResourceLimitError before it starts."""
+    bits.  Each run of steps, a round's advance or one batch, is charged as
+    it starts, and the run that would take the charge past `budget` raises
+    ResourceLimitError instead."""
     bits = n.bit_length()
     weight = max(1.0, (bits / 128) ** 2)
     steps = 0.0
+
+    def charge(count: int) -> None:
+        nonlocal steps
+        steps += count * weight
+        if steps > budget:
+            raise ResourceLimitError(
+                f"Pollard rho found no factor of the {bits}-bit {n} within "
+                f"the budget of one factorization, {RHO_STEP_LIMIT} steps "
+                f"at 128 bits, each step on {bits} bits charged "
+                f"{weight:.2f}")
+
     for c in range(1, n):
         y, r, acc, g = 2, 1, 1, 1
         while g == 1:
-            if steps + 2 * r * weight > budget:  # a round takes at most 2r steps
-                raise ResourceLimitError(
-                    f"Pollard rho found no factor of the {bits}-bit {n} within "
-                    f"the budget of one factorization, {RHO_STEP_LIMIT} steps "
-                    f"at 128 bits, each step on {bits} bits charged "
-                    f"{weight:.2f}")
             x = y
+            charge(r)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 saved = y
-                for _ in range(min(128, r - k)):
+                batch = min(128, r - k)
+                charge(batch)
+                for _ in range(batch):
                     y = (y * y + c) % n
                     acc = acc * abs(x - y) % n
                 g = _int_gcd(acc, n)
-                k += 128
-            steps += (r + min(k, r)) * weight
+                k += batch
             r <<= 1
         if g == n:  # the batch overshot: replay it one step at a time
             g = 1
@@ -303,8 +314,8 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1, ascending in p: trial division
     by the primes below 2^10, then Miller-Rabin and Pollard rho.  The rho
     rounds of one call share RHO_STEP_LIMIT steps, charged by the width of
-    the number they split (see _split); a round that could pass it raises
-    ResourceLimitError instead of starting."""
+    the number they split as the steps run (see _split); the batch that
+    would pass it raises ResourceLimitError instead of starting."""
     if n < 1:
         raise ValueError("n must be positive")
     out: dict[int, int] = {}

@@ -29,41 +29,36 @@ from .fields import (
 )
 
 
-class ProjPoint:
-    """A point of the projective line: a field element, or infinity."""
+class ProjPoint(namedtuple("ProjPoint", "field value")):
+    """A point of the projective line: a field element, or infinity (value
+    None).  The classmethods build points whose value lies in field by
+    construction, so they skip the check that ProjPoint(field, value)
+    makes."""
 
-    __slots__ = ("field", "value")
+    __slots__ = ()
 
-    def __init__(self, field: BinaryField, value: FieldElement | None):
+    def __new__(cls, field: BinaryField, value: FieldElement | None):
         if value is not None and value.field != field:
             raise FieldMismatchError("point value lies in a different field")
-        self.field = field
-        self.value = value
+        return tuple.__new__(cls, (field, value))
 
     @classmethod
     def finite(cls, value: FieldElement) -> "ProjPoint":
-        return cls(value.field, value)
+        return tuple.__new__(cls, (value.field, value))
 
     @classmethod
     def infinity(cls, field: BinaryField) -> "ProjPoint":
-        return cls(field, None)
+        return tuple.__new__(cls, (field, None))
 
     @classmethod
     def from_int(cls, field: BinaryField, i: int) -> "ProjPoint":
         """The point of an encoding: the field order stands for infinity."""
-        return cls(field, None if i == field.order else field.element(i))
+        value = None if i == field.order else field.element(i)
+        return tuple.__new__(cls, (field, value))
 
     @property
     def is_infinity(self) -> bool:
         return self.value is None
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ProjPoint)
-                and self.field == other.field and self.value == other.value)
-
-    def __hash__(self) -> int:
-        bits = -1 if self.value is None else self.value.bits
-        return hash((self.field.modulus, bits))
 
     def __repr__(self) -> str:
         if self.value is None:

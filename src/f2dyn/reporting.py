@@ -17,14 +17,15 @@ from .maps import CycleStructure, ProjPoint
 
 
 def point_label(p: ProjPoint) -> str:
-    if p.is_infinity:
+    value = p.value
+    if value is None:
         return "inf"
-    if p.value.is_zero:
+    if value.is_zero:
         return "0"
     try:
-        return f"g^{p.value.log()}"
+        return f"g^{value.log()}"
     except ResourceLimitError:
-        return p.value.hex
+        return value.hex
 
 
 def element_echo(e) -> dict:
@@ -115,10 +116,10 @@ def report_text(doc: dict) -> str:
     if "catalog" in doc:
         lines.append("catalog (d1, d2, m1, m2, length, points, cycles):")
         for row in doc["catalog"]:
-            where = f"F_2^{row['over']}: " if "over" in row else ""
             lines.append(
-                f"  {where}({row['d1']}, {row['d2']}, {row['m1']}, {row['m2']}, "
-                f"{row['length']}, {row['point_count']}, {row['cycle_count']})"
+                f"  F_2^{row['over']}: ({row['d1']}, {row['d2']}, {row['m1']}, "
+                f"{row['m2']}, {row['length']}, {row['point_count']}, "
+                f"{row['cycle_count']})"
                 + (f"  candidates {row['possible_lengths']}"
                    if len(row["possible_lengths"]) > 1 else ""))
     if "predicted_lengths" in doc:

@@ -596,6 +596,39 @@ def test_other_argv_is_left_to_argparse(argv, want, monkeypatch, capsys):
     assert (got[2] == "") == (want == EXIT_OK)
 
 
+@pytest.mark.parametrize("canonical, other", [
+    ("orbits --degree 5 --k 3 --a g --b g^3",
+     "orbits --degree 5 --k=3 --a g --b g^3"),
+    ("orbits --degree 5 --a g --b g^3", "orbits --deg 5 --a g --b g^3"),
+    ("orbits --degree 5 --modulus 0x25 --a g --b g^3",
+     "orbits --degree 5 --modulus 25 --a g --b g^3"),
+    ("curve --degree 5 --modulus 0x25 --a g --b g^3",
+     "curve --deg 5 --modulus=25 --a g --b g^3"),
+    ("bluher --degree 5 --k 3", "bluher --deg 5 --k=3"),
+    ("bluher --degree 5 --k 3 --a g^2", "bluher --deg 5 --k=3 --a=g^2"),
+    ("conjugate --degree 5 --map psi --a g --b g^2",
+     "conjugate --deg 5 --map=psi --a g --b g^2"),
+])
+def test_input_echo_is_the_parsed_command_line(canonical, other, capsys):
+    """The `input:` line echoes every option the namespace holds, whichever
+    parser read the command line: no None values, --map as `map` and the
+    modulus in hex."""
+    echoes = []
+    for line in (canonical, other):
+        code, out, _ = invoke(line.split(), capsys)
+        assert code == EXIT_OK, line
+        first = out.splitlines()[0]
+        assert first.startswith("input: ")
+        echoes.append(first)
+    assert echoes[0] == echoes[1]
+    echo = json.loads(echoes[0].removeprefix("input: "))
+    assert None not in echo.values()
+    assert echo["command"] == canonical.split()[0]
+    assert echo.get("modulus", "0x25") == "0x25"
+    assert ("map" in echo) == (echo["command"] != "bluher")
+    assert ("a" in echo) == ("--a" in canonical)
+
+
 def test_usage_errors_exit_two(capsys):
     bad_lines = [
         # zero coefficient a

@@ -189,6 +189,29 @@ def test_rho_charges_each_step_by_the_width_of_its_number():
         gf2x._split(wide, 2 * 50302)
 
 
+def test_rho_budget_covers_the_last_round(monkeypatch):
+    """The narrow split above costs 50302 steps.  With the budget a tenth
+    above that, factorize still splits it: batches are charged as they run,
+    so the last round is not refused for the 2r steps it could take at
+    most.  A budget one step short of the cost refuses it."""
+    p, q = 2**31 - 1, 2**89 - 1
+    monkeypatch.setattr(gf2x, "RHO_STEP_LIMIT", 50302 * 11 // 10)
+    assert gf2x.factorize(p * q) == {p: 1, q: 1}
+    monkeypatch.setattr(gf2x, "RHO_STEP_LIMIT", 50302 - 1)
+    with pytest.raises(gf2x.ResourceLimitError, match="120-bit"):
+        gf2x.factorize(p * q)
+
+
+def test_factorize_reaches_two_to_the_139_minus_one():
+    """2^139 - 1 = 5625767248687 * 123876132205208335762278423601: its
+    139-bit part takes 6.3 million rho steps, 7.5 million once charged by
+    width, within RHO_STEP_LIMIT."""
+    n = 2**139 - 1
+    factors = gf2x.factorize(n)
+    assert math.prod(p**e for p, e in factors.items()) == n
+    assert len(factors) == 2
+
+
 def test_default_modulus_and_smallest_irreducible():
     for n in range(1, 13):
         assert gf2x.default_modulus(n) == gf2x.CONWAY_POLYNOMIALS[n]

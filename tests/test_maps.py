@@ -103,6 +103,27 @@ def test_proj_point_basics():
     assert inf != ProjPoint.infinity(BinaryField(4))
 
 
+def test_proj_point_is_a_record():
+    """A point is an immutable (field, value) record: fields cannot be
+    assigned, equal points hash equal, points over different fields (or
+    moduli) differ, and the mismatch check and both repr forms hold."""
+    fin = ProjPoint.finite(F32.element(2))
+    with pytest.raises(AttributeError):
+        fin.value = G
+    with pytest.raises(AttributeError):
+        fin.label = "g"
+    same = ProjPoint(F32, F32.element(2))
+    assert fin == same and hash(fin) == hash(same)
+    other = BinaryField(5, 0x2F)
+    assert fin != ProjPoint.finite(other.element(2))
+    assert ProjPoint.finite(F32.one) != ProjPoint.finite(BinaryField(4).one)
+    with pytest.raises(FieldMismatchError,
+                       match="^point value lies in a different field$"):
+        ProjPoint(F32, other.one)
+    assert repr(ProjPoint.infinity(F32)) == "ProjPoint(inf, F_2^5)"
+    assert repr(fin) == "ProjPoint(0x2, F_2^5)"
+
+
 def test_map_spec_validation():
     with pytest.raises(ValueError, match="^unknown map kind 'frobnicate'$"):
         MapSpec("frobnicate", G, G, 2)
