@@ -39,10 +39,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-class UsageError(ValueError):
-    """A syntactically valid command line that asks for something invalid."""
-
-
 def _echo(args: SimpleNamespace) -> dict:
     """The parsed command line, as a report's `input:` line echoes it: every
     attribute that holds a value, map_kind as `map` and the modulus in hex."""
@@ -57,27 +53,24 @@ def parse_element(field: BinaryField, text: str) -> FieldElement:
     """"g", "g^i" (primitive-element power) or a hex encoding."""
     token = text.strip().lower()
     if not token:
-        raise UsageError("empty field element")
+        raise ValueError("empty field element")
     if token.startswith("g"):
         rest = token[1:]
         try:
             exponent = int(rest.removeprefix("^")) if rest else 1
         except ValueError:
-            raise UsageError(f"malformed element {text!r}") from None
+            raise ValueError(f"malformed element {text!r}") from None
         return field.primitive_element() ** exponent
     try:
         bits = int(token, 16)
     except ValueError:
-        raise UsageError(f"malformed element {text!r} (want g^i or hex)") from None
-    try:
-        return field.element(bits)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(f"malformed element {text!r} (want g^i or hex)") from None
+    return field.element(bits)
 
 
 def _field(args: SimpleNamespace) -> BinaryField:
     if args.degree < 1:
-        raise UsageError("--degree must be a positive integer")
+        raise ValueError("--degree must be a positive integer")
     return BinaryField(args.degree, args.modulus)
 
 
@@ -110,7 +103,7 @@ def _catalog_rows(entries, degree: int) -> list[dict]:
 
 def run_curve(args: SimpleNamespace) -> str:
     if args.map_kind != "theta" or args.k != 2:
-        raise UsageError("curve analysis applies to theta maps with k=2 "
+        raise ValueError("curve analysis applies to theta maps with k=2 "
                          "(the duplication shape)")
     field = _field(args)
     field.tables()  # a listing needs them: refuse before parsing --a, --b
@@ -132,8 +125,7 @@ def run_curve(args: SimpleNamespace) -> str:
         "config": _echo(args),
         "cycle_summary": {str(l): c for l, c in summary.items()},
         "curve": {"a1": element_echo(curve.a1), "a2": element_echo(curve.a2),
-                  "base": {"order": gs1.order, "n1": gs1.n1, "n2": gs1.n2},
-                  "extension": {"order": gs2.order, "n1": gs2.n1, "n2": gs2.n2}},
+                  "base": gs1._asdict(), "extension": gs2._asdict()},
         "catalog": _catalog_rows(cat1, field.degree)
                    + _catalog_rows(cat2, 2 * field.degree),
         "predicted_lengths": predicted,
@@ -147,7 +139,7 @@ def run_curve(args: SimpleNamespace) -> str:
 
 def run_conjugate(args: SimpleNamespace) -> str:
     if args.map_kind != "psi":
-        raise UsageError("conjugation applies to psi maps (pass --map psi)")
+        raise ValueError("conjugation applies to psi maps (pass --map psi)")
     field = _field(args)
     mp = _map(args, field)
     data = solve_conjugation(mp)  # checked exactly on its whole line
@@ -196,7 +188,7 @@ def run_bluher(args: SimpleNamespace) -> str:
     The one --a value is counted on the eigenlines of its map."""
     field = _field(args)  # built even for a sweep: it validates --modulus
     if args.k < 1:
-        raise UsageError("--k must be at least 1")
+        raise ValueError("--k must be at least 1")
     theorem = bluher_distribution(args.k, field.degree)
     if args.a is None:
         values = range(1, field.order) if field.order <= 256 else ()
@@ -358,7 +350,7 @@ def _command(argv: list[str] | None) -> int:
         return selftest.run(quick=args.quick)
     try:
         sys.stdout.write(run(args))
-    except ValueError as exc:  # UsageError and FieldMismatchError among them
+    except ValueError as exc:  # refused input, FieldMismatchError among them
         print(f"f2dyn: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

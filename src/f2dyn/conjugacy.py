@@ -107,8 +107,6 @@ class TauMap(namedtuple("TauMap", "data")):
     def eval(self, x: ProjPoint) -> ProjPoint:
         return self.pair.eval(x)
 
-    __call__ = eval
-
 
 def _root_counts(map: MapSpec, bound: int):
     """(P, V) over L = F_{2^(n*r)} for r = 1, ..., bound: P roots c2 of

@@ -14,7 +14,7 @@ from collections.abc import Callable, Sequence
 from math import gcd
 
 from . import gf2x
-from .gf2x import ResourceLimitError
+from .gf2x import InvariantViolationError, ResourceLimitError
 
 # Fields up to this degree get exp/log tables, so that multiplication,
 # inversion and discrete logs are table lookups.  The tables hold 3*2^n
@@ -39,10 +39,6 @@ ROOT_DEGREE_LIMIT = (1 << 14) + 1
 
 class FieldMismatchError(ValueError):
     """Elements of two different fields met in a single operation."""
-
-
-class InvariantViolationError(RuntimeError):
-    """A computation contradicted a structural guarantee; indicates a bug."""
 
 
 class BinaryField:
@@ -248,9 +244,8 @@ class BinaryField:
         """Discrete log of a nonzero element, base primitive_element()."""
         if a == 0:
             raise ZeroDivisionError("discrete log of zero")
-        if self._exp is None and not self._build_tables():
-            raise ResourceLimitError(
-                f"no discrete logs for fields larger than 2^{_TABLE_LIMIT}")
+        if self._exp is None:
+            self.tables()
         return self._log[a]
 
     # -- primitive elements and tables ----------------------------------------

@@ -6,6 +6,10 @@ structure, a reducer built once per modulus (and its slot-wise form for
 polynomials over F_{2^n} packed into one int), and irreducibility testing,
 which is all the field layer needs, and the one integer factorizer the field
 and curve layers share.
+
+It also defines the package's two runtime exceptions: ResourceLimitError
+(the command line's exit 3) and InvariantViolationError (exit 1).  fields
+re-exports both.
 """
 
 from __future__ import annotations
@@ -228,6 +232,10 @@ class ResourceLimitError(RuntimeError):
     """A bounded search or enumeration exhausted its configured budget."""
 
 
+class InvariantViolationError(RuntimeError):
+    """A computation contradicted a structural guarantee; indicates a bug."""
+
+
 def _primes_below(bound: int) -> list[int]:
     sieve = bytearray([1]) * bound
     sieve[:2] = b"\0\0"
@@ -307,7 +315,7 @@ def _split(n: int, budget: float) -> tuple[int, float]:
                 g = _int_gcd(abs(x - saved), n)
         if g != n:
             return g, steps
-    raise AssertionError("no factor found")  # unreachable for composite n
+    raise InvariantViolationError("no factor found")  # unreachable for composite n
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -398,7 +406,7 @@ def smallest_irreducible(n: int) -> int:
             continue
         if not _has_small_factor(f, depth) and is_irreducible(f):
             return f
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise InvariantViolationError("no irreducible polynomial found")  # unreachable
 
 
 @cache

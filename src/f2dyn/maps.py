@@ -30,10 +30,10 @@ from .fields import (
 
 
 class ProjPoint(namedtuple("ProjPoint", "field value")):
-    """A point of the projective line: a field element, or infinity (value
-    None).  The classmethods build points whose value lies in field by
-    construction, so they skip the check that ProjPoint(field, value)
-    makes."""
+    """A point of the projective line: a field element, or infinity, the
+    one point whose value is None (test `p.value is None`).  The
+    classmethods build points whose value lies in field by construction, so
+    they skip the check that ProjPoint(field, value) makes."""
 
     __slots__ = ()
 
@@ -55,10 +55,6 @@ class ProjPoint(namedtuple("ProjPoint", "field value")):
         """The point of an encoding: the field order stands for infinity."""
         value = None if i == field.order else field.element(i)
         return tuple.__new__(cls, (field, value))
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.value is None
 
     def __repr__(self) -> str:
         if self.value is None:
@@ -429,20 +425,20 @@ class CycleStructure(namedtuple("CycleStructure", "map ranks")):
 # -- closed-form iteration -------------------------------------------------------
 
 
-class ClosedFormIterate(namedtuple("ClosedFormIterate", "a b q m lead tail")):
-    """The m-fold composite of x -> a*x^q + b, in closed form.
+class ClosedFormIterate(namedtuple("ClosedFormIterate", "lead tail s")):
+    """The m-fold composite of x -> a*x^q + b, in closed form: the map
+    x -> lead * x^(2^s) + tail.
 
-    With s_t = 1 + q + ... + q^(t-1) (and s_0 = 0), the composite is
-    lead * x^(q^m) + tail where lead = a^(s_m) and
+    With s_t = 1 + q + ... + q^(t-1) (and s_0 = 0), lead = a^(s_m) and
     tail = sum over t < m of a^(s_t) * b^(q^t): the top row of the m-th
-    power of the pair ((a, b), (0, 1)).
+    power of the pair ((a, b), (0, 1)).  s, that power's twist, is
+    m*log2(q) mod the field's degree, so x^(2^s) = x^(q^m) on the field.
     """
 
     __slots__ = ()
 
     def eval(self, x: FieldElement) -> FieldElement:
-        step = self.q.bit_length() - 1
-        return self.lead * x.frob(step * self.m) + self.tail
+        return self.lead * x.frob(self.s) + self.tail
 
 
 def closed_form(a: FieldElement, b: FieldElement, q: int, m: int) -> ClosedFormIterate:
@@ -453,9 +449,10 @@ def closed_form(a: FieldElement, b: FieldElement, q: int, m: int) -> ClosedFormI
     if m < 1:
         raise ValueError("m must be positive")
     theta = MapSpec("theta", a, b, q.bit_length() - 1)  # validates a and b
-    (lead, tail), _ = theta.pair.power(m).m
-    return ClosedFormIterate(a=a, b=b, q=q, m=m, lead=a.field.element(lead),
-                             tail=a.field.element(tail))
+    power = theta.pair.power(m)
+    (lead, tail), _ = power.m
+    return ClosedFormIterate(a.field.element(lead), a.field.element(tail),
+                             power.s)
 
 
 # -- reduction of theta_{a,b,k} to an iterated quartic map -------------------------

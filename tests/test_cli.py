@@ -19,7 +19,7 @@ from f2dyn import (BinaryField, GroupStructure, MapSpec, ProjPoint,
                    curve_from_map, curves, extension_of, gf2x, point_label,
                    selftest)
 from f2dyn.cli import (EXIT_INVARIANT, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE,
-                       UsageError, build_parser, main, parse_element, run)
+                       build_parser, main, parse_element, run)
 from f2dyn.curves import line_cycle_counts
 
 F32 = BinaryField(5)
@@ -45,9 +45,16 @@ def test_parse_element_variants():
     assert parse_element(F32, "1f") == F32.element(0x1F)
     assert parse_element(F32, "g^0") == F32.one
     assert parse_element(F32, "g^-1") == G ** 30
-    for bad in ("", "q^3", "g^x", "g^", "0xfff", "zz"):
-        with pytest.raises(UsageError):
+    for bad, message in [
+            ("", "empty field element"),
+            ("q^3", "malformed element 'q^3' (want g^i or hex)"),
+            ("g^x", "malformed element 'g^x'"),
+            ("g^", "malformed element 'g^'"),
+            ("0xfff", "encoding 0xfff out of range for BinaryField(5, 0x25)"),
+            ("zz", "malformed element 'zz' (want g^i or hex)")]:
+        with pytest.raises(ValueError) as info:
             parse_element(F32, bad)
+        assert str(info.value) == message
 
 
 def test_orbits_text_reproduces_figure(capsys):
@@ -632,29 +639,35 @@ def test_input_echo_is_the_parsed_command_line(canonical, other, capsys):
 def test_usage_errors_exit_two(capsys):
     bad_lines = [
         # zero coefficient a
-        ["orbits", "--degree", "5", "--a", "0x0", "--b", "g"],
+        (["orbits", "--degree", "5", "--a", "0x0", "--b", "g"],
+         "coefficient a must be nonzero"),
         # malformed element
-        ["orbits", "--degree", "5", "--a", "g^x", "--b", "g"],
+        (["orbits", "--degree", "5", "--a", "g^x", "--b", "g"],
+         "malformed element 'g^x'"),
         # element out of range for the field
-        ["orbits", "--degree", "3", "--a", "0xff", "--b", "g"],
+        (["orbits", "--degree", "3", "--a", "0xff", "--b", "g"],
+         "encoding 0xff out of range for BinaryField(3, 0xb)"),
         # conjugation of a theta map
-        ["conjugate", "--degree", "5", "--map", "theta", "--a", "g",
-         "--b", "g^2"],
+        (["conjugate", "--degree", "5", "--map", "theta", "--a", "g",
+          "--b", "g^2"], "conjugation applies to psi maps (pass --map psi)"),
         # curve analysis needs the quartic shape
-        ["curve", "--degree", "5", "--a", "g", "--b", "g^3", "--k", "3"],
+        (["curve", "--degree", "5", "--a", "g", "--b", "g^3", "--k", "3"],
+         "curve analysis applies to theta maps with k=2 "
+         "(the duplication shape)"),
         # reducible modulus
-        ["orbits", "--degree", "3", "--modulus", "0x9", "--a", "g",
-         "--b", "g"],
+        (["orbits", "--degree", "3", "--modulus", "0x9", "--a", "g",
+          "--b", "g"], "modulus 0x9 is reducible"),
         # psi needs k >= 1
-        ["orbits", "--degree", "5", "--map", "psi", "--a", "g", "--b", "g",
-         "--k", "0"],
+        (["orbits", "--degree", "5", "--map", "psi", "--a", "g", "--b", "g",
+          "--k", "0"], "k must be >= 0 for theta and >= 1 for psi"),
         # bluher with a = 0
-        ["bluher", "--degree", "3", "--a", "0x0"],
+        (["bluher", "--degree", "3", "--a", "0x0"], "a must be nonzero"),
     ]
-    for argv in bad_lines:
+    for argv, message in bad_lines:
         code, out, err = invoke(argv, capsys)
         assert code == EXIT_USAGE, argv
-        assert "error" in err
+        assert out == ""
+        assert err == f"f2dyn: error: {message}\n"
 
 
 def test_malformed_modulus_exits_two_with_usage(capsys):

@@ -427,7 +427,7 @@ def test_predict_orbit_length_reproduces_line_cycles():
     mp = MapSpec("theta", G, G ** 3, 2)
     for cyc in point_cycles(mp.cycle_structure()):
         first = cyc[0]
-        if first.is_infinity:
+        if first.value is None:
             p = curve.identity
         else:
             p = min(lift_x(curve, first.value), key=lambda q: q.y.bits)

@@ -321,6 +321,11 @@ def test_large_field_without_tables():
     assert a.sqrt() * a.sqrt() == a
     with pytest.raises(ResourceLimitError):
         a.log()
+    # one refusal for the one limit: log() refuses through tables()
+    wide = BinaryField(17)
+    with pytest.raises(ResourceLimitError) as info:
+        wide.element(3).log()
+    assert str(info.value) == "no exp/log tables for fields larger than 2^16"
 
 
 def xor_of_columns(cols, mask):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import f2dyn
 from f2dyn import BinaryField, fields, gf2x
 
 # Irreducible moduli x^n + r with deg r > n/2, which the field reducer hands to
@@ -200,6 +201,24 @@ def test_rho_budget_covers_the_last_round(monkeypatch):
     monkeypatch.setattr(gf2x, "RHO_STEP_LIMIT", 50302 - 1)
     with pytest.raises(gf2x.ResourceLimitError, match="120-bit"):
         gf2x.factorize(p * q)
+
+
+def test_unreachable_ends_raise_invariant_violations(monkeypatch):
+    """A rho that never finds a proper factor and a modulus search that
+    finds no irreducible end in InvariantViolationError, which the command
+    line turns into exit 1; gf2x defines the one class the package uses."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gf2x, "_int_gcd", lambda a, n: n)
+        with pytest.raises(gf2x.InvariantViolationError,
+                           match="no factor found"):
+            gf2x._split(15, gf2x.RHO_STEP_LIMIT)
+    with monkeypatch.context() as patch:
+        patch.setattr(gf2x, "is_irreducible", lambda f: False)
+        with pytest.raises(gf2x.InvariantViolationError,
+                           match="no irreducible polynomial found"):
+            gf2x.smallest_irreducible(3)
+    assert (gf2x.InvariantViolationError is fields.InvariantViolationError
+            is f2dyn.InvariantViolationError)
 
 
 def test_factorize_reaches_two_to_the_139_minus_one():

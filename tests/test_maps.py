@@ -5,10 +5,10 @@ import time
 
 import pytest
 
-from f2dyn import (BinaryField, CycleStructure, FieldMismatchError,
-                   InvariantViolationError, MapSpec, ProjPoint,
-                   QuarticReduction, ResourceLimitError, Semilinear,
-                   closed_form, extension_of, reduce_to_quartic)
+from f2dyn import (BinaryField, ClosedFormIterate, CycleStructure,
+                   FieldMismatchError, InvariantViolationError, MapSpec,
+                   ProjPoint, QuarticReduction, ResourceLimitError,
+                   Semilinear, closed_form, extension_of, reduce_to_quartic)
 from f2dyn.maps import _quartic_coefficients
 
 F32 = BinaryField(5)
@@ -80,7 +80,7 @@ def tokens(cycle):
     """Cycle as g-exponents, with '0' for zero and 'inf' for infinity."""
     out = []
     for p in cycle:
-        if p.is_infinity:
+        if p.value is None:
             out.append("inf")
         elif p.value.is_zero:
             out.append("0")
@@ -96,7 +96,7 @@ def figure(map_spec):
 def test_proj_point_basics():
     inf = ProjPoint.infinity(F32)
     fin = ProjPoint.finite(G)
-    assert inf.is_infinity and not fin.is_infinity
+    assert inf.value is None and fin.value is not None
     assert inf == ProjPoint.infinity(F32)
     assert fin == ProjPoint.finite(G) and fin != inf
     assert hash(fin) == hash(ProjPoint.finite(G))
@@ -183,7 +183,7 @@ def test_eval_matches_formula_everywhere():
         assert image == ProjPoint.finite(want)
         pimage = psi.eval(ProjPoint.finite(x))
         if want.is_zero:
-            assert pimage.is_infinity
+            assert pimage.value is None
         else:
             assert pimage == ProjPoint.finite(want.inv())
 
@@ -222,7 +222,7 @@ def test_cycle_structure_partitions_the_line():
 
 def test_cycle_ordering_is_canonical():
     def key(p):
-        if p.is_infinity:
+        if p.value is None:
             return p.field.order
         if p.value.is_zero:
             return p.field.order - 1
@@ -273,7 +273,7 @@ def test_cycles_are_the_ranks_as_points():
                MapSpec("theta", G ** 9, F32.zero, 0)):
         perm, seen = mp.permutation(), []
         for cyc in point_cycles(mp.cycle_structure()):
-            codes = [F32.order if p.is_infinity else p.value.bits for p in cyc]
+            codes = [F32.order if p.value is None else p.value.bits for p in cyc]
             assert [perm[c] for c in codes] == codes[1:] + codes[:1]
             seen += codes
         assert sorted(seen) == list(range(F32.order + 1))
@@ -320,6 +320,9 @@ def test_closed_form_first_iterate_and_geometric_sum():
     a, b = G ** 4, G ** 22
     it = closed_form(a, b, 4, 1)
     assert it.lead == a and it.tail == b
+    # the record keeps the answer only: x^(q^m) = x^(2^s), s taken mod n
+    assert ClosedFormIterate._fields == ("lead", "tail", "s")
+    assert it.s == 2 and closed_form(a, b, 4, 3).s == 6 % 5
     # lead = a^(1 + q + ... + q^(m-1))
     for m in range(1, 8):
         assert closed_form(a, b, 4, m).lead == a ** ((4 ** m - 1) // 3)
