@@ -463,11 +463,14 @@ def extension_of(base: BinaryField, relative_degree: int) -> ExtensionEmbedding:
     The image of the base generator is the smallest-encoding root of the base
     modulus inside the extension, so the construction is reproducible.  The
     modulus is irreducible over GF(2), so its roots in the extension are the
-    Frobenius orbit rho, rho^2, ..., rho^(2^(n-1)) of any one of them: a
-    single root is split out, its orbit is checked to be n distinct
-    elements closed under squaring, and the smallest is checked to be a
-    root.  Squaring permutes the roots of a polynomial over GF(2), so that
-    one evaluation vouches for the whole orbit.
+    Frobenius orbit rho, rho^2, ..., rho^(2^(n-1)) of any one of them, all
+    in the subfield F_{2^n}: the splitter's chain stops at X^(2^n), its
+    period, and forms each trace from n powers of X, not n*r (64 x 15:
+    5.8 -> 0.81 s cold on 2 vCPUs).  A single root is split out, its orbit
+    is checked to be n distinct elements closed under squaring, and the
+    smallest is checked to be a root.  Squaring permutes the roots of a
+    polynomial over GF(2), so that one evaluation vouches for the whole
+    orbit.
     """
     if relative_degree < 1:
         raise ValueError("relative degree must be positive")
@@ -613,12 +616,15 @@ def _ring(field: BinaryField) -> _PolyRing:
 # -- polynomial roots inside a fixed field ---------------------------------------
 #
 # Coefficient lists are little-endian: coeffs[i] multiplies x^i.  The search
-# never enumerates the field.  It squares X up to X^(2^n) modulo the search
-# form g of f (_search_form), keeps H = gcd(g, X^(2^n) - X), whose roots are
-# those in the field, and splits H by the traces T_j = Tr(x^j * X) for the
-# basis x^j in order; some x^j separates any two roots.  Each T_j is formed
-# once mod H, from the powers X^(2^i) mod H: g's when H = g, else recomputed
-# mod the smaller H (g may have degree 2^t + 1), never reduced from g's.
+# never enumerates the field.  It squares X modulo the search form g of f
+# (_search_form) up to X^(2^n), or up to the first X^(2^e) = X with e | n,
+# where g's roots all lie in F_{2^e} (the period of its roots).  It keeps
+# H = gcd(g, X^(2^n) - X), whose roots are those in the field (g itself
+# after a stop), and splits H by the traces T_j = Tr(x^j * X) for the basis
+# x^j in order; some x^j separates any two roots.  Each T_j is formed once
+# mod H, from the powers X^(2^i) mod H, i < e: g's when H = g, else
+# recomputed mod the smaller H (g may have degree 2^t + 1), never reduced
+# from g's.
 
 
 def _search_form(ring: _PolyRing,
@@ -652,17 +658,28 @@ def _search_form(ring: _PolyRing,
 
 
 class _Splitter:
-    """Splits H = gcd(g, X^(2^n) - X) by the traces T_i = Tr(x^i * X)."""
+    """Splits H = gcd(g, X^(2^n) - X) by the traces T_i = Tr(x^i * X).
+
+    X^(2^i) mod H has a period e dividing n: the degree of the least
+    subfield holding H's roots.  _powers keeps one period, so each trace
+    T_i = sum over s < n of (x^i)^(2^s) * X^(2^s) is formed as e weighted
+    powers, the weights summing x^i's n conjugates by s mod e.  Over
+    F_{2^(nr)} a base modulus has e = n: 1/r of the products of n*r terms
+    (extension_of(F_2^64, 4): 0.28 -> 0.16 s cold on 2 vCPUs).
+    """
 
     def __init__(self, ring: _PolyRing, g: int):
         reduce = ring.reducer(g)
-        powers = [reduce(1 << ring.width)]  # X^(2^i) mod g, i <= n
-        for _ in range(ring.field.degree):
+        n = ring.field.degree
+        powers = [reduce(1 << ring.width)]  # X^(2^i) mod g, i <= e
+        for e in range(1, n + 1):
             powers.append(reduce(gf2x.sqr(powers[-1])))
+            if n % e == 0 and powers[-1] == powers[0]:
+                break  # g divides X^(2^e) - X, which divides X^(2^n) - X
         self.ring, self.H = ring, ring.gcd(g, powers.pop() ^ powers[0])
-        # X^(2^i) mod H, i < n: g's, or those of H's own splitter (H splits
-        # fully, so that one keeps its powers); an H of degree < 2 is split
-        # without them
+        # X^(2^i) mod H, i < e: g's, or those of H's own splitter (H splits
+        # fully, so that one stops at its period); an H of degree < 2 is
+        # split without them
         self._powers = (powers if self.H == g or ring.degree(self.H) < 2
                         else _Splitter(ring, self.H)._powers)
         self._rems: dict[tuple[int, int], int] = {}  # (h, i) -> T_i mod h
@@ -674,11 +691,16 @@ class _Splitter:
         if (h, i) not in self._rems:
             if chain:
                 t = self.ring.divmod(self._rem(chain[:-1], i), h)[1]
-            else:  # n packed products, none for x^0 = 1
-                t, v = 0, 1 << i
-                for p in self._powers:
-                    t ^= p if v == 1 else gf2x.mul(v, p)
-                    v = self.ring.field.sqr(v)
+            else:  # n squarings, e packed products (none for weight 0, 1)
+                powers, field = self._powers, self.ring.field
+                weights, v = [0] * len(powers), 1 << i
+                for s in range(field.degree):
+                    weights[s % len(powers)] ^= v
+                    v = field.sqr(v)
+                t = 0
+                for w, p in zip(weights, powers):
+                    if w:
+                        t ^= p if w == 1 else gf2x.mul(w, p)
                 t = self.ring.reduce_slots(t)
             self._rems[h, i] = t
         return self._rems[h, i]

@@ -573,10 +573,108 @@ def test_packed_ring_divides_and_reduces():
 
 def test_embedding_is_the_smallest_reference_root():
     for n, r in [(n, 2) for n in range(2, 13)] + [(3, 3), (4, 3), (5, 3),
-                                                  (8, 3), (6, 4)]:
+                                                  (8, 3), (6, 4), (12, 5),
+                                                  (10, 3), (8, 5)]:
         base = BinaryField(n)
         emb = extension_of(base, r)
         coeffs = [(base.modulus >> i) & 1 for i in range(n + 1)]
         roots = ref_poly_roots(emb.ext, coeffs)
         assert len(roots) == n
         assert emb.image_of_root.bits == roots[0], (n, r)
+
+
+# -- the splitter stops at the period of its roots -----------------------------
+
+
+def ref_root_traces(field, m):
+    """T_j = sum over i < N of (x^j)^(2^i) * (X^(2^i) mod m), for j < N: all
+    N powers of X, one coefficient product per term (m monic, little-endian)."""
+    powers = [ref_pmod(field, [0, 1], m)]
+    for _ in range(field.degree - 1):
+        powers.append(ref_psqr_mod(field, powers[-1], m))
+    traces = []
+    for j in range(field.degree):
+        t, v = [0] * len(m), 1 << j
+        for p in powers:
+            for i, c in enumerate(p):
+                t[i] ^= field.mul(v, c)
+            v = field.sqr(v)
+        traces.append(ref_strip(t))
+    return traces
+
+
+def assert_root_traces(splitter, m):
+    """Every root-level trace of splitter is the N-term sum modulo m."""
+    ring = splitter.ring
+    for j, trace in enumerate(ref_root_traces(ring.field,
+                                              ring.coefficients(m))):
+        assert splitter._rem((), j) == ring.pack(trace), (ring.field, j)
+
+
+def subfield_period(field, roots):
+    """The least e dividing N with every root in F_2^e."""
+    n = field.degree
+    return next(e for e in range(1, n + 1) if n % e == 0
+                and all(field.frob(x, e) == x for x in roots))
+
+
+def subfield_roots(field, e, rng):
+    """Up to three relative traces Tr_{N/e} of random elements, which lie in
+    F_2^e, drawn until they are nonzero and generate F_2^e; sorted."""
+    while True:
+        roots = set()
+        for _ in range(3):
+            y, t = rng.randrange(1, field.order), 0
+            for s in range(0, field.degree, e):
+                t ^= field.frob(y, s)
+            roots.add(t)
+        if 0 not in roots and subfield_period(field, roots) == e:
+            return sorted(roots)
+
+
+def test_base_modulus_splitter_stops_at_the_base_degree():
+    """Over F_2^(nr) the roots of the base modulus lie in F_2^n, so the
+    splitter keeps n powers of X, and H is the modulus itself."""
+    for n, r in [(8, 2), (10, 3), (12, 5), (6, 4), (16, 2)]:
+        ring = fields._ring(BinaryField(n * r))
+        g = ring.pack([BinaryField(n).modulus >> i & 1 for i in range(n + 1)])
+        splitter = fields._Splitter(ring, g)
+        assert len(splitter._powers) == n and splitter.H == g, (n, r)
+        assert_root_traces(splitter, g)
+
+
+def test_subfield_roots_stop_at_their_period():
+    """A product of linear factors with roots in a proper subfield F_2^e
+    keeps e powers of X: its own when the roots are distinct, those of the
+    splitter built for H when one repeats."""
+    rng = random.Random(19)
+    for field in ROOT_SEARCH_FIELDS:
+        n, ring = field.degree, fields._ring(field)
+        for e in (e for e in range(2, n) if n % e == 0):
+            roots = subfield_roots(field, e, rng)
+            for listed in (roots, roots + roots[:1]):
+                coeffs = poly_from_roots(field, listed)
+                case = (field, e, listed)
+                _, g, _ = fields._search_form(ring, coeffs)
+                splitter = fields._Splitter(ring, g)
+                assert len(splitter._powers) == e, case
+                assert (splitter.H == g) == (listed is roots), case
+                assert fields._poly_roots_bits(field, coeffs) == roots \
+                    == ref_poly_roots(field, coeffs), case
+                assert_root_traces(splitter, splitter.H)
+
+
+def test_irreducible_of_foreign_degree_runs_the_full_chain():
+    """A GF(2) irreducible of degree d not dividing N has its roots in
+    F_2^d, outside F_2^N: the chain runs to N, H = 1, and no root is found.
+    The splitter then keeps g's N powers, so its traces are sums mod g."""
+    for field, d in [(BinaryField(12), 5), (BinaryField(12), 8),
+                     (BinaryField(17), 4), (BinaryField(64), 3),
+                     (BinaryField(20, 0x180007), 3)]:
+        ring = fields._ring(field)
+        g = ring.pack([gf2x.smallest_irreducible(d) >> i & 1
+                       for i in range(d + 1)])
+        splitter = fields._Splitter(ring, g)
+        assert len(splitter._powers) == field.degree, (field, d)
+        assert splitter.H == 1 and splitter.split() == [], (field, d)
+        assert_root_traces(splitter, g)
