@@ -42,7 +42,6 @@ from .curves import (
     point_add,
     point_count,
     predict_orbit_length,
-    scalar_mul,
 )
 from .conjugacy import (
     ConjugacyData,

@@ -27,7 +27,7 @@ from .conjugacy import (TauMap, bluher_counts, bluher_distribution,
 from .curves import (catalog_length_sets, curve_from_map, cycle_catalog,
                      group_structure, line_cycle_counts, twist_and_extension)
 from .fields import (BinaryField, FieldElement, InvariantViolationError,
-                     ResourceLimitError)
+                     ResourceLimitError, check_table_degree)
 from .maps import MapSpec, ProjPoint
 from .reporting import (check_prediction, cycle_paths, cycles_to_dict,
                         element_echo, emit_dot, point_label, report_text,
@@ -83,8 +83,8 @@ def _map(args: SimpleNamespace, field: BinaryField) -> MapSpec:
 
 
 def run_orbits(args: SimpleNamespace) -> str:
+    check_table_degree(args.degree)  # a listing needs tables: refuse first
     field = _field(args)
-    field.tables()  # a listing needs them: refuse before parsing --a, --b
     cs = _map(args, field).cycle_structure()
     if args.format == "dot":
         return emit_dot(cs)
@@ -105,8 +105,8 @@ def run_curve(args: SimpleNamespace) -> str:
     if args.map_kind != "theta" or args.k != 2:
         raise ValueError("curve analysis applies to theta maps with k=2 "
                          "(the duplication shape)")
+    check_table_degree(args.degree)  # a listing needs tables: refuse first
     field = _field(args)
-    field.tables()  # a listing needs them: refuse before parsing --a, --b
     mp = _map(args, field)
     summary = mp.cycle_structure().summary
     curve = curve_from_map(mp.a, mp.b)

@@ -49,7 +49,7 @@ class ConjugacyData(namedtuple("ConjugacyData", "map embedding c c1 c2 c3")):
         for name, value in (("c", c), ("c1", c1), ("c2", c2), ("c3", c3)):
             if value.field != embedding.ext:
                 raise FieldMismatchError(f"{name} lies outside the extension field")
-        if c2.is_zero or c3.is_zero:
+        if not c2 or not c3:
             raise ValueError("c2 and c3 must be nonzero")
         return tuple.__new__(cls, (map, embedding, c, c1, c2, c3))
 
@@ -84,7 +84,7 @@ class ConjugacyData(namedtuple("ConjugacyData", "map embedding c c1 c2 c3")):
                 and self.c1 == self.c3.frob(s)
                 and self.c2 * self.c == a + b * self.c2.frob(s)
                 and self.c3 == a * self.c1.frob(s) + b * self.c3.frob(s)
-                and not (self.c3 + self.c1 * self.c2).is_zero)
+                and bool(self.c3 + self.c1 * self.c2))
 
     def describe(self) -> str:
         return (f"c={self.c.hex} c1={self.c1.hex} c2={self.c2.hex} "
@@ -238,7 +238,7 @@ def verify_conjugation(data: ConjugacyData) -> bool:
     pairs Psi*sigma^k(T) is proportional to T*Theta, and det T = c3 + c1*c2
     is nonzero.  It implies every special point of tau's formula and the
     fixed points tau(0) = c1/c3 and tau(inf) = 1/c2."""
-    if (data.c3 + data.c1 * data.c2).is_zero:
+    if not (data.c3 + data.c1 * data.c2):
         return False
     tau, psi = TauMap(data).pair, data.embedded_map().pair
     return tau.then(psi).same_map(data.normal_form().pair.then(tau))
@@ -254,7 +254,7 @@ def fixed_point_count(c: FieldElement, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if c.is_zero:
+    if not c:
         raise ValueError("c must be nonzero")
     m = c.field.degree
     d = (1 << gcd(k, m)) - 1
@@ -324,7 +324,7 @@ def bluher_root_count(a: FieldElement, k: int) -> int:
     of psi_{1/a,1/a,k}(x) = a/(x^q + 1), which solve x*(x^q + 1) = a.
     The count must lie in the admissible set {0, 1, 2, 2^gcd(k,n) + 1}.
     """
-    if a.is_zero:
+    if not a:
         raise ValueError("a must be nonzero")
     if k < 1:
         raise ValueError("k must be positive")

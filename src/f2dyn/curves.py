@@ -33,7 +33,7 @@ class CurveSpec(namedtuple("CurveSpec", "a1 a2")):
     def __new__(cls, a1: FieldElement, a2: FieldElement):
         if a1.field != a2.field:
             raise FieldMismatchError("curve coefficients lie in different fields")
-        if a1.is_zero:
+        if not a1:
             raise ValueError("a1 must be nonzero (the curve would be singular)")
         return tuple.__new__(cls, (a1, a2))
 
@@ -78,9 +78,6 @@ class CurvePoint(namedtuple("CurvePoint", "curve x y")):
             return self
         return CurvePoint(self.curve, self.x, self.y + self.curve.a1)
 
-    def double(self) -> "CurvePoint":
-        return point_add(self, self)
-
     def __repr__(self) -> str:
         if self.is_identity:
             return "CurvePoint(identity)"
@@ -96,7 +93,7 @@ def curve_from_map(a: FieldElement, b: FieldElement) -> CurveSpec:
     """
     if a.field != b.field:
         raise FieldMismatchError("map coefficients lie in different fields")
-    if a.is_zero:
+    if not a:
         raise ValueError("coefficient a must be nonzero")
     a1 = a.inv().sqrt()
     return CurveSpec(a1, a1 * b.sqrt())
@@ -128,21 +125,6 @@ def point_add(p: CurvePoint, q: CurvePoint) -> CurvePoint:
         x3 = slope * slope + p.x + q.x
     y3 = slope * (p.x + x3) + p.y + a1
     return CurvePoint(curve, x3, y3)
-
-
-def scalar_mul(n: int, p: CurvePoint) -> CurvePoint:
-    """n*P by double-and-add; group order is odd so negation handles n < 0."""
-    if n < 0:
-        return scalar_mul(-n, -p)
-    acc = p.curve.identity
-    addend = p
-    while n:
-        if n & 1:
-            acc = point_add(acc, addend)
-        n >>= 1
-        if n:
-            addend = addend.double()
-    return acc
 
 
 # -- lifting x-coordinates ---------------------------------------------------------
@@ -291,13 +273,13 @@ def predict_orbit_length(p: CurvePoint) -> int:
     if p.is_identity:
         return 1
     neg = -p
-    q = p.double()
+    q = point_add(p, p)
     # Binary supersingular curves have embedding degree e <= 4: ord(P)
     # divides 2^(e*m) - 1 over F_{2^m}, so the length is at most 4m.
     for k in range(1, 4 * p.curve.field.degree + 1):
         if q == p or q == neg:
             return k
-        q = q.double()
+        q = point_add(q, q)
     raise InvariantViolationError("doubling never returned to the start point")
 
 

@@ -24,17 +24,25 @@ from .gf2x import InvariantViolationError, ResourceLimitError
 # kernels and reduces with a reducer for the modulus.
 _TABLE_LIMIT = 16
 
-# Enumerations refuse to list more than this many items: the points of the
-# line in maps.MapSpec.permutation, the 2^g + 1 fixed lines of a plane in
-# maps.plane_lines, the rows of curves.cycle_catalog, and the field elements
-# of conjugacy.bluher_counts' image pass (which the bluher command runs only
-# for its per-a listing, up to 256 elements).
+# Enumerations refuse to list more than this many items: the 2^g + 1 fixed
+# lines of a plane in maps.plane_lines, the rows of curves.cycle_catalog, and
+# the field elements of conjugacy.bluher_counts' image pass (which the bluher
+# command runs only for its per-a listing, up to 256 elements).
 POINT_LIMIT = 1 << 20
 
 # nth_roots refuses to search for the roots of x^d = beta above this degree.
 # One search at the limit over F_2^64 takes seconds; its coefficient lists and
 # trace polynomials grow with the degree.
 ROOT_DEGREE_LIMIT = (1 << 14) + 1
+
+
+def check_table_degree(degree: int) -> None:
+    """Refuses, with ResourceLimitError, the exp/log tables of F_{2^degree}
+    above _TABLE_LIMIT.  It reads the degree alone, so a caller can refuse
+    before building the field, whose default modulus is searched for."""
+    if degree > _TABLE_LIMIT:
+        raise ResourceLimitError(
+            f"no exp/log tables for fields larger than 2^{_TABLE_LIMIT}")
 
 
 class FieldMismatchError(ValueError):
@@ -272,8 +280,7 @@ class BinaryField:
         return self._untabled <= 0 and self._build_tables()
 
     def _build_tables(self) -> bool:
-        if self._wide:
-            return False
+        # callers check the degree first: _wide, or check_table_degree
         if self._exp is not None:
             return True
         g = self.primitive_bits()
@@ -299,9 +306,8 @@ class BinaryField:
 
     def tables(self) -> tuple[list[int], list[int]]:
         """(exp, log) tables for hot loops; exp is doubled for index safety."""
-        if not self._build_tables():
-            raise ResourceLimitError(
-                f"no exp/log tables for fields larger than 2^{_TABLE_LIMIT}")
+        check_table_degree(self.degree)
+        self._build_tables()
         return self._exp, self._log
 
 
@@ -349,10 +355,6 @@ class FieldElement:
 
     def log(self) -> int:
         return self.field.log(self.bits)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def __bool__(self) -> bool:
         return self.bits != 0
@@ -811,7 +813,7 @@ def nth_roots(alpha: FieldElement, n: int) -> set[FieldElement]:
     """
     if n < 1:
         raise ValueError("exponent must be positive")
-    if alpha.is_zero:
+    if not alpha:
         raise ValueError("alpha must be nonzero")
     field = alpha.field
     M = field.mult_order

@@ -349,7 +349,7 @@ class MapSpec(namedtuple("MapSpec", "kind a b k")):
             raise ValueError(f"unknown map kind {kind!r}")
         if a.field != b.field:
             raise FieldMismatchError("coefficients lie in different fields")
-        if a.is_zero:
+        if not a:
             raise ValueError("coefficient a must be nonzero")
         if k < 0 or (kind == "psi" and k < 1):
             raise ValueError("k must be >= 0 for theta and >= 1 for psi")
@@ -375,24 +375,6 @@ class MapSpec(namedtuple("MapSpec", "kind a b k")):
 
     def eval(self, x: ProjPoint) -> ProjPoint:
         return self.pair.eval(x)
-
-    def eval_int(self, i: int) -> int:
-        return self.pair.eval_int(i)
-
-    def permutation(self) -> list[int]:
-        """Image table over the point encoding 0..order (order = infinity),
-        point by point: the oracle of cycle_structure."""
-        points = self.field.order + 1
-        if points > POINT_LIMIT:
-            raise ResourceLimitError(
-                f"a pointwise scan of {points} points exceeds the budget of "
-                f"{POINT_LIMIT}")
-        ev = self.pair.eval_int
-        return [ev(i) for i in range(points)]
-
-    def is_bijection(self) -> bool:
-        perm = self.permutation()
-        return len(set(perm)) == len(perm)
 
     # -- orbits and cycles ----------------------------------------------------
 

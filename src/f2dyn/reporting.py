@@ -20,7 +20,7 @@ def point_label(p: ProjPoint) -> str:
     value = p.value
     if value is None:
         return "inf"
-    if value.is_zero:
+    if not value:
         return "0"
     try:
         return f"g^{value.log()}"
@@ -31,7 +31,7 @@ def point_label(p: ProjPoint) -> str:
 def element_echo(e) -> dict:
     """Both spellings of a field element, for report echoes."""
     out = {"hex": e.hex}
-    if not e.is_zero:
+    if e:
         try:
             out["g_exp"] = e.log()
         except ResourceLimitError:

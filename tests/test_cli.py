@@ -705,16 +705,24 @@ def test_resource_exhaustion_exits_three(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["orbits", "curve"])
 def test_line_listing_above_the_tables_exits_three_at_once(command, capsys):
-    """A cycle listing needs discrete-log tables, so F_2^40 and F_2^500 are
-    refused before any scan of the line or the curve starts, and before g
-    is parsed: over F_2^500 that would factorize 2^500 - 1 for seconds."""
-    for degree, a in (("40", "g"), ("500", "g"), ("500", "zz")):
+    """A cycle listing needs discrete-log tables, so F_2^40 to F_2^20000 are
+    refused on their degree alone: before any scan of the line or the curve
+    starts, before g is parsed (over F_2^500 that would factorize 2^500 - 1
+    for seconds) and before the field is built, so no default modulus is
+    searched for (10 s at degree 2000) and a bad --modulus exits 3 too."""
+    gf2x.default_modulus.cache_clear()
+    for tail in (["--degree", "40", "--a", "g"],
+                 ["--degree", "500", "--a", "g"],
+                 ["--degree", "500", "--a", "zz"],
+                 ["--degree", "2000", "--a", "g"],
+                 ["--degree", "20000", "--a", "g"],
+                 ["--degree", "20000", "--modulus", "0x3", "--a", "g"]):
         start = time.perf_counter()
-        code, out, err = invoke(
-            [command, "--degree", degree, "--a", a, "--b", "g^3"], capsys)
-        assert time.perf_counter() - start < 1.0, (degree, a)
-        assert code == EXIT_RESOURCE and out == "", (degree, a)
+        code, out, err = invoke([command, *tail, "--b", "g^3"], capsys)
+        assert time.perf_counter() - start < 1.0, tail
+        assert code == EXIT_RESOURCE and out == "", tail
         assert "2^16" in err
+    assert gf2x.default_modulus.cache_info().currsize == 0
 
 
 def test_run_dispatches_by_command():

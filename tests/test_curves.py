@@ -21,7 +21,7 @@ from f2dyn import (BinaryField, CurvePoint, CurveSpec, ExtensionEmbedding,
                    MapSpec, ProjPoint, ResourceLimitError, SubsetXorSolver,
                    catalog_length_sets, curve_from_map, curves, cycle_catalog,
                    extension_of, fields, group_structure, lift_x, point_add,
-                   point_count, predict_orbit_length, scalar_mul)
+                   point_count, predict_orbit_length)
 from f2dyn.curves import line_cycle_counts, twist_and_extension
 from f2dyn.gf2x import factorize
 from test_maps import point_cycles
@@ -59,6 +59,21 @@ def _rational_points(curve):
         w = (x * x * x + curve.a2 * x) * inv_sq
         if field.trace(w.bits) == 0:
             yield CurvePoint(curve, x, curve.a1 * field.element(halves[w.bits]))
+
+
+def scalar_mul(n: int, p: CurvePoint) -> CurvePoint:
+    """n*P by double-and-add; group order is odd so negation handles n < 0."""
+    if n < 0:
+        return scalar_mul(-n, -p)
+    acc = p.curve.identity
+    addend = p
+    while n:
+        if n & 1:
+            acc = point_add(acc, addend)
+        n >>= 1
+        if n:
+            addend = point_add(addend, addend)
+    return acc
 
 
 def _point_order(p, group_order, primes):
@@ -220,7 +235,7 @@ def test_scalar_multiplication_and_group_order():
         assert scalar_mul(order, p).is_identity
         assert scalar_mul(1, p) == p
         assert scalar_mul(0, p) == curve.identity
-        assert scalar_mul(2, p) == p.double()
+        assert scalar_mul(2, p) == point_add(p, p)
         assert scalar_mul(-3, p) == -scalar_mul(3, p)
 
 
@@ -231,7 +246,7 @@ def test_duplication_x_matches_doubling():
     curve = curve_from_map(a, b)
     theta = MapSpec("theta", a, b, 2)
     for p in base_lifts(curve):
-        d = p.double()
+        d = point_add(p, p)
         want = (ProjPoint.infinity(F32) if d.is_identity
                 else ProjPoint.finite(d.x))
         assert theta.eval(ProjPoint.finite(p.x)) == want
@@ -385,7 +400,7 @@ def test_canonical_embedding_against_subfield_tower():
         for i in range(n, -1, -1):
             value = value * root + (emb.ext.one if base.modulus >> i & 1
                                     else emb.ext.zero)
-        assert value.is_zero
+        assert not value
         for _ in range(20):
             x = base.element(rng.randrange(base.order))
             y = base.element(rng.randrange(base.order))
@@ -441,11 +456,11 @@ def test_predict_orbit_length_identity_and_mismatch(monkeypatch):
     p = next(base_lifts(curve))
     doublings = []
 
-    def runaway(point):
+    def runaway(point, other):
         doublings.append(point)
         return curve.identity
 
-    monkeypatch.setattr(CurvePoint, "double", runaway)
+    monkeypatch.setattr(curves, "point_add", runaway)
     with pytest.raises(InvariantViolationError):
         predict_orbit_length(p)
     assert len(doublings) <= 4 * F32.degree + 1

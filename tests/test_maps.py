@@ -66,6 +66,18 @@ def ref_linearized(coeffs, x):
     return acc
 
 
+def line_images(mp):
+    """The pointwise oracle of cycle_structure: the image of every point
+    encoding 0..order (order = infinity), one evaluation each."""
+    ev = mp.pair.eval_int
+    return [ev(i) for i in range(mp.field.order + 1)]
+
+
+def is_bijection(mp):
+    images = line_images(mp)
+    return len(set(images)) == len(images)
+
+
 def point_cycles(cs):
     """The cycles of cs as points: rank i < N = 2^n - 1 is g^i, rank N is
     zero and rank N + 1 infinity."""
@@ -82,7 +94,7 @@ def tokens(cycle):
     for p in cycle:
         if p.value is None:
             out.append("inf")
-        elif p.value.is_zero:
+        elif not p.value:
             out.append("0")
         else:
             out.append(p.value.log())
@@ -182,7 +194,7 @@ def test_eval_matches_formula_everywhere():
         want = G ** 3 * x.frob(2) + G ** 7
         assert image == ProjPoint.finite(want)
         pimage = psi.eval(ProjPoint.finite(x))
-        if want.is_zero:
+        if not want:
             assert pimage.value is None
         else:
             assert pimage == ProjPoint.finite(want.inv())
@@ -196,15 +208,15 @@ def test_both_families_are_bijections():
             for bbits in range(f.order):
                 a, b = f.element(abits), f.element(bbits)
                 for k in (1, 2, 3):
-                    assert MapSpec("theta", a, b, k).is_bijection()
-                    assert MapSpec("psi", a, b, k).is_bijection()
+                    assert is_bijection(MapSpec("theta", a, b, k))
+                    assert is_bijection(MapSpec("psi", a, b, k))
     f = BinaryField(6)
     for _ in range(20):
         a = f.element(rng.randrange(1, f.order))
         b = f.element(rng.randrange(f.order))
         k = rng.randrange(1, 5)
         kind = rng.choice(("theta", "psi"))
-        assert MapSpec(kind, a, b, k).is_bijection()
+        assert is_bijection(MapSpec(kind, a, b, k))
 
 
 def test_cycle_structure_partitions_the_line():
@@ -224,7 +236,7 @@ def test_cycle_ordering_is_canonical():
     def key(p):
         if p.value is None:
             return p.field.order
-        if p.value.is_zero:
+        if not p.value:
             return p.field.order - 1
         return p.value.log()
 
@@ -271,7 +283,7 @@ def test_cycles_are_the_ranks_as_points():
     infinity for N + 1), are the cycles of the pointwise permutation."""
     for mp in (MapSpec("theta", G, G ** 3, 2), MapSpec("psi", G ** 4, G ** 9, 3),
                MapSpec("theta", G ** 9, F32.zero, 0)):
-        perm, seen = mp.permutation(), []
+        perm, seen = line_images(mp), []
         for cyc in point_cycles(mp.cycle_structure()):
             codes = [F32.order if p.value is None else p.value.bits for p in cyc]
             assert [perm[c] for c in codes] == codes[1:] + codes[:1]
@@ -304,15 +316,12 @@ def test_rank_permutation_matches_the_pointwise_map_at_every_twist():
 
 
 def test_line_scans_are_sized_before_they_start():
-    """Above the exp/log tables the rank kernel refuses at once, and the
-    pointwise permutation refuses a line above the point budget before it
-    allocates its table."""
+    """Above the exp/log tables the rank kernel refuses at once."""
     wide = BinaryField(20)
     mp = MapSpec("theta", wide.gen, wide.one, 2)
     start = time.perf_counter()
-    for fn in (mp.cycle_structure, mp.permutation, mp.is_bijection):
-        with pytest.raises(ResourceLimitError):
-            fn()
+    with pytest.raises(ResourceLimitError):
+        mp.cycle_structure()
     assert time.perf_counter() - start < 0.5
 
 
@@ -521,8 +530,9 @@ def test_pair_composites_match_pointwise_iteration():
     both = psi.pair.then(theta.pair)  # psi first
     cube = psi.pair.power(3)
     for i in range(F32.order + 1):
-        assert both.eval_int(i) == theta.eval_int(psi.eval_int(i))
-        assert cube.eval_int(i) == psi.eval_int(psi.eval_int(psi.eval_int(i)))
+        assert both.eval_int(i) == theta.pair.eval_int(psi.pair.eval_int(i))
+        assert cube.eval_int(i) == psi.pair.eval_int(
+            psi.pair.eval_int(psi.pair.eval_int(i)))
     assert cube.same_map(psi.pair.then(psi.pair).then(psi.pair))
     assert not cube.same_map(psi.pair.power(2))
     scalar = Semilinear(F32, ((G.bits, 0), (0, G.bits)), 0)
