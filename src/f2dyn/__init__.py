@@ -34,7 +34,6 @@ from .curves import (
     CurveSpec,
     CycleCatalogEntry,
     GroupStructure,
-    catalog_length_sets,
     curve_from_map,
     cycle_catalog,
     group_structure,

@@ -24,8 +24,8 @@ from types import SimpleNamespace
 from .conjugacy import (TauMap, bluher_counts, bluher_distribution,
                         bluher_root_count, fixed_point_count,
                         solve_conjugation)
-from .curves import (catalog_length_sets, curve_from_map, cycle_catalog,
-                     group_structure, line_cycle_counts, twist_and_extension)
+from .curves import (curve_from_map, cycle_catalog, group_structure,
+                     line_cycle_counts, twist_and_extension)
 from .fields import (BinaryField, FieldElement, InvariantViolationError,
                      ResourceLimitError, check_table_degree)
 from .maps import MapSpec, ProjPoint
@@ -41,9 +41,8 @@ EXIT_RESOURCE = 3
 
 def _echo(args: SimpleNamespace) -> dict:
     """The parsed command line, as a report's `input:` line echoes it: every
-    attribute that holds a value, map_kind as `map` and the modulus in hex."""
-    out = {("map" if key == "map_kind" else key): value
-           for key, value in vars(args).items() if value is not None}
+    attribute that holds a value, with the modulus in hex."""
+    out = {key: value for key, value in vars(args).items() if value is not None}
     if args.modulus is not None:
         out["modulus"] = f"{args.modulus:#x}"
     return out
@@ -75,7 +74,7 @@ def _field(args: SimpleNamespace) -> BinaryField:
 
 
 def _map(args: SimpleNamespace, field: BinaryField) -> MapSpec:
-    return MapSpec(args.map_kind, parse_element(field, args.a),
+    return MapSpec(args.map, parse_element(field, args.a),
                    parse_element(field, args.b), args.k)
 
 
@@ -102,7 +101,7 @@ def _catalog_rows(entries, degree: int) -> list[dict]:
 
 
 def run_curve(args: SimpleNamespace) -> str:
-    if args.map_kind != "theta" or args.k != 2:
+    if args.map != "theta" or args.k != 2:
         raise ValueError("curve analysis applies to theta maps with k=2 "
                          "(the duplication shape)")
     check_table_degree(args.degree)  # a listing needs tables: refuse first
@@ -118,7 +117,7 @@ def run_curve(args: SimpleNamespace) -> str:
         raise InvariantViolationError(
             f"catalogs of the curve and its twist predict cycles {want}, "
             f"observed {summary}")
-    predicted, observed = sorted(catalog_length_sets(cat2)[0]), sorted(summary)
+    predicted, observed = sorted({e.length for e in cat2}), sorted(summary)
     check_prediction(predicted, observed)
 
     doc = {
@@ -138,7 +137,7 @@ def run_curve(args: SimpleNamespace) -> str:
 
 
 def run_conjugate(args: SimpleNamespace) -> str:
-    if args.map_kind != "psi":
+    if args.map != "psi":
         raise ValueError("conjugation applies to psi maps (pass --map psi)")
     field = _field(args)
     mp = _map(args, field)
@@ -185,13 +184,17 @@ def run_bluher(args: SimpleNamespace) -> str:
     its histogram from Bluher's theorem (bluher_distribution) at every
     degree; the per-a counts it lists up to 256 elements come from one image
     pass (bluher_counts), which checks its histogram against the theorem.
-    The one --a value is counted on the eigenlines of its map."""
-    field = _field(args)  # built even for a sweep: it validates --modulus
+    The one --a value is counted on the eigenlines of its map.  The field
+    is built only for what reads it: --a, the listing, and the check of
+    --modulus; a degree below 1 counts as listed, so _field refuses it."""
+    listed = args.a is None and args.degree <= 8
+    if args.a is not None or listed or args.modulus is not None:
+        field = _field(args)
     if args.k < 1:
         raise ValueError("--k must be at least 1")
-    theorem = bluher_distribution(args.k, field.degree)
+    theorem = bluher_distribution(args.k, args.degree)
     if args.a is None:
-        values = range(1, field.order) if field.order <= 256 else ()
+        values = range(1, field.order) if listed else ()
         counts = bluher_counts(args.k, field)[1:] if values else ()
     else:
         a = parse_element(field, args.a)
@@ -235,8 +238,8 @@ def _report_options(kind: str | None, formats: tuple[str, ...] = ("text", "json"
     ]
     if kind is not None:
         options += [
-            ("--map", dict(dest="map_kind", choices=("theta", "psi"),
-                           default=kind, help=f"map family (default {kind})")),
+            ("--map", dict(choices=("theta", "psi"), default=kind,
+                           help=f"map family (default {kind})")),
             ("--a", dict(required=True, metavar="ELT",
                          help="coefficient a (g^i or hex, nonzero)")),
             ("--b", dict(required=True, metavar="ELT",
@@ -252,7 +255,7 @@ def _report_options(kind: str | None, formats: tuple[str, ...] = ("text", "json"
 # The report commands: each one's handler, help line and options, as
 # (flag, add_argument keywords).  build_parser hands the keywords to
 # argparse; _read_canonical applies the same converters (type), choices,
-# defaults and required flags.  The attribute is dest, or the flag's name.
+# defaults and required flags.  The attribute is the flag's name.
 _COMMANDS = {
     "orbits": (run_orbits, "cycle decomposition of the map",
                _report_options("theta", ("text", "dot", "json"))),
@@ -314,7 +317,7 @@ def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
     for flag, spec in options:
         if flag not in given and spec.get("required"):
             return None
-        args[spec.get("dest", flag[2:])] = given.get(flag, spec.get("default"))
+        args[flag[2:]] = given.get(flag, spec.get("default"))
     return SimpleNamespace(**args)
 
 

@@ -45,9 +45,6 @@ class CurveSpec(namedtuple("CurveSpec", "a1 a2")):
     def identity(self) -> "CurvePoint":
         return CurvePoint(self, None, None)
 
-    def contains(self, x: FieldElement, y: FieldElement) -> bool:
-        return y * y + self.a1 * y == x * x * x + self.a2 * x
-
     def lift_target(self) -> Callable[[int], int]:
         """x -> w = (x^3 + a2*x)/a1^2 on encodings of the curve's field:
         y = a1*z turns the equation at x into z^2 + z = w, so x lifts to two
@@ -351,15 +348,6 @@ def cycle_catalog(gs: GroupStructure) -> list[CycleCatalogEntry]:
                 cycle_count=cycles))
     entries.sort(key=lambda e: (e.length, e.d1, e.d2))
     return entries
-
-
-def catalog_length_sets(entries: list[CycleCatalogEntry]) -> tuple[set[int], set[int]]:
-    """(realized lengths, all candidate lengths) across a catalog."""
-    realized = {e.length for e in entries}
-    possible = set()
-    for e in entries:
-        possible.update(e.possible_lengths)
-    return realized, possible
 
 
 def twist_and_extension(gs: GroupStructure,

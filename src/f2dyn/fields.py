@@ -57,7 +57,7 @@ class BinaryField:
             raise ValueError("field degree must be at least 1")
         if modulus is None:
             modulus = gf2x.default_modulus(degree)
-        if gf2x.degree(modulus) != degree:
+        if modulus >> degree != 1:  # a negative modulus fails here too
             raise ValueError("modulus degree does not match field degree")
         if not gf2x.is_irreducible(modulus):
             raise ValueError(f"modulus {modulus:#x} is reducible")
@@ -424,12 +424,12 @@ class SubsetXorSolver:
 
 class ExtensionEmbedding:
     """An embedding of a base field into an extension, fixed by the image of
-    the base generator (a root of the base modulus in the extension)."""
+    the base generator (a root of the base modulus in the extension, given
+    as its encoding; emb(emb.base.gen) reads it back)."""
 
     def __init__(self, base: BinaryField, ext: BinaryField, image_of_root: int):
         self.base = base
         self.ext = ext
-        self.image_of_root = ext.element(image_of_root)
         powers = [1]
         for _ in range(base.degree - 1):
             powers.append(ext.mul(powers[-1], image_of_root))
@@ -467,12 +467,11 @@ def extension_of(base: BinaryField, relative_degree: int) -> ExtensionEmbedding:
     modulus is irreducible over GF(2), so its roots in the extension are the
     Frobenius orbit rho, rho^2, ..., rho^(2^(n-1)) of any one of them, all
     in the subfield F_{2^n}: the splitter's chain stops at X^(2^n), its
-    period, and forms each trace from n powers of X, not n*r (64 x 15:
-    5.8 -> 0.81 s cold on 2 vCPUs).  A single root is split out, its orbit
-    is checked to be n distinct elements closed under squaring, and the
-    smallest is checked to be a root.  Squaring permutes the roots of a
-    polynomial over GF(2), so that one evaluation vouches for the whole
-    orbit.
+    period, and forms each trace from n powers of X, not n*r.  A single
+    root is split out, its orbit is checked to be n distinct elements
+    closed under squaring, and the smallest is checked to be a root.
+    Squaring permutes the roots of a polynomial over GF(2), so that one
+    evaluation vouches for the whole orbit.
     """
     if relative_degree < 1:
         raise ValueError("relative degree must be positive")
@@ -666,8 +665,7 @@ class _Splitter:
     subfield holding H's roots.  _powers keeps one period, so each trace
     T_i = sum over s < n of (x^i)^(2^s) * X^(2^s) is formed as e weighted
     powers, the weights summing x^i's n conjugates by s mod e.  Over
-    F_{2^(nr)} a base modulus has e = n: 1/r of the products of n*r terms
-    (extension_of(F_2^64, 4): 0.28 -> 0.16 s cold on 2 vCPUs).
+    F_{2^(nr)} a base modulus has e = n: 1/r of the products of n*r terms.
     """
 
     def __init__(self, ring: _PolyRing, g: int):

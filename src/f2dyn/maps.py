@@ -13,7 +13,6 @@ at fields of 2^16 elements.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from math import gcd
 
 from .fields import (
@@ -126,10 +125,7 @@ class Semilinear:
         den = mul(r, y) ^ t
         if den == 0:
             return inf
-        num = mul(p, y) ^ q
-        if den == 1:  # theta
-            return num
-        return field.inv(den) if num == 1 else mul(num, field.inv(den))  # psi
+        return mul(mul(p, y) ^ q, field.inv(den))
 
     def eval(self, x: ProjPoint) -> ProjPoint:
         if x.field != self.field:
@@ -340,9 +336,10 @@ class MapSpec(namedtuple("MapSpec", "kind a b k")):
 
     kind "theta" is x -> a*x^(2^k) + b with infinity fixed; kind "psi" is its
     reciprocal x -> 1/(a*x^(2^k) + b), which swaps infinity into the finite
-    part of the line.  a must be nonzero; psi needs k >= 1.  There are no
-    __slots__: each instance's __dict__ caches pair.
+    part of the line.  a must be nonzero; psi needs k >= 1.
     """
+
+    __slots__ = ()
 
     def __new__(cls, kind: str, a: FieldElement, b: FieldElement, k: int):
         if kind not in ("theta", "psi"):
@@ -359,7 +356,7 @@ class MapSpec(namedtuple("MapSpec", "kind a b k")):
     def field(self) -> BinaryField:
         return self.a.field
 
-    @cached_property
+    @property
     def pair(self) -> Semilinear:
         """theta is ((a, b), (0, 1)) and psi ((0, 1), (a, b)), twisted by k;
         the parity of k as given still matters to the quartic-reduction

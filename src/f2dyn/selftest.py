@@ -20,9 +20,9 @@ from .conjugacy import (ConjugacyData, TauMap, bluher_counts,
                         bluher_root_count, fixed_point_count,
                         kernel_c2_candidates, solve_conjugation,
                         verify_conjugation)
-from .curves import (CurveSpec, GroupStructure, catalog_length_sets,
-                     curve_from_map, cycle_catalog, group_structure, lift_x,
-                     point_count, predict_orbit_length, twist_and_extension)
+from .curves import (CurveSpec, GroupStructure, curve_from_map,
+                     cycle_catalog, group_structure, lift_x, point_count,
+                     predict_orbit_length, twist_and_extension)
 from .fields import (BinaryField, ExtensionRootCounter, ResourceLimitError,
                      SubsetXorSolver, extension_of)
 from .maps import (MapSpec, ProjPoint, QuarticReduction, closed_form,
@@ -186,7 +186,9 @@ def check_quartic_reduction_and_curve() -> str:
     _require((gs.order, gs.n1, gs.n2) == (33, 1, 33), f"base structure {gs}")
     gs2 = _extension_group(curve, gs)
     _require((gs2.n1, gs2.n2) == (33, 33), f"extension structure {gs2}")
-    realized, possible = catalog_length_sets(cycle_catalog(gs))
+    catalog = cycle_catalog(gs)
+    realized = {e.length for e in catalog}
+    possible = {m for e in catalog for m in e.possible_lengths}
     _require(realized == {1, 5}, f"realized lengths {realized}")
     _require(possible == {1, 2, 5, 10}, f"candidate lengths {possible}")
 

@@ -459,6 +459,54 @@ def test_bluher_runs_the_pass_only_where_it_lists_counts(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_bluher_sweep_builds_no_field_it_does_not_read(monkeypatch, capsys):
+    """A sweep past the listing reads the degree and k alone, so no default
+    modulus is searched for (9.5 s at degree 2000); a --modulus, a --a and
+    a degree below 1 still go through the field and are checked."""
+    def no_search(n):
+        raise AssertionError(f"modulus search at degree {n}")
+
+    gf2x.default_modulus.cache_clear()
+    monkeypatch.setattr(gf2x, "smallest_irreducible", no_search)
+    start = time.perf_counter()
+    code, out, err = invoke(["bluher", "--degree", "2000", "--k", "2",
+                             "--format", "json"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["root_counts"]["values_swept"] == (1 << 2000) - 1
+    for argv, message in (
+            (["--degree", "12", "--modulus", "0x1001"],
+             "modulus 0x1001 is reducible"),
+            (["--degree", "0"], "--degree must be a positive integer"),
+            (["--degree", "-3", "--k", "0"],
+             "--degree must be a positive integer")):
+        code, out, err = invoke(["bluher", *argv], capsys)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err == f"f2dyn: error: {message}\n", argv
+    with pytest.raises(AssertionError, match="degree 2000"):
+        main(["bluher", "--degree", "2000", "--a", "0x3"])
+    assert gf2x.default_modulus.cache_info().currsize == 0
+
+
+def test_negative_modulus_exits_two_at_once():
+    """A negative --modulus fails the degree test; it never reaches the
+    irreducibility test, whose gcd does not return on a negative divisor.
+    Each line runs in a process of its own, so a hang fails the test."""
+    src = str(Path(f2dyn.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import f2dyn.cli; "
+            "sys.exit(f2dyn.cli.main(sys.argv[2:]))")
+    for argv in (["bluher", "--degree", "3", "--modulus=-0xb", "--k", "1"],
+                 ["conjugate", "--degree", "3", "--modulus=-0xb", "--a", "g",
+                  "--b", "g", "--k", "1"],
+                 ["orbits", "--degree", "1", "--modulus=-0x3", "--a", "0x1",
+                  "--b", "0x0"]):
+        done = subprocess.run([sys.executable, "-c", code, src, *argv],
+                              capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (EXIT_USAGE, ""), argv
+        assert done.stderr == ("f2dyn: error: modulus degree does not match "
+                               "field degree\n"), argv
+
+
 def test_bluher_label_of_a_huge_exponent(capsys):
     # 2^63 + 1 still has 19 decimal digits; from k = 64 on the exponent is
     # symbolic, so a k of thousands of bits neither floods the output nor
