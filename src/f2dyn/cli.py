@@ -38,6 +38,11 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+# A bluher sweep refuses degrees above this.  Its counts reach 2^n - 1,
+# which here has 4,300 decimal digits, the most Python converts to a string
+# by default; wider sweeps would also build ever larger 2^n-sized integers.
+SWEEP_DEGREE_LIMIT = 14_284
+
 
 def _echo(args: SimpleNamespace) -> dict:
     """The parsed command line, as a report's `input:` line echoes it: every
@@ -186,7 +191,12 @@ def run_bluher(args: SimpleNamespace) -> str:
     pass (bluher_counts), which checks its histogram against the theorem.
     The one --a value is counted on the eigenlines of its map.  The field
     is built only for what reads it: --a, the listing, and the check of
-    --modulus; a degree below 1 counts as listed, so _field refuses it."""
+    --modulus; a degree below 1 counts as listed, so _field refuses it.  A
+    sweep past SWEEP_DEGREE_LIMIT is refused before anything is built."""
+    if args.a is None and args.degree > SWEEP_DEGREE_LIMIT:
+        raise ResourceLimitError(
+            f"a sweep of degree {args.degree} counts past 4300 digits; "
+            f"sweeps stop at degree {SWEEP_DEGREE_LIMIT}")
     listed = args.a is None and args.degree <= 8
     if args.a is not None or listed or args.modulus is not None:
         field = _field(args)

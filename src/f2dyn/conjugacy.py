@@ -197,12 +197,8 @@ def solve_conjugation(map: MapSpec, max_relative_degree: int = 24) -> ConjugacyD
     ext = emb.ext
     a, b = emb(map.a), emb(map.b)
     s = map.k % ext.degree
-
-    def v(x: int) -> int:
-        t = ext.frob(x, s)
-        return x ^ ext.mul(b.bits, t) ^ ext.mul(a.bits, ext.frob(t, s))
-
-    kernel = SubsetXorSolver([v(1 << j) for j in range(ext.degree)]).kernel_masks
+    kernel = SubsetXorSolver(ext.basis_images(
+        [(1, 0), (b.bits, s), (a.bits, 2 * s)])).kernel_masks
     # c2 is a root of X^(q+1) + b X^q + a, never 0 as a != 0, so 1/c2 is a
     # root of a Y^(q+1) + b Y + 1: a fixed point of psi_{a,b,k}.  The roots
     # come off ker v when it is 2g-dimensional; otherwise psi.fixed_points()

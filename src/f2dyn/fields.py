@@ -10,7 +10,7 @@ arbitrary polynomials inside a fixed field.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from math import gcd
 
 from . import gf2x
@@ -56,10 +56,12 @@ class BinaryField:
         if degree < 1:
             raise ValueError("field degree must be at least 1")
         if modulus is None:
+            # proven when it was found: smallest_irreducible runs Rabin's
+            # test, and the tests pin the tabled Conway polynomials
             modulus = gf2x.default_modulus(degree)
-        if modulus >> degree != 1:  # a negative modulus fails here too
+        elif modulus >> degree != 1:  # a negative modulus fails here too
             raise ValueError("modulus degree does not match field degree")
-        if not gf2x.is_irreducible(modulus):
+        elif not gf2x.is_irreducible(modulus):
             raise ValueError(f"modulus {modulus:#x} is reducible")
         self.degree = degree
         self.modulus = modulus
@@ -194,18 +196,11 @@ class BinaryField:
         return self._exp[(self._log[a] << k) % self.mult_order]
 
     def _frob_table(self, s: int) -> list[tuple[list[int], list[int]]]:
-        """The byte tables of x -> x^(2^s): the image of the basis x^j is
-        c^j with c = x^(2^s), and each 4-bit window's 16 entries are XORs of
-        the images of its four basis elements."""
-        reduce, n = self._reduce, self.degree
-        c = reduce(2)  # x
-        for _ in range(s):
-            c = reduce(gf2x.sqr(c))
-        images = [1]
-        for _ in range(n - 1):
-            images.append(reduce(gf2x.mul(images[-1], c)))
+        """The byte tables of x -> x^(2^s): each 4-bit window's 16 entries
+        are XORs of the images of its four basis elements."""
+        images = self.basis_images([(1, s)])
         tables = []
-        for w in range(0, n, 4):
+        for w in range(0, self.degree, 4):
             table = [0]
             for image in images[w:w + 4]:
                 table += [t ^ image for t in table]
@@ -215,6 +210,33 @@ class BinaryField:
         windows = list(zip(tables[::2], tables[1::2]))
         self._frob_windows[s] = windows
         return windows
+
+    def basis_images(self, terms: Iterable[tuple[int, int]]) -> list[int]:
+        """[L(x^j) for j < n]: the columns, in the basis x^j, of the
+        GF(2)-linear map L(z) = sum of c*z^(2^e) over the terms (c, e).
+
+        Frobenius is a ring map, so L(x^j) = sum of c*rho^j with
+        rho = x^(2^e): each column is one product per term away from the one
+        before, and no column takes a Frobenius power.  The rho come off
+        one squaring chain up to the largest e mod n, not off frob, whose
+        window tables are built here.  A term (1, 0) adds x^j itself.
+        """
+        n, mul, reduce = self.degree, self.mul, self._reduce
+        columns = [0] * n
+        rho, s = reduce(2), 0  # x^(2^s)
+        for e, c in sorted((e % n, c) for c, e in terms if c):
+            for _ in range(e - s):
+                rho = reduce(gf2x.sqr(rho))
+            s = e
+            if (c, e) == (1, 0):
+                columns = [v ^ (1 << j) for j, v in enumerate(columns)]
+                continue
+            v = c
+            columns[0] ^= v
+            for j in range(1, n):
+                v = mul(v, rho)
+                columns[j] ^= v
+        return columns
 
     def sqrt(self, a: int) -> int:
         """The unique square root (squaring is a bijection)."""
@@ -245,8 +267,7 @@ class BinaryField:
 
     @functools.cached_property
     def _artin_schreier(self) -> SubsetXorSolver:
-        return SubsetXorSolver(
-            [self.sqr(1 << j) ^ (1 << j) for j in range(self.degree)])
+        return SubsetXorSolver(self.basis_images([(1, 1), (1, 0)]))
 
     def log(self, a: int) -> int:
         """Discrete log of a nonzero element, base primitive_element()."""

@@ -204,12 +204,6 @@ def gcd(a: int, b: int) -> int:
     return a
 
 
-def _frob_iter(t: int, reduce: Callable[[int], int], times: int) -> int:
-    for _ in range(times):
-        t = reduce(sqr(t))
-    return t
-
-
 # -- integer factorization ------------------------------------------------------
 #
 # Group orders 2^n - 1 and curve orders near 4^n reach 2^64 and beyond, so
@@ -356,7 +350,9 @@ def is_irreducible(f: int) -> bool:
     """Rabin's irreducibility test.
 
     f of degree n is irreducible iff x^(2^n) == x mod f and, for every prime
-    p dividing n, gcd(x^(2^(n/p)) - x, f) == 1.
+    p dividing n, gcd(x^(2^(n/p)) - x, f) == 1.  One squaring chain takes
+    x^(2^i) for i <= n and keeps the powers at i = n/p on the way; the gcds
+    run only once the last power has passed.
     """
     n = degree(f)
     if n <= 0:
@@ -365,15 +361,15 @@ def is_irreducible(f: int) -> bool:
         return True
     if not f & 1:  # divisible by x
         return False
-    x = mod(2, f)
     reduce = reducer(f)
-    if _frob_iter(x, reduce, n) != x:
-        return False
-    for p in factorize(n):
-        h = _frob_iter(x, reduce, n // p)
-        if gcd(h ^ x, f) != 1:
-            return False
-    return True
+    stops = {n // p for p in factorize(n)}
+    kept = []  # x^(2^i) - x mod f at the stops
+    h = 2  # x, reduced as n >= 2
+    for i in range(1, n + 1):
+        h = reduce(sqr(h))
+        if i in stops:
+            kept.append(h ^ 2)
+    return h == 2 and all(gcd(t, f) == 1 for t in kept)
 
 
 def _has_small_factor(f: int, depth: int) -> bool:

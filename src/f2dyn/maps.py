@@ -160,7 +160,7 @@ class Semilinear:
         """
         field, s = self.field, self.s
         n, g = field.degree, gcd(s, field.degree)
-        mul, frob, order = field.mul, field.frob, field.order
+        mul, order = field.mul, field.order
         nm = self.power(n // g).m
         count = fixed_line_count(field, nm, g)
         if count <= 2:  # N is not scalar: its fixed eigenlines
@@ -183,14 +183,13 @@ class Semilinear:
         (p, q), (r, t) = self.m
         lam = field.sqrt(mul(p, t) ^ mul(q, r))
 
-        def image(x: int, y: int) -> int:  # M*sigma^s(w) + lam*w, packed
-            xs, ys = frob(x, s), frob(y, s)
-            return (mul(p, xs) ^ mul(q, ys) ^ mul(lam, x)
-                    | (mul(r, xs) ^ mul(t, ys) ^ mul(lam, y)) << n)
-
         def plane() -> list[tuple[int, int]]:
-            kernel = SubsetXorSolver([image(1 << j, 0) for j in range(n)] + [
-                image(0, 1 << j) for j in range(n)]).kernel_masks
+            # w -> M*sigma^s(w) + lam*w at w = (x^j, 0), then (0, x^j),
+            # packed x | y << n: one basis_images per block of the matrix
+            px, rx, qy, ty = (field.basis_images(terms) for terms in (
+                [(p, s), (lam, 0)], [(r, s)], [(q, s)], [(t, s), (lam, 0)]))
+            kernel = SubsetXorSolver(
+                [x | y << n for x, y in zip(px + qy, rx + ty)]).kernel_masks
             return [(w & (order - 1), w >> n) for w in kernel]
 
         return sorted(order if y == 0 else mul(x, field.inv(y))
@@ -316,7 +315,7 @@ def plane_lines(field: BinaryField, g: int, plane) -> list[tuple[int, int]]:
     if (1 << g) + 1 > POINT_LIMIT:
         raise ResourceLimitError(
             f"2^{g} + 1 fixed points exceed the budget of {POINT_LIMIT}")
-    mul, frob = field.mul, field.frob
+    mul = field.mul
     ws = plane()
     if len(ws) != 2 * g:
         raise InvariantViolationError(
@@ -324,8 +323,8 @@ def plane_lines(field: BinaryField, g: int, plane) -> list[tuple[int, int]]:
     x2, y2 = ws[0]
     x1, y1 = next((x, y) for x, y in ws if mul(x, y2) != mul(x2, y))
     subfield = [0]
-    for e in SubsetXorSolver([frob(1 << j, g) ^ (1 << j)
-                              for j in range(field.degree)]).kernel_masks:
+    for e in SubsetXorSolver(
+            field.basis_images([(1, g), (1, 0)])).kernel_masks:
         subfield += [u ^ e for u in subfield]
     return [(x2, y2)] + [(x1 ^ mul(mu, x2), y1 ^ mul(mu, y2))
                          for mu in subfield]
@@ -496,17 +495,9 @@ def reduce_to_quartic(a: FieldElement, b: FieldElement, k: int,
         # s_j mod 2^N - 1 without building 4^j (s_j = 0 reads as units)
         s_j = (pow(4, j, 3 * units) - 1) // 3 or units
         for c in sorted(nth_roots(big_a, s_j), key=lambda e: e.bits):
-            coeffs = [e.bits for e in _quartic_coefficients(c, j)]
-
-            def image(x: int) -> int:
-                acc = 0
-                for coef in coeffs:
-                    acc ^= ext.mul(coef, x)
-                    x = ext.frob(x, 2)
-                return acc
-
-            d = SubsetXorSolver(
-                [image(1 << i) for i in range(ext.degree)]).solve(big_b.bits)
+            terms = [(coef.bits, 2 * i)
+                     for i, coef in enumerate(_quartic_coefficients(c, j))]
+            d = SubsetXorSolver(ext.basis_images(terms)).solve(big_b.bits)
             if d is not None:
                 return QuarticReduction(source_a=a, source_b=b, source_k=k,
                                         c=c, d=ext.element(d), embedding=emb)

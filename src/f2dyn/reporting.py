@@ -11,6 +11,8 @@ fields fall back to hex labels.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from itertools import accumulate
 
 from .fields import InvariantViolationError, ResourceLimitError
 from .maps import CycleStructure, ProjPoint
@@ -41,21 +43,25 @@ def element_echo(e) -> dict:
 
 def cycle_paths(cs: CycleStructure) -> list[str]:
     """Each cycle of the listing as one string of labels, "g^i -> ... -> 0".
-    A cycle of ranks below N = 2^n - 1 fills a "g^%d" template of its length;
-    the at most two cycles through zero (rank N) or infinity (rank N + 1)
-    are labelled point by point."""
+    A cycle fills a "g^%d" template of its length, so zero (rank
+    N = 2^n - 1) and infinity (rank N + 1) first come out as g^N and
+    g^(N + 1).  No other label starts with either, as no rank has more
+    digits than N + 1, so one search of the joined listing finds the at
+    most two paths through them, and only those are relabelled."""
     units = cs.map.field.mult_order
-    special = {units: "0", units + 1: "inf"}
     templates: dict[int, str] = {}
     paths = []
     for cyc in cs.ranks:
-        if units in cyc or units + 1 in cyc:
-            paths.append(" -> ".join([special.get(r) or f"g^{r}" for r in cyc]))
-            continue
         template = templates.get(len(cyc))
         if template is None:
             template = templates[len(cyc)] = " -> ".join(["g^%d"] * len(cyc))
         paths.append(template % cyc)
+    text, ends = "".join(paths), list(accumulate(map(len, paths)))
+    for rank, label in ((units, "0"), (units + 1, "inf")):
+        at = text.find(f"g^{rank}")
+        if at >= 0:
+            i = bisect_right(ends, at)
+            paths[i] = paths[i].replace(f"g^{rank}", label)
     return paths
 
 

@@ -3,6 +3,7 @@ curve report against the scan oracles."""
 
 import hashlib
 import json
+import math
 import random
 import subprocess
 import sys
@@ -486,6 +487,38 @@ def test_bluher_sweep_builds_no_field_it_does_not_read(monkeypatch, capsys):
     with pytest.raises(AssertionError, match="degree 2000"):
         main(["bluher", "--degree", "2000", "--a", "0x3"])
     assert gf2x.default_modulus.cache_info().currsize == 0
+
+
+def test_bluher_sweep_stops_where_its_counts_stop_printing(monkeypatch,
+                                                          capsys):
+    """values_swept = 2^n - 1 has 4,300 digits at SWEEP_DEGREE_LIMIT, the
+    most Python prints by default: that sweep answers, and a wider one exits
+    3 before any field or 2^n-sized count is built.  One --a value is no
+    sweep, so it passes the bound to the field (no modulus search here)."""
+    limit = cli.SWEEP_DEGREE_LIMIT
+    code, out, err = invoke(["bluher", "--degree", str(limit), "--k", "2"],
+                            capsys)
+    assert (code, err) == (EXIT_OK, "")
+    [swept] = [line for line in out.splitlines()
+               if line.startswith("values_swept: ")]
+    assert len(swept) - len("values_swept: ") == 4300
+    # one degree more, and 2^n - 1 needs a 4,301st digit
+    assert int((limit + 1) * math.log10(2)) + 1 == 4301
+
+    def unreachable(*args):
+        raise AssertionError("built past the sweep's bound")
+
+    monkeypatch.setattr(cli, "bluher_distribution", unreachable)
+    monkeypatch.setattr(cli, "BinaryField", unreachable)
+    for argv in (["--degree", str(limit + 1), "--k", "2"],
+                 ["--degree", "20000", "--k", "2", "--format", "json"],
+                 ["--degree", "20000", "--modulus", "0x3", "--k", "2"],
+                 ["--degree", str(10**9), "--k", "3"]):
+        code, out, err = invoke(["bluher", *argv], capsys)
+        assert (code, out) == (EXIT_RESOURCE, ""), argv
+        assert err.startswith("f2dyn: resource limit: a sweep of degree ")
+    with pytest.raises(AssertionError, match="sweep's bound"):
+        main(["bluher", "--degree", "20000", "--k", "2", "--a", "0x3"])
 
 
 def test_negative_modulus_exits_two_at_once():

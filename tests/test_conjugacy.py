@@ -13,9 +13,10 @@ from f2dyn import (BinaryField, ConjugacyData, FieldMismatchError,
                    ResourceLimitError, Semilinear, SubsetXorSolver, TauMap,
                    bluher_counts, bluher_distribution, bluher_root_count,
                    conjugacy, element_echo, extension_of, fixed_point_count,
-                   maps, polynomial_roots, solve_conjugation,
-                   verify_conjugation)
+                   maps, polynomial_roots, reduce_to_quartic,
+                   solve_conjugation, verify_conjugation)
 from f2dyn.cli import main
+from test_fields import pointwise_basis_images
 
 F32 = BinaryField(5)
 G = F32.primitive_element()
@@ -648,6 +649,50 @@ def test_kernel_route_refuses_before_listing(monkeypatch):
     monkeypatch.setattr(maps, "POINT_LIMIT", 3)
     with pytest.raises(AssertionError, match="listed past the budget"):
         solve_conjugation(PSI)
+
+
+def test_linear_solves_match_a_pointwise_column_build(monkeypatch):
+    """reduce_to_quartic, solve_conjugation, fixed_points (eigenlines, and
+    planes through plane_lines), artin_schreier and kernel_c2_candidates
+    answer on a seeded sample exactly as they do when every column of
+    basis_images is evaluated on its own."""
+    def answers():
+        extension_of.cache_clear()  # fresh fields: no solver or table cached
+        rng = random.Random(83)
+        out = []
+        for n in (1, 2, 3, 5, 6, 8, 12, 17, 40):
+            f = BinaryField(n)
+            out.append([f.artin_schreier(rng.randrange(f.order))
+                        for _ in range(4)])
+            for k in (1, 2, 3, 4, n + 2):
+                a = f.element(rng.randrange(1, f.order))
+                b = f.element(rng.randrange(f.order))
+                # N = I: x -> u^(2^g - 1) * x^(2^k) fixes a plane's lines
+                u = f.element(rng.randrange(1, f.order))
+                c = u ** ((1 << math.gcd(k, n)) - 1)
+                for mp in (MapSpec("theta", a, b, k), MapSpec("psi", a, b, k),
+                           MapSpec("theta", c, f.zero, k)):
+                    out.append(mp.pair.fixed_points())
+                if n > 12:
+                    continue
+                try:
+                    data = solve_conjugation(MapSpec("psi", a, b, k),
+                                             max_relative_degree=4)
+                    out.append(("conjugation", data.describe()))
+                except ResourceLimitError as exc:
+                    out.append(str(exc))
+                try:
+                    red = reduce_to_quartic(a, b, k + 1, max_relative_degree=2)
+                    out.append(("quartic", red.c, red.d))
+                except ResourceLimitError as exc:
+                    out.append(str(exc))
+        return out
+
+    fast = answers()
+    monkeypatch.setattr(BinaryField, "basis_images", pointwise_basis_images)
+    assert answers() == fast
+    kinds = Counter(x[0] for x in fast if isinstance(x, tuple))
+    assert kinds["conjugation"] >= 10 and kinds["quartic"] >= 10, kinds
 
 
 # SHA-256 of the stdout of `conjugate --degree 12 ... --k 2` for the three

@@ -143,6 +143,25 @@ def test_construction_defaults_and_validation():
         BinaryField(4, 0b11111 ^ 0b100)  # x^4 + x^3 + x + 1 = (x+1)(...)
 
 
+def test_each_modulus_is_tested_for_irreducibility_once(monkeypatch):
+    """A default modulus was proven when it was found (or is a Conway entry
+    the gf2x tests pin), so building its field runs no second Rabin test; a
+    given modulus is tested every time."""
+    gf2x.default_modulus(40)
+    tested = []
+    real = gf2x.is_irreducible
+    monkeypatch.setattr(gf2x, "is_irreducible",
+                        lambda f: tested.append(f) or real(f))
+    for n in (1, 8, 12, 40):
+        assert BinaryField(n).modulus == gf2x.default_modulus(n)
+    assert tested == []
+    BinaryField(3, 0b1101)
+    BinaryField(40, gf2x.default_modulus(40))
+    assert tested == [0b1101, gf2x.default_modulus(40)]
+    with pytest.raises(ValueError, match="is reducible"):
+        BinaryField(4, 0b11011)
+
+
 def test_element_range_and_equality():
     f = BinaryField(4)
     with pytest.raises(ValueError):
@@ -374,10 +393,60 @@ def test_linearized_poly_solutions_by_brute_force():
                 ^ f.mul(coeffs[2], f.frob(x, 2))
 
         solver = SubsetXorSolver([poly(1 << j) for j in range(f.degree)])
+        assert f.basis_images(list(zip(coeffs, range(3)))) == [
+            poly(1 << j) for j in range(f.degree)]
         target = rng.randrange(f.order)
         brute = [b for b in range(f.order) if poly(b) == target]
         assert solver.solve(target) == (brute[0] if brute else None)
         assert solver.solve(0) == 0
+
+
+def pointwise_basis_images(field, terms):
+    """Reference for BinaryField.basis_images: each column L(x^j) on its
+    own, c times x^j squared e mod n times for each term (c, e)."""
+    columns = []
+    for j in range(field.degree):
+        acc = 0
+        for c, e in terms:
+            y = 1 << j
+            for _ in range(e % field.degree):
+                y = field.sqr(y)
+            acc ^= field.mul(c, y)
+        columns.append(acc)
+    return columns
+
+
+def test_basis_images_match_pointwise_evaluation(monkeypatch):
+    """The columns of sum c*x^(2^e), over fresh and tabled fields up to
+    2^16 and wide ones up to 2^131 (and a dense modulus): zero coefficients,
+    e = 0, e >= n, repeated e, and terms that cancel.  No column takes a
+    Frobenius power."""
+    rng = random.Random(29)
+    tabled = BinaryField(16)
+    tabled.tables()
+    fields = [BinaryField(n) for n in (1, 2, 5, 8, 12)] + [tabled] + [
+        BinaryField(n) for n in (17, 33, 64, 65, 100, 131)]
+    fields.append(BinaryField(64, DENSE_MODULI[1]))
+
+    def no_frob(self, a, k):
+        raise AssertionError("a Frobenius power per column")
+
+    monkeypatch.setattr(BinaryField, "frob", no_frob)
+    for f in fields:
+        n = f.degree
+        assert f.basis_images([]) == [0] * n
+        assert f.basis_images([(1, 0)]) == [1 << j for j in range(n)]
+        assert f.basis_images([(1, 0), (1, n)]) == [0] * n  # z^(2^n) = z
+        cases = [[(0, rng.randrange(3 * n))], [(1, 1), (1, 0)],
+                 [(1, rng.randrange(n, 3 * n))]]
+        for _ in range(4):
+            cases.append([(rng.randrange(f.order), rng.randrange(3 * n))
+                          for _ in range(rng.randrange(1, 5))])
+        c = rng.randrange(1, f.order)
+        cases.append([(c, 2), (0, 1), (c, 2 + n), (1, 0)])
+        for terms in cases:
+            assert f.basis_images(terms) == pointwise_basis_images(f, terms), (
+                f, terms)
 
 
 def test_polynomial_roots_by_brute_force():

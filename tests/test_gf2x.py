@@ -106,6 +106,29 @@ def test_is_irreducible_known_cases():
     # 0b11111 is irreducible; use genuine composites
     for f in (0b101, 0b100, 0b1010, 0b110, gf2x.mul(0b111, 0b1011), 1, 0):
         assert not gf2x.is_irreducible(f), bin(f)
+    # squarefree products of irreducibles whose degrees d divide the degree
+    # n: x^(2^n) = x mod f, so only the gcd at some n/p, p a prime of n
+    # dividing n/d, rejects them
+    def irreducibles(d, count):
+        found = [gf2x.smallest_irreducible(d)]
+        f = found[0] + 2
+        while len(found) < count:
+            if gf2x.is_irreducible(f):
+                found.append(f)
+            f += 2
+        return found
+
+    for degrees in ((15, 15), (5, 5, 10, 10), (6, 6, 6, 6, 6), (10, 20, 30),
+                    (35, 35), (42, 42, 42, 42, 42), (14, 21, 35, 70, 70)):
+        factors = []
+        for d in set(degrees):
+            factors += irreducibles(d, degrees.count(d))
+        f = 1
+        for g in factors:
+            f = gf2x.mul(f, g)
+        n = gf2x.degree(f)
+        assert all(n % d == 0 for d in degrees)
+        assert not gf2x.is_irreducible(f), degrees
 
 
 def x_power(e, m):

@@ -51,6 +51,19 @@ def test_cycle_labels_of_ranks_are_the_point_labels():
             assert len(cyc) > 2 and cyc[cyc.index("inf") - len(cyc) + 1] == "0"
         else:
             assert ["inf"] in special and (["0"] in special) == (b == 0)
+    # every map of the fields up to 2^4: zero and infinity found by their
+    # labels g^N and g^(N + 1) in fields where N has one or two digits
+    for n in range(1, 5):
+        f = BinaryField(n)
+        for kind in ("theta", "psi"):
+            for a in range(1, f.order):
+                for b in range(f.order):
+                    for k in (1, 2):
+                        cs = MapSpec(kind, f.element(a), f.element(b),
+                                     k).cycle_structure()
+                        assert cycle_labels(cs) == [
+                            [point_label(p) for p in c]
+                            for c in point_cycles(cs)], (kind, a, b, k)
 
 
 def test_cycles_to_dict_contents():
