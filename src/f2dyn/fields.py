@@ -136,16 +136,21 @@ class BinaryField:
         return self._exp[self.mult_order - self._log[a]]
 
     def _inv_euclid(self, a: int) -> int:
-        # extended Euclid in GF(2)[x]
-        r0, r1 = self.modulus, a
-        s0, s1 = 0, 1
-        while r1:
-            q, r = gf2x.divmod_(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 ^ gf2x.mul(q, s1)
-        if r0 != 1:  # pragma: no cover - modulus is irreducible
-            raise InvariantViolationError("gcd with irreducible modulus != 1")
-        return self._reduce(s0)
+        """Extended Euclid in GF(2)[x] without division: each step cancels
+        the leading term of the longer remainder u with a shifted copy of v,
+        and does the same to u's cofactor g1 (g1*a = u mod the modulus).
+        deg g1 + deg v <= n holds throughout, so the answer comes reduced."""
+        u, v, g1, g2 = a, self.modulus, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+                if not v:  # pragma: no cover - the modulus is irreducible
+                    raise InvariantViolationError(
+                        "gcd with irreducible modulus != 1")
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -185,20 +190,29 @@ class BinaryField:
                 for _ in range(k):
                     a = reduce(gf2x.sqr(a))
                 return a
-            windows = self._frob_windows.get(k) or self._frob_table(k)
-            r = 0
-            for (lo, hi), byte in zip(
-                    windows, a.to_bytes((a.bit_length() + 7) >> 3, "little")):
-                r ^= lo[byte & 15] ^ hi[byte >> 4]
-            return r
+            return _through_windows(
+                self._frob_windows.get(k) or self._frob_table(k), a)
         if a == 0:
             return 0
         return self._exp[(self._log[a] << k) % self.mult_order]
 
     def _frob_table(self, s: int) -> list[tuple[list[int], list[int]]]:
         """The byte tables of x -> x^(2^s): each 4-bit window's 16 entries
-        are XORs of the images of its four basis elements."""
-        images = self.basis_images([(1, s)])
+        are XORs of the images of its four basis elements.
+
+        When the tables of a twist t with 2t = s mod n are cached (t = s/2,
+        or (s + n)/2), the images are sigma^t applied to sigma^t's own
+        columns, read from its windows: n table reads, and none of the n
+        field products of basis_images."""
+        n, cached = self.degree, self._frob_windows
+        half = next((cached[t] for t in (s >> 1, (s + n) >> 1)
+                     if 2 * t % n == s and t in cached), None)
+        if half is None:
+            images = self.basis_images([(1, s)])
+        else:  # column j of sigma^t: entry 2^(j & 3) of its window j >> 2
+            images = [_through_windows(
+                half, half[j >> 3][(j >> 2) & 1][1 << (j & 3)])
+                for j in range(n)]
         tables = []
         for w in range(0, self.degree, 4):
             table = [0]
@@ -330,6 +344,17 @@ class BinaryField:
         check_table_degree(self.degree)
         self._build_tables()
         return self._exp, self._log
+
+
+def _through_windows(windows: list[tuple[list[int], list[int]]],
+                     a: int) -> int:
+    """The image of a under the GF(2)-linear map whose byte tables (see
+    BinaryField._frob_table) are windows: one lookup per 4-bit window."""
+    r = 0
+    for (lo, hi), byte in zip(
+            windows, a.to_bytes((a.bit_length() + 7) >> 3, "little")):
+        r ^= lo[byte & 15] ^ hi[byte >> 4]
+    return r
 
 
 class FieldElement:
@@ -687,6 +712,12 @@ class _Splitter:
     T_i = sum over s < n of (x^i)^(2^s) * X^(2^s) is formed as e weighted
     powers, the weights summing x^i's n conjugates by s mod e.  Over
     F_{2^(nr)} a base modulus has e = n: 1/r of the products of n*r terms.
+
+    When H has GF(2) coefficients, as a base modulus always has, so does
+    every X^(2^i) mod H, and slot k of a trace is the XOR of the weights
+    whose power has slot k set: no packed product at all.  _slots lists
+    those powers per slot, or is None for any other H, whose traces take
+    one packed product per weight.
     """
 
     def __init__(self, ring: _PolyRing, g: int):
@@ -701,8 +732,11 @@ class _Splitter:
         # X^(2^i) mod H, i < e: g's, or those of H's own splitter (H splits
         # fully, so that one stops at its period); an H of degree < 2 is
         # split without them
-        self._powers = (powers if self.H == g or ring.degree(self.H) < 2
-                        else _Splitter(ring, self.H)._powers)
+        if self.H == g or ring.degree(self.H) < 2:
+            self._powers, self._slots = powers, _binary_slots(ring, powers)
+        else:
+            inner = _Splitter(ring, self.H)
+            self._powers, self._slots = inner._powers, inner._slots
         self._rems: dict[tuple[int, int], int] = {}  # (h, i) -> T_i mod h
 
     def _rem(self, chain: tuple[int, ...], i: int) -> int:
@@ -712,17 +746,22 @@ class _Splitter:
         if (h, i) not in self._rems:
             if chain:
                 t = self.ring.divmod(self._rem(chain[:-1], i), h)[1]
-            else:  # n squarings, e packed products (none for weight 0, 1)
+            else:  # n squarings, then XORs or e packed products
                 powers, field = self._powers, self.ring.field
                 weights, v = [0] * len(powers), 1 << i
                 for s in range(field.degree):
                     weights[s % len(powers)] ^= v
                     v = field.sqr(v)
-                t = 0
-                for w, p in zip(weights, powers):
-                    if w:
-                        t ^= p if w == 1 else gf2x.mul(w, p)
-                t = self.ring.reduce_slots(t)
+                if self._slots is not None:
+                    t = self.ring.pack([functools.reduce(
+                        int.__xor__, map(weights.__getitem__, slot), 0)
+                        for slot in self._slots])
+                else:  # none for weight 0, 1
+                    t = 0
+                    for w, p in zip(weights, powers):
+                        if w:
+                            t ^= p if w == 1 else gf2x.mul(w, p)
+                    t = self.ring.reduce_slots(t)
             self._rems[h, i] = t
         return self._rems[h, i]
 
@@ -747,6 +786,17 @@ class _Splitter:
         if one:
             return self.split(chain + (min(g, f, key=ring.degree),), j + 1, one)
         return self.split(chain + (g,), j + 1) + self.split(chain + (f,), j + 1)
+
+
+def _binary_slots(ring: _PolyRing,
+                  powers: Sequence[int]) -> list[list[int]] | None:
+    """For each slot k, the indices of the powers whose slot k is 1, when
+    every slot of every power is 0 or 1; otherwise None."""
+    rows = [ring.coefficients(p) for p in powers]
+    if any(c > 1 for row in rows for c in row):
+        return None
+    return [[i for i, row in enumerate(rows) if k < len(row) and row[k]]
+            for k in range(max(map(len, rows)))]
 
 
 def _poly_roots_bits(field: BinaryField, coeffs: Sequence[int]) -> list[int]:

@@ -81,12 +81,22 @@ class Semilinear:
 
     def then(self, other: "Semilinear") -> "Semilinear":
         """self first, then other: (M2, s2) o (M1, s1) is
-        (M2 * sigma^s2(M1), s1 + s2)."""
+        (M2 * sigma^s2(M1), s1 + s2).
+
+        Two affine pairs, bottom row (0, 1) like theta and its powers,
+        compose to an affine pair: only the top row
+        (p*sigma^s2(p1), p*sigma^s2(q1) + q) is formed, 2 products and 2
+        Frobenius images, and none of the 6 and 2 the constant row takes."""
         if other.field != self.field:
             raise FieldMismatchError("maps act on different lines")
         mul, frob, s = self.field.mul, self.field.frob, other.s
         (p, q), (r, t) = other.m
         (p1, q1), (r1, t1) = self.m
+        if (r, t) == (r1, t1) == (0, 1):
+            return Semilinear(self.field,
+                              ((mul(p, frob(p1, s)), mul(p, frob(q1, s)) ^ q),
+                               (0, 1)),
+                              self.s + s)
         p1, q1, r1, t1 = frob(p1, s), frob(q1, s), frob(r1, s), frob(t1, s)
         return Semilinear(self.field,
                           ((mul(p, p1) ^ mul(q, r1), mul(p, q1) ^ mul(q, t1)),
@@ -94,15 +104,22 @@ class Semilinear:
                           self.s + s)
 
     def power(self, e: int) -> "Semilinear":
-        """The e-fold composite, by square-and-multiply."""
+        """The e-fold composite, by square-and-multiply.  The running
+        product starts as f^(2^i) for the lowest set bit i of e, not as the
+        identity composed with it, and no square is taken past the top bit;
+        power(0) is the identity."""
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        result, base = Semilinear(self.field, ((1, 0), (0, 1)), 0), self
-        while e:
+        if e == 0:
+            return Semilinear(self.field, ((1, 0), (0, 1)), 0)
+        base = self
+        while not e & 1:
+            base, e = base.then(base), e >> 1
+        result = base
+        while e > 1:
+            base, e = base.then(base), e >> 1
             if e & 1:
                 result = result.then(base)
-            e >>= 1
-            base = base.then(base) if e else base
         return result
 
     def same_map(self, other: "Semilinear") -> bool:

@@ -230,6 +230,64 @@ def test_frob_matches_repeated_squaring():
             assert f.sqr(f.sqrt(a)) == a
 
 
+def test_frob_tables_compose_from_a_cached_half(monkeypatch):
+    """Once the tables of a twist t are cached, those of s = 2t mod n come
+    from them without a basis scan, and both read off s squarings of every
+    basis element and of random elements.  n % 4 != 0 leaves a part-filled
+    window, n < 8 a part-filled byte; odd s over odd n takes the wrap-around
+    half t = (s + n)/2, and even s over even n either half."""
+    rng = random.Random(30)
+    real_images = BinaryField.basis_images
+
+    def no_scan(self, terms):
+        raise AssertionError("a basis scan for a composable twist")
+
+    for n in (1, 2, 3, 5, 9, 10, 31, 60, 64, 131):
+        f = BinaryField(n)
+        ref = [[1 << j for j in range(n)]]  # ref[s][j] = (x^j)^(2^s)
+        for _ in range(n - 1):
+            ref.append([f.sqr(v) for v in ref[-1]])
+        values = [0, f.order - 1] + [rng.getrandbits(n) for _ in range(2)]
+        for s in range(n):
+            halves = {t for t in (s >> 1, (s + n) >> 1) if 2 * t % n == s}
+            # odd n halves every s once; even n halves even s twice (once
+            # at n = 2, s = 0 and t = 0 or 1) and odd s never
+            assert len(halves) == (1 if n % 2 else 2 * (s % 2 == 0)), (n, s)
+            for t in sorted(halves) or [None]:
+                f._frob_windows.clear()
+                monkeypatch.setattr(BinaryField, "basis_images", real_images)
+                if t is not None:
+                    f._frob_table(t)
+                    monkeypatch.setattr(BinaryField, "basis_images", no_scan)
+                windows = f._frob_table(s)
+                assert [fields._through_windows(windows, 1 << j)
+                        for j in range(n)] == ref[s], (n, s, t)
+                for a in values:
+                    want = a
+                    for _ in range(s):
+                        want = f.sqr(want)
+                    assert fields._through_windows(windows, a) == want
+                    if n > 16 and 128 * (s - 1) > n:  # frob reads them
+                        assert f.frob(a, s) == want, (n, s, t, a)
+
+
+def test_inverse_by_division_free_euclid_is_the_power_2n_minus_2():
+    """a^-1 = a^(2^n - 2) for 1, x, the all-ones element and random ones,
+    at every degree up to 131 and over dense moduli, which are reduced by
+    division."""
+    rng = random.Random(31)
+    cases = [BinaryField(n) for n in range(1, 132)]
+    cases += [BinaryField(gf2x.degree(m), m) for m in DENSE_MODULI]
+    for f in cases:
+        n = f.degree
+        values = {1, f.gen.bits, f.order - 1}
+        values |= {rng.randrange(1, f.order) for _ in range(3)}
+        for a in sorted(values):
+            inv = f._inv_euclid(a)
+            assert inv >> n == 0 and inv == f._pow_raw(a, f.order - 2), (f, a)
+            assert f.mul(a, inv) == 1, (f, a)
+
+
 def test_tables_match_repeated_mulmod_by_the_generator():
     # g = 2 for most degrees, g = 3 for F_2^16 and g = 7 for F_2^14
     for n in range(1, 17):
@@ -748,3 +806,31 @@ def test_irreducible_of_foreign_degree_runs_the_full_chain():
         assert len(splitter._powers) == field.degree, (field, d)
         assert splitter.H == 1 and splitter.split() == [], (field, d)
         assert_root_traces(splitter, g)
+
+
+def test_binary_modulus_traces_are_xors_of_weights(monkeypatch):
+    """A GF(2) modulus over F_2^(nr) has 0/1 slots in every X^(2^i) mod H,
+    so its traces are XORs of the weights; the packed products that any
+    other H takes give the same traces and the same embedding."""
+    cases = [(2, 2), (3, 5), (5, 2), (8, 2), (7, 3), (10, 3), (6, 4), (12, 5)]
+    want = {}
+    for n, r in cases:
+        base = BinaryField(n)
+        ring = fields._ring(BinaryField(n * r))
+        g = ring.pack([base.modulus >> i & 1 for i in range(n + 1)])
+        xors, products = fields._Splitter(ring, g), fields._Splitter(ring, g)
+        assert xors._slots is not None, (n, r)
+        products._slots = None
+        for j in range(n * r):
+            assert xors._rem((), j) == products._rem((), j), (n, r, j)
+        want[n, r] = extension_of(base, r)(base.gen).bits
+    monkeypatch.setattr(fields, "_binary_slots", lambda ring, powers: None)
+    for (n, r), image in want.items():
+        base = BinaryField(n)
+        assert extension_of.__wrapped__(base, r)(base.gen).bits == image
+    # a modulus with a coefficient outside GF(2) keeps the products
+    field = BinaryField(8)
+    ring = fields._ring(field)
+    coeffs = poly_from_roots(field, [3, 5, 7])
+    _, g, _ = fields._search_form(ring, coeffs)
+    assert fields._Splitter(ring, g)._slots is None

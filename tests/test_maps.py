@@ -66,6 +66,18 @@ def ref_linearized(coeffs, x):
     return acc
 
 
+def ref_then(first, second):
+    """The general twisted 2x2 product (M2 * sigma^s2(M1), s1 + s2), every
+    entry formed, whatever the rows hold."""
+    f, s = first.field, second.s
+    (p, q), (r, t) = second.m
+    (p1, q1), (r1, t1) = ([f.frob(v, s) for v in row] for row in first.m)
+    return Semilinear(f, ((f.mul(p, p1) ^ f.mul(q, r1),
+                           f.mul(p, q1) ^ f.mul(q, t1)),
+                          (f.mul(r, p1) ^ f.mul(t, r1),
+                           f.mul(r, q1) ^ f.mul(t, t1))), first.s + s)
+
+
 def line_images(mp):
     """The pointwise oracle of cycle_structure: the image of every point
     encoding 0..order (order = infinity), one evaluation each."""
@@ -541,6 +553,54 @@ def test_pair_composites_match_pointwise_iteration():
         psi.pair.power(-1)
     with pytest.raises(FieldMismatchError):
         psi.pair.then(Semilinear(BinaryField(4), ((1, 0), (0, 1)), 0))
+
+
+def test_affine_then_is_the_general_product():
+    """Two theta pairs compose, top row only, to exactly the matrix and twist
+    of the general product, at every twist 0..2n of the second, over
+    tabled, fresh and wide fields and a dense modulus."""
+    rng = random.Random(30)
+    tabled = BinaryField(8)
+    tabled.tables()
+    cases = [BinaryField(1), BinaryField(3), tabled, BinaryField(12),
+             BinaryField(17), BinaryField(64), BinaryField(131),
+             BinaryField(64, 0x18000000000000049)]
+    for f in cases:
+        n = f.degree
+        for s2 in range(2 * n + 1):
+            first, second = (Semilinear(
+                f, ((rng.randrange(1, f.order), rng.randrange(f.order)),
+                    (0, 1)), s) for s in (rng.randrange(3 * n), s2))
+            got, want = first.then(second), ref_then(first, second)
+            assert (got.m, got.s) == (want.m, want.s), (f, s2)
+            assert got.m[1] == (0, 1)
+
+
+def test_power_is_the_e_fold_product():
+    """power(e) has exactly the matrix and twist of e general products, for
+    e = 0..40 and 2^j +- 1, on theta, psi and random full pairs over a
+    tabled, a fresh and a wide field."""
+    rng = random.Random(31)
+    exponents = set(range(41)) | {(1 << j) + d for j in range(2, 10)
+                                  for d in (-1, 1)}
+    for n in (5, 12, 64):
+        f = BinaryField(n)
+        a, b = rng.randrange(1, f.order), rng.randrange(f.order)
+        k = rng.randrange(1, 2 * n)
+        pairs = [MapSpec(kind, f.element(a), f.element(b), k).pair
+                 for kind in ("theta", "psi")]
+        while len(pairs) < 4:
+            p, q, r, t = (rng.randrange(f.order) for _ in range(4))
+            if f.mul(p, t) != f.mul(q, r):
+                pairs.append(Semilinear(f, ((p, q), (r, t)),
+                                        rng.randrange(2 * n)))
+        for pair in pairs:
+            folded = Semilinear(f, ((1, 0), (0, 1)), 0)
+            for e in range(max(exponents) + 1):
+                if e in exponents:
+                    got = pair.power(e)
+                    assert (got.m, got.s) == (folded.m, folded.s), (f, e)
+                folded = ref_then(folded, pair)
 
 
 def test_same_map_is_pointwise_equality():
