@@ -56,8 +56,9 @@ class BinaryField:
         if degree < 1:
             raise ValueError("field degree must be at least 1")
         if modulus is None:
-            # proven when it was found: smallest_irreducible runs Rabin's
-            # test, and the tests pin the tabled Conway polynomials
+            # proven irreducible already: the tests pin the tabled Conway
+            # polynomials and smallest irreducibles (up to degree 128)
+            # against Rabin's test, and above 128 smallest_irreducible runs it
             modulus = gf2x.default_modulus(degree)
         elif modulus >> degree != 1:  # a negative modulus fails here too
             raise ValueError("modulus degree does not match field degree")
@@ -233,7 +234,9 @@ class BinaryField:
         rho = x^(2^e): each column is one product per term away from the one
         before, and no column takes a Frobenius power.  The rho come off
         one squaring chain up to the largest e mod n, not off frob, whose
-        window tables are built here.  A term (1, 0) adds x^j itself.
+        window tables are built here.  A term (1, 0) adds x^j itself.  In a
+        wide field, a rho that is a single bit x^t (as when 2^e < n) makes
+        each step a shift by t and a reduction instead of a product.
         """
         n, mul, reduce = self.degree, self.mul, self._reduce
         columns = [0] * n
@@ -247,6 +250,12 @@ class BinaryField:
                 continue
             v = c
             columns[0] ^= v
+            if self._wide and not rho & (rho - 1):
+                t = rho.bit_length() - 1
+                for j in range(1, n):
+                    v = reduce(v << t)
+                    columns[j] ^= v
+                continue
             for j in range(1, n):
                 v = mul(v, rho)
                 columns[j] ^= v

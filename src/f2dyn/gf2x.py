@@ -3,9 +3,10 @@
 Bit i of the integer is the coefficient of x^i, so 0b100101 encodes
 x^5 + x^2 + 1.  Addition is XOR; these helpers supply the rest of the ring
 structure, a reducer built once per modulus (and its slot-wise form for
-polynomials over F_{2^n} packed into one int), and irreducibility testing,
-which is all the field layer needs, and the one integer factorizer the field
-and curve layers share.
+polynomials over F_{2^n} packed into one int), irreducibility testing and
+the default moduli (tabled up to degree 128, searched once per process
+above it), which is all the field layer needs, and the one integer
+factorizer the field and curve layers share.
 
 It also defines the package's two runtime exceptions: ResourceLimitError
 (the command line's exit 3) and InvariantViolationError (exit 1).  fields
@@ -36,6 +37,30 @@ CONWAY_POLYNOMIALS = {
     10: 0x46F,  # x^10 + x^6 + x^5 + x^3 + x^2 + x + 1
     11: 0x805,  # x^11 + x^2 + 1
     12: 0x10EB,  # x^12 + x^7 + x^6 + x^5 + x^3 + x + 1
+}
+
+# The smallest irreducible polynomial x^n + t of each degree n from 13 to 128,
+# stored as its tail t (every tail is below 2^9): what smallest_irreducible(n)
+# finds, and the tests check each entry against it, so default_modulus answers
+# these degrees without a search.
+SMALLEST_IRREDUCIBLE_TAILS = {
+    13: 0x1B, 14: 0x21, 15: 0x3, 16: 0x2B, 17: 0x9, 18: 0x9, 19: 0x27,
+    20: 0x9, 21: 0x5, 22: 0x3, 23: 0x21, 24: 0x1B, 25: 0x9, 26: 0x1B,
+    27: 0x27, 28: 0x3, 29: 0x5, 30: 0x3, 31: 0x9, 32: 0x8D, 33: 0x4B,
+    34: 0x1B, 35: 0x5, 36: 0x35, 37: 0x3F, 38: 0x63, 39: 0x11, 40: 0x39,
+    41: 0x9, 42: 0x27, 43: 0x59, 44: 0x21, 45: 0x1B, 46: 0x3, 47: 0x21,
+    48: 0x2D, 49: 0x71, 50: 0x1D, 51: 0x4B, 52: 0x9, 53: 0x47, 54: 0x7D,
+    55: 0x47, 56: 0x95, 57: 0x11, 58: 0x63, 59: 0x7B, 60: 0x3, 61: 0x27,
+    62: 0x69, 63: 0x3, 64: 0x1B, 65: 0x1B, 66: 0x9, 67: 0x27, 68: 0xA3,
+    69: 0x65, 70: 0x2B, 71: 0x2B, 72: 0x5F, 73: 0x1D, 74: 0x47, 75: 0x4B,
+    76: 0x35, 77: 0x65, 78: 0x5F, 79: 0x1D, 80: 0xAF, 81: 0x11, 82: 0xD7,
+    83: 0x95, 84: 0x21, 85: 0x107, 86: 0x65, 87: 0xA3, 88: 0x3F, 89: 0x69,
+    90: 0x2D, 91: 0xED, 92: 0x65, 93: 0x5, 94: 0x63, 95: 0x77, 96: 0x6F,
+    97: 0x41, 98: 0x99, 99: 0x4B, 100: 0x65, 101: 0xC3, 102: 0x69, 103: 0xBD,
+    104: 0x1B, 105: 0x11, 106: 0x63, 107: 0xAF, 108: 0x53, 109: 0x35, 110: 0x53,
+    111: 0x95, 112: 0x39, 113: 0x2D, 114: 0x2D, 115: 0xAF, 116: 0x17, 117: 0x27,
+    118: 0x65, 119: 0x101, 120: 0x1B, 121: 0x123, 122: 0x47, 123: 0x5, 124: 0x7D,
+    125: 0xAF, 126: 0x95, 127: 0x3, 128: 0x87,
 }
 
 
@@ -407,10 +432,14 @@ def smallest_irreducible(n: int) -> int:
 
 @cache
 def default_modulus(n: int) -> int:
-    """Default modulus for F_{2^n}: Conway polynomial when tabulated,
-    otherwise the smallest irreducible polynomial of that degree.  Each
-    degree is searched once per process."""
+    """Default modulus for F_{2^n}: the Conway polynomial up to degree 12,
+    otherwise the smallest irreducible polynomial of that degree, read from
+    SMALLEST_IRREDUCIBLE_TAILS up to degree 128.  A degree above 128 is
+    searched once per process."""
     if n < 1:
         raise ValueError("degree must be positive")
-    got = CONWAY_POLYNOMIALS.get(n)
-    return got if got is not None else smallest_irreducible(n)
+    if n in CONWAY_POLYNOMIALS:
+        return CONWAY_POLYNOMIALS[n]
+    if n in SMALLEST_IRREDUCIBLE_TAILS:
+        return (1 << n) | SMALLEST_IRREDUCIBLE_TAILS[n]
+    return smallest_irreducible(n)

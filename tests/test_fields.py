@@ -144,15 +144,17 @@ def test_construction_defaults_and_validation():
 
 
 def test_each_modulus_is_tested_for_irreducibility_once(monkeypatch):
-    """A default modulus was proven when it was found (or is a Conway entry
-    the gf2x tests pin), so building its field runs no second Rabin test; a
-    given modulus is tested every time."""
+    """A default modulus is a Conway or smallest-irreducible entry the gf2x
+    tests pin (degrees up to 128), or was proven when it was found, so
+    building its field runs no second Rabin test; a given modulus is tested
+    every time."""
     gf2x.default_modulus(40)
+    gf2x.default_modulus(131)
     tested = []
     real = gf2x.is_irreducible
     monkeypatch.setattr(gf2x, "is_irreducible",
                         lambda f: tested.append(f) or real(f))
-    for n in (1, 8, 12, 40):
+    for n in (1, 8, 12, 40, 131):
         assert BinaryField(n).modulus == gf2x.default_modulus(n)
     assert tested == []
     BinaryField(3, 0b1101)
@@ -486,6 +488,8 @@ def test_basis_images_match_pointwise_evaluation(monkeypatch):
         BinaryField(n) for n in (17, 33, 64, 65, 100, 131)]
     fields.append(BinaryField(64, DENSE_MODULI[1]))
 
+    real_frob = BinaryField.frob
+
     def no_frob(self, a, k):
         raise AssertionError("a Frobenius power per column")
 
@@ -505,6 +509,40 @@ def test_basis_images_match_pointwise_evaluation(monkeypatch):
         for terms in cases:
             assert f.basis_images(terms) == pointwise_basis_images(f, terms), (
                 f, terms)
+
+    # wide fields, over a default sparse modulus and a dense one: a twist e
+    # with 2^e < n (or e = n + 3) has rho = x^(2^e), one bit, and builds its
+    # columns by shifts; 2^e >= n takes n - 1 products.  frob matches e
+    # squarings; for e > 1 + n/128 it reads window tables built from the
+    # same columns (cleared before each twist, so none is composed from a
+    # half).
+    products = []
+    real_mul = BinaryField.mul
+
+    def counted_mul(self, a, b):
+        products.append(a)
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(BinaryField, "mul", counted_mul)
+    for f in (BinaryField(64), BinaryField(100),
+              BinaryField(64, DENSE_MODULI[1])):
+        n = f.degree
+        low = [e for e in range(n) if 1 << e < n]
+        for e in low + [len(low), len(low) + 1, n - 1, n + 3]:
+            shifted = 1 << (e % n) < n
+            c = rng.randrange(2, f.order)
+            for terms in ([(c, e)], [(1, e)], [(c, e), (1, 0)]):
+                want = pointwise_basis_images(f, terms)
+                products.clear()
+                assert f.basis_images(terms) == want, (f, terms)
+                assert len(products) == (0 if shifted else n - 1), (f, terms)
+            values = [1, f.order - 1] + [rng.getrandbits(n) for _ in range(3)]
+            for a in values:
+                f._frob_windows.clear()
+                want = a
+                for _ in range(e):
+                    want = f.sqr(want)
+                assert real_frob(f, a, e) == want, (f, a, e)
 
 
 def test_polynomial_roots_by_brute_force():

@@ -279,13 +279,31 @@ def ref_smallest_irreducible(n):
 def test_sieved_modulus_search_matches_the_plain_scan(monkeypatch):
     for n in range(1, 81):
         assert gf2x.smallest_irreducible(n) == ref_smallest_irreducible(n), n
-    # a second call for a degree is answered without a search
-    first = gf2x.default_modulus(90)
+    # a second call for a degree above the table is answered without a search
+    first = gf2x.default_modulus(131)
 
     def no_search(n):
         raise AssertionError(f"degree {n} searched twice")
     monkeypatch.setattr(gf2x, "smallest_irreducible", no_search)
-    assert gf2x.default_modulus(90) == first
+    assert gf2x.default_modulus(131) == first
+
+
+def test_tabled_moduli_are_the_smallest_irreducibles(monkeypatch):
+    """Every entry of SMALLEST_IRREDUCIBLE_TAILS, degrees 13 to 128, is the
+    polynomial smallest_irreducible finds, and the fields of those degrees
+    are built from the table without a search."""
+    tails = gf2x.SMALLEST_IRREDUCIBLE_TAILS
+    assert list(tails) == list(range(13, 129))
+    searched = {n: gf2x.smallest_irreducible(n) for n in tails}
+    for n, t in tails.items():
+        assert 0 < t < 1 << 9 and (1 << n) | t == searched[n], n
+
+    def no_search(n):
+        raise AssertionError(f"degree {n} searched")
+    gf2x.default_modulus.cache_clear()
+    monkeypatch.setattr(gf2x, "smallest_irreducible", no_search)
+    for n in tails:
+        assert BinaryField(n).modulus == searched[n], n
 
 
 def test_kernels_match_reference():
