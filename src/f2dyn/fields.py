@@ -177,19 +177,13 @@ class BinaryField:
         """a^(2^k); the exponent only matters modulo the degree.
 
         Within the exp/log tables this is a shift of the discrete log.
-        Without them x -> x^(2^s), s = k mod n, is GF(2)-linear: for
-        s > 1 + n/128 it is read off tables built on the first use of each
-        s, one lookup and one XOR per 4-bit window of a.  Smaller s squares
-        s times, which is cheaper there: a table read costs about one
-        squaring up to n = 96, one to two up to n = 256 and four to five at
-        n = 960.
+        Without them x -> x^(2^s), s = k mod n, is GF(2)-linear, and for
+        s != 0 it is read off tables built on the first use of each s: one
+        lookup and one XOR per 4-bit window of a.
         """
         k %= self.degree
         if self._exp is None and (self._wide or not self._tabled()):
-            if 128 * (k - 1) <= self.degree:
-                reduce = self._reduce
-                for _ in range(k):
-                    a = reduce(gf2x.sqr(a))
+            if not k:
                 return a
             return _through_windows(
                 self._frob_windows.get(k) or self._frob_table(k), a)
@@ -234,9 +228,9 @@ class BinaryField:
         rho = x^(2^e): each column is one product per term away from the one
         before, and no column takes a Frobenius power.  The rho come off
         one squaring chain up to the largest e mod n, not off frob, whose
-        window tables are built here.  A term (1, 0) adds x^j itself.  In a
-        wide field, a rho that is a single bit x^t (as when 2^e < n) makes
-        each step a shift by t and a reduction instead of a product.
+        window tables are built here.  In a wide field, a rho that is a
+        single bit x^t (as when 2^e < n) makes each step a shift by t and a
+        reduction instead of a product.
         """
         n, mul, reduce = self.degree, self.mul, self._reduce
         columns = [0] * n
@@ -245,9 +239,6 @@ class BinaryField:
             for _ in range(e - s):
                 rho = reduce(gf2x.sqr(rho))
             s = e
-            if (c, e) == (1, 0):
-                columns = [v ^ (1 << j) for j, v in enumerate(columns)]
-                continue
             v = c
             columns[0] ^= v
             if self._wide and not rho & (rho - 1):
@@ -630,8 +621,7 @@ class _PolyRing:
 
         With f = X^d + T and deg T <= d/2, the slots above X^d are folded
         back as hi * T, twice at most for a square; any other f is divided.
-        A term c*X^i of T costs one packed product, or, when c has at most
-        eight bits set, that many shifts of hi.
+        A term c*X^i of T costs one packed product.
         """
         w = self.width
         top = w * self.degree(f)
@@ -640,13 +630,8 @@ class _PolyRing:
             def divide(a: int) -> int:
                 return self.divmod(a, f)[1]
             return divide
-        shifts, terms = [], []
-        for i, c in enumerate(self.coefficients(tail)):
-            if 0 < c.bit_count() <= 8:
-                shifts += [w * i + b for b in range(c.bit_length())
-                           if c >> b & 1]
-            elif c:
-                terms.append((c, w * i))
+        terms = [(c, w * i)
+                 for i, c in enumerate(self.coefficients(tail)) if c]
         mask = (1 << top) - 1
         reduce_slots = self.reduce_slots
 
@@ -655,8 +640,6 @@ class _PolyRing:
             while hi:
                 hi = reduce_slots(hi)
                 a &= mask
-                for s in shifts:
-                    a ^= hi << s
                 for c, s in terms:
                     a ^= gf2x.mul(c, hi) << s
                 hi = a >> top
@@ -904,14 +887,14 @@ def nth_roots(alpha: FieldElement, n: int) -> set[FieldElement]:
             raise ResourceLimitError("solution set is the whole unit group")
         return {field.element(b) for b in range(1, field.order)}
     d = gcd(n0, M)
+    if d == 1:  # alpha^M = 1 always holds: one root, alpha^(1/n)
+        return {field.element(field.pow(alpha.bits, pow(n0, -1, M)))}
     if field.pow(alpha.bits, M // d) != 1:
         return set()
     if d > ROOT_DEGREE_LIMIT:
         raise ResourceLimitError(
             f"root search on x^{d} = beta is out of range")
     beta = field.pow(alpha.bits, pow(n0 // d, -1, M // d))
-    if d == 1:
-        return {field.element(beta)}
     coeffs = [0] * (d + 1)
     coeffs[0] = beta
     coeffs[d] = 1

@@ -211,11 +211,16 @@ def test_frob_matches_repeated_squaring():
     assert fresh._exp is None
     assert fresh.frob(0x2F5, 3) == squarings(BinaryField(10), 0x2F5, 3)
     # wide fields on both sides of the byte and window edges (17, 33, 65
-    # leave a part-filled window) and of the table crossover s > 1 + n/128
-    # (n = 127 reads s = 2 off a table, n = 128 squares twice), and a dense
-    # user modulus, reduced by division
+    # leave a part-filled window; 127 and 128 read twists as small as s = 1
+    # off their tables), and a dense user modulus, reduced by division
     wide = [BinaryField(n) for n in (17, 33, 64, 65, 127, 128)]
     wide.append(BinaryField(64, DENSE_MODULI[1]))
+    # a twist k = 0 mod n is the identity, and builds no window table
+    for f in [BinaryField(10)] + wide:
+        for a in (1, f.order - 1, rng.getrandbits(f.degree)):
+            for k in (0, f.degree, -f.degree, 3 * f.degree):
+                assert f.frob(a, k) == a, (f, a, k)
+        assert f._exp is None and f._frob_windows == {}, f
     for f, values in ((BinaryField(8), range(256)),
                       (BinaryField(16),
                        [0, 1, 2, 0xFFFF] + rng.sample(range(1 << 16), 60)),
@@ -510,12 +515,25 @@ def test_basis_images_match_pointwise_evaluation(monkeypatch):
             assert f.basis_images(terms) == pointwise_basis_images(f, terms), (
                 f, terms)
 
+    # a term (1, 0) takes the same columns as any other term, next to
+    # other terms with e = 0 and with e != 0: in a tabled field, in fresh
+    # untabled ones (one call stays below the table build) and in wide ones
+    for n in (16, 12, 64):
+        for _ in range(3):
+            c, e = rng.randrange(2, 1 << n), rng.randrange(1, 2 * n)
+            for terms in ([(1, 0), (c, e)], [(c, 0), (1, 0)],
+                          [(c, e), (1, 0), (1, e), (c, 0)],
+                          [(1, 0), (1, 0), (c, e)]):
+                f = tabled if n == 16 else BinaryField(n)
+                got = f.basis_images(terms)
+                assert (f._exp is None) == (f is not tabled), (f, terms)
+                assert got == pointwise_basis_images(f, terms), (f, terms)
+
     # wide fields, over a default sparse modulus and a dense one: a twist e
     # with 2^e < n (or e = n + 3) has rho = x^(2^e), one bit, and builds its
     # columns by shifts; 2^e >= n takes n - 1 products.  frob matches e
-    # squarings; for e > 1 + n/128 it reads window tables built from the
-    # same columns (cleared before each twist, so none is composed from a
-    # half).
+    # squarings: for e != 0 mod n it reads window tables built from the same
+    # columns (cleared before each twist, so none is composed from a half).
     products = []
     real_mul = BinaryField.mul
 
@@ -586,6 +604,31 @@ def test_nth_roots_by_brute_force():
             for bits in alphas:
                 got = {x.bits for x in nth_roots(f.element(bits), n)}
                 assert got == roots.get(bits, set()), (degree, n, bits)
+
+
+def test_nth_roots_takes_one_power_when_the_root_is_unique(monkeypatch):
+    """With d = gcd(n, 2^m - 1) = 1 every alpha has the one root
+    alpha^(1/n), found with one field power and no solvability test."""
+    rng = random.Random(31)
+    real_pow = BinaryField.pow
+    powers = []
+
+    def counted_pow(self, a, e):
+        powers.append(e)
+        return real_pow(self, a, e)
+
+    for f in [BinaryField(n) for n in (2, 5, 8, 12, 17, 64, 131)]:
+        M = f.mult_order
+        exponents = [n for n in (1, 2, 4, 7, 11, 13, 19, 2 * M + 1, M - 2)
+                     if n % M and math.gcd(n, M) == 1]
+        for n in exponents:
+            for bits in (1, f.order - 1, rng.randrange(1, f.order)):
+                monkeypatch.setattr(BinaryField, "pow", counted_pow)
+                powers.clear()
+                (root,) = nth_roots(f.element(bits), n)
+                monkeypatch.undo()
+                assert powers == [pow(n % M, -1, M)], (f, n, bits)
+                assert real_pow(f, root.bits, n) == bits, (f, n, bits)
 
 
 def test_extension_embedding_is_a_homomorphism():
@@ -735,6 +778,24 @@ def test_packed_ring_divides_and_reduces():
             assert ring.pack(qb) ^ r == ring.pack(a)
             square = ring.pack(ref_psqr_mod(field, a, b))
             assert ring.reducer(ring.pack(b))(gf2x.sqr(ring.pack(a))) == square
+        # folding divisors X^d + T, deg T <= d/2, whose tail coefficients are
+        # all 0 or 1, or have at most eight bits set: each term of T is one
+        # packed product like any other
+        n = field.degree
+        for _ in range(6):
+            d = rng.randrange(2, 9)
+            if rng.random() < 0.5:
+                tail = [rng.randrange(2) for _ in range(d // 2 + 1)]
+            else:
+                tail = [sum(1 << i for i in rng.sample(
+                    range(n), rng.randrange(min(n, 8) + 1)))
+                    for _ in range(d // 2 + 1)]
+            b = tail + [0] * (d - len(tail)) + [1]
+            fold = ring.reducer(ring.pack(b))
+            assert fold.__name__ == "fold", b
+            a = [rng.randrange(field.order) for _ in range(rng.randrange(12))]
+            square = ring.pack(ref_psqr_mod(field, a, b))
+            assert fold(gf2x.sqr(ring.pack(a))) == square, (field, a, b)
 
 
 def test_embedding_is_the_smallest_reference_root():
