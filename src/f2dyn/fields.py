@@ -154,6 +154,11 @@ class BinaryField:
         return g1
 
     def pow(self, a: int, e: int) -> int:
+        """a^e for any integer e (negative e inverts a nonzero a).
+
+        Within the exp/log tables this is a product of the discrete log;
+        without them it is _pow_raw's base-16 pass on e mod 2^n - 1.
+        """
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("zero to a negative power")
@@ -164,14 +169,46 @@ class BinaryField:
         return self._exp[(self._log[a] * e) % self.mult_order]
 
     def _pow_raw(self, a: int, e: int) -> int:
-        reduce = self._reduce
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = reduce(gf2x.mul(result, base))
-            base = reduce(gf2x.sqr(base))
-            e >>= 1
+        """a^e for e >= 0 without exp/log tables: Horner's rule on the
+        base-16 digits of e from the top.  Each step raises the running
+        result to the 16th power and multiplies in a^d for the next nonzero
+        digit d.  Each a^d is built on first use (_digit_power), so at most
+        14 products and squarings build them all, and an exponent whose
+        digits repeat, such as s^-1 mod 2^n - 1, builds few.
+
+        Above _TABLE_LIMIT the 16th power is x -> x^(2^4), read off the
+        twist-4 window tables as frob reads it: an N-bit exponent takes
+        ceil(N/4) table passes, not N squarings.  Below it this runs while
+        the exp/log tables are built (primitive_bits), and building window
+        tables there would recurse (basis_images multiplies through mul,
+        which builds the exp/log tables): the 16th power is four squarings.
+        """
+        reduce, mul, sqr = self._reduce, gf2x.mul, gf2x.sqr
+        powers = [1, a] + [0] * 14  # a^d, 0 until built
+        windows = self._wide and (
+            self._frob_windows.get(4) or self._frob_table(4))
+        shift = max(e.bit_length() - 1, 0) & ~3
+        result = self._digit_power(powers, e >> shift)
+        while shift:
+            shift -= 4
+            if windows:
+                result = _through_windows(windows, result)
+            else:
+                for _ in range(4):
+                    result = reduce(sqr(result))
+            d = (e >> shift) & 15
+            if d:
+                result = reduce(mul(result, self._digit_power(powers, d)))
         return result
+
+    def _digit_power(self, powers: list[int], d: int) -> int:
+        """powers[d] = a^d, built from powers[1] = a and those already
+        built: a^(2i) as the square of a^i, a^(2i + 1) as a^(2i)*a."""
+        if not powers[d]:
+            powers[d] = self._reduce(
+                gf2x.mul(self._digit_power(powers, d - 1), powers[1]) if d & 1
+                else gf2x.sqr(self._digit_power(powers, d >> 1)))
+        return powers[d]
 
     def frob(self, a: int, k: int) -> int:
         """a^(2^k); the exponent only matters modulo the degree.
@@ -436,33 +473,36 @@ class SubsetXorSolver:
     leading bit clear, which makes it the least of its coset: adding a
     nonzero kernel element sets the largest leading bit it involves and
     changes no higher bit.
+
+    A vector and its mask share one int, value << J | mask with J the
+    number of columns, and a pivot is keyed by that int's bit length (J
+    plus its value's), so each elimination step is one lookup and one XOR.
     """
 
     def __init__(self, columns: Sequence[int]):
-        self._pivots: dict[int, tuple[int, int]] = {}
+        self._width = width = len(columns)
+        self._pivots: dict[int, int] = {}
         self.kernel_masks: list[int] = []
         for j, value in enumerate(columns):
-            value, mask = self._reduce(value, 1 << j)
-            if value:
-                self._pivots[value.bit_length() - 1] = (value, mask)
+            packed = self._reduce(value << width | 1 << j)
+            if packed >> width:
+                self._pivots[packed.bit_length()] = packed
             else:
-                self.kernel_masks.append(mask)
+                self.kernel_masks.append(packed)
 
-    def _reduce(self, value: int, mask: int) -> tuple[int, int]:
+    def _reduce(self, packed: int) -> int:
+        """packed reduced until its leading bit is no pivot's: at the
+        latest once its value is 0, as the mask lies below every key."""
         pivots = self._pivots
-        while value:
-            hit = pivots.get(value.bit_length() - 1)
-            if hit is None:
-                break
-            value ^= hit[0]
-            mask ^= hit[1]
-        return value, mask
+        while (hit := pivots.get(packed.bit_length())) is not None:
+            packed ^= hit
+        return packed
 
     def solve(self, target: int) -> int | None:
         """The least mask m with XOR of columns[j] over bits j of m equal to
         target, or None."""
-        value, mask = self._reduce(target, 0)
-        return mask if value == 0 else None
+        packed = self._reduce(target << self._width)
+        return None if packed >> self._width else packed
 
 
 # -- field extensions -----------------------------------------------------------

@@ -78,12 +78,13 @@ def mul(a: int, b: int) -> int:
     """
     if a.bit_length() < b.bit_length():
         a, b = b, a
-    if b < 256:
-        r = 0
+    if b < 256:  # a is shifted up to b's top bit, not past it
+        r = a if b & 1 else 0
+        b >>= 1
         while b:
+            a <<= 1
             if b & 1:
                 r ^= a
-            a <<= 1
             b >>= 1
         return r
     a2 = a << 1

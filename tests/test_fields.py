@@ -295,6 +295,76 @@ def test_inverse_by_division_free_euclid_is_the_power_2n_minus_2():
             assert f.mul(a, inv) == 1, (f, a)
 
 
+def ref_pow(a, e, modulus):
+    """a^e modulo the modulus by square and multiply, bit by bit."""
+    result = 1
+    while e:
+        if e & 1:
+            result = ref_mulmod(result, a, modulus)
+        a = ref_mulmod(a, a, modulus)
+        e >>= 1
+    return result
+
+
+def test_wide_power_matches_square_and_multiply():
+    """Powers above the exp/log tables, one twist-4 window pass per base-16
+    digit, against square and multiply: exponents with zero, repeated and
+    single digits, both ends of the range, inverses of 5 and 21 (whose
+    digits repeat), and negative ones through FieldElement."""
+    rng = random.Random(33)
+    for n in (17, 20, 33, 62, 64, 127, 128, 200):
+        f = BinaryField(n)
+        M = f.mult_order
+        exponents = {0, 1, 15, 16, 17, 255, 256, M - 1, M, M + 1}
+        exponents |= {rng.randrange(M) for _ in range(4)}
+        exponents |= {pow(s, -1, M) for s in (5, 21) if math.gcd(s, M) == 1}
+        for e in sorted(exponents):
+            for a in (1, f.gen.bits, rng.randrange(2, f.order)):
+                want = ref_pow(a, e, f.modulus)
+                assert f.pow(a, e) == f._pow_raw(a, e) == want, (n, e, a)
+                x = f.element(a)
+                assert (x ** -e).bits == ref_pow(a, -e % M, f.modulus), (n, e)
+        assert 4 in f._frob_windows  # read off the twist-4 windows
+
+
+def test_wide_power_takes_a_quarter_of_the_products(monkeypatch):
+    """In F_2^64, once the twist-4 window tables exist, a^(2^64 - 2) takes
+    16 window passes and at most 30 products; square and multiply takes 63
+    products (and 63 squarings)."""
+    f = BinaryField(64)
+    a = 0x9E3779B97F4A7C15
+    f.frob(a, 4)
+    real_mul = gf2x.mul
+    calls = []
+
+    def counted_mul(x, y):
+        calls.append((x, y))
+        return real_mul(x, y)
+
+    monkeypatch.setattr(gf2x, "mul", counted_mul)
+    inverse = f.pow(a, (1 << 64) - 2)
+    monkeypatch.undo()
+    assert len(calls) <= 30
+    assert f.mul(a, inverse) == 1
+
+
+def test_tabled_fields_build_no_window_tables():
+    """Up to degree 16, _pow_raw runs while the exp/log tables are built
+    (primitive_bits), so its 16th powers are squarings: window tables are
+    built by basis_images through mul, which would build the exp/log tables
+    again.  The generator is the least v of full order, as before."""
+    for n in range(1, 17):
+        f = BinaryField(n)
+        f.tables()
+        assert f._frob_windows == {}, n
+        M = f.mult_order
+        primes = [p for p in range(2, M + 1) if M % p == 0
+                  and all(p % q for q in range(2, math.isqrt(p) + 1))]
+        least = next(v for v in range(1, f.order)
+                     if all(ref_pow(v, M // p, f.modulus) != 1 for p in primes))
+        assert f.primitive_bits() == least, n
+
+
 def test_tables_match_repeated_mulmod_by_the_generator():
     # g = 2 for most degrees, g = 3 for F_2^16 and g = 7 for F_2^14
     for n in range(1, 17):

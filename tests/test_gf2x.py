@@ -317,6 +317,10 @@ def test_kernels_match_reference():
             r = ref_mod(a, b)
             assert gf2x.mod(a, b) == r
             assert gf2x.divmod_(a, b)[1] == r
+    # every operand below a byte, which takes the shift-and-add loop
+    for a in (0, 1, 0b1011, rng.getrandbits(640)):
+        for b in range(256):
+            assert gf2x.mul(a, b) == gf2x.mul(b, a) == ref_mul(a, b), (a, b)
 
 
 def test_reducer_matches_reference_mod():
