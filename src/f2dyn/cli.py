@@ -344,7 +344,10 @@ def main(argv: list[str] | None = None) -> int:
     # `orbits --degree 16`, which without the freeze runs one collection of
     # an older generation, takes 78 ms with it and 89 ms without.  The text
     # listing (about 50 ms) runs young collections only, and conjugate 12,
-    # bluher 8 and curve 9 run none; none of them changes.
+    # bluher 8 and curve 9 run none; none of them changes.  gc.unfreeze
+    # thaws every frozen object, so a caller's freeze is left to the caller.
+    if gc.get_freeze_count():
+        return _command(argv)
     gc.freeze()
     try:
         return _command(argv)

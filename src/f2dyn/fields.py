@@ -694,46 +694,39 @@ def _ring(field: BinaryField) -> _PolyRing:
 
 # -- polynomial roots inside a fixed field ---------------------------------------
 #
-# Coefficient lists are little-endian: coeffs[i] multiplies x^i.  The search
-# never enumerates the field.  It squares X modulo the search form g of f
-# (_search_form) up to X^(2^n), or up to the first X^(2^e) = X with e | n,
-# where g's roots all lie in F_{2^e} (the period of its roots).  It keeps
-# H = gcd(g, X^(2^n) - X), whose roots are those in the field (g itself
-# after a stop), and splits H by the traces T_j = Tr(x^j * X) for the basis
-# x^j in order; some x^j separates any two roots.  Each T_j is formed once
-# mod H, from the powers X^(2^i) mod H, i < e: g's when H = g, else
-# recomputed mod the smaller H (g may have degree 2^t + 1), never reduced
-# from g's.
+# The public entry points take little-endian coefficient lists (coeffs[i]
+# multiplies x^i) and pack them once; the search works on the packed int
+# alone and never enumerates the field.  It squares X modulo the search
+# form g of f (_search_form) up to X^(2^n), or up to the first X^(2^e) = X
+# with e | n, where g's roots all lie in F_{2^e} (the period of its roots).
+# It keeps H = gcd(g, X^(2^n) - X), whose roots are those in the field (g
+# itself after a stop), and splits H by the traces T_j = Tr(x^j * X) for
+# the basis x^j in order; some x^j separates any two roots.  Each T_j is
+# formed once mod H, from the powers X^(2^i) mod H, i < e: g's when H = g,
+# else recomputed mod the smaller H (g may have degree 2^t + 1), never
+# reduced from g's.
 
 
-def _search_form(ring: _PolyRing,
-                 coeffs: Sequence[int]) -> tuple[bool, int, bool]:
-    """(0 is a root, g, g is reversed) for the polynomial f of coeffs.
+def _search_form(ring: _PolyRing, f: int) -> tuple[bool, int, bool]:
+    """(0 is a root, g, g is reversed) for the packed polynomial f, whose
+    slots are reduced.
 
-    g is monic and packed: f with its factors x removed, or the reciprocal
+    g is f shifted down past its factors X, or the slot-reversed reciprocal
     of that when the reciprocal has the shorter tail (and so folds where f
-    would be divided).  The nonzero roots of the reciprocal are the inverses
-    of those of f.
+    would be divided), made monic by ring.monic.  The nonzero roots of the
+    reciprocal are the inverses of those of f.
     """
-    c = list(coeffs)
-    while c and not c[-1]:
-        c.pop()
-    if not c:
+    if not f:
         raise ValueError("the zero polynomial has every root")
-    v = next(i for i, x in enumerate(c) if x)
-    c = c[v:]
-    d = len(c) - 1
-    reverse = False
-    if d > 0:
-        tail = next(i for i in range(d - 1, -1, -1) if c[i])
-        reverse = d - next(i for i in range(1, d + 1) if c[i]) < tail
-        if reverse:
-            c.reverse()
-    if c[-1] != 1:
-        field = ring.field
-        inv = field.inv(c[-1])
-        c = [field.mul(x, inv) if x else 0 for x in c]
-    return v > 0, ring.pack(c), reverse
+    w = ring.width
+    v = ring.degree(f & -f)  # the lowest nonzero slot
+    f >>= w * v
+    d, rest = ring.degree(f), f >> w
+    # tails of f and of its reciprocal: both -1 for a constant
+    reverse = d - 1 - ring.degree(rest & -rest) < ring.degree(f % (1 << w * d))
+    if reverse:
+        f = ring.pack(ring.coefficients(f)[::-1])
+    return v > 0, ring.monic(f), reverse
 
 
 class _Splitter:
@@ -831,9 +824,10 @@ def _binary_slots(ring: _PolyRing,
             for k in range(max(map(len, rows)))]
 
 
-def _poly_roots_bits(field: BinaryField, coeffs: Sequence[int]) -> list[int]:
+def _poly_roots_bits(field: BinaryField, f: int) -> list[int]:
+    """Roots of the packed polynomial f inside field, sorted."""
     ring = _ring(field)
-    zero_root, g, reverse = _search_form(ring, coeffs)
+    zero_root, g, reverse = _search_form(ring, f)
     roots = [0] if zero_root else []
     if ring.degree(g) > 0:
         found = _Splitter(ring, g).split()
@@ -854,8 +848,8 @@ def _coefficient_field(coeffs: Sequence[FieldElement]) -> BinaryField:
 def polynomial_roots(coeffs: Sequence[FieldElement]) -> list[FieldElement]:
     """Roots, inside the coefficients' own field, sorted by encoding."""
     field = _coefficient_field(coeffs)
-    return [field.element(r)
-            for r in _poly_roots_bits(field, [c.bits for c in coeffs])]
+    f = _ring(field).pack([c.bits for c in coeffs])
+    return [field.element(r) for r in _poly_roots_bits(field, f)]
 
 
 class ExtensionRootCounter:
@@ -864,8 +858,10 @@ class ExtensionRootCounter:
     count(r) is the number of distinct roots in F_{2^(n*r)}, computed as
     deg gcd(x^(2^(n*r)) - x, f) over the base field itself -- no extension
     field is ever constructed.  Frobenius powers are cached, so probing
-    r = 1, 2, 3, ... costs n squarings mod f per new step.  The search form
-    of f (see _search_form) has the same count, less the root 0.
+    r = 1, 2, 3, ... costs n squarings mod f per new step.  The coefficients
+    are packed once, here, and the powers are taken modulo the search form
+    of that int (see _search_form), which has the same count, less the
+    root 0.
 
     The package answers its own root counts from 2x2 matrices (see
     maps.fixed_line_count and conjugacy._root_counts).  This counter takes
@@ -878,8 +874,8 @@ class ExtensionRootCounter:
         if not any(c.bits for c in coeffs[1:]):
             raise ValueError("the polynomial must have positive degree")
         self._ring = ring = _ring(self.field)
-        self._zero_root, self._g, _ = _search_form(
-            ring, [c.bits for c in coeffs])
+        f = ring.pack([c.bits for c in coeffs])
+        self._zero_root, self._g, _ = _search_form(ring, f)
         self._reduce = ring.reducer(self._g)
         self._x = self._reduce(1 << ring.width)
         self._power = self._x  # x^(2^(n*r)) mod g
@@ -935,10 +931,7 @@ def nth_roots(alpha: FieldElement, n: int) -> set[FieldElement]:
         raise ResourceLimitError(
             f"root search on x^{d} = beta is out of range")
     beta = field.pow(alpha.bits, pow(n0 // d, -1, M // d))
-    coeffs = [0] * (d + 1)
-    coeffs[0] = beta
-    coeffs[d] = 1
-    roots = _poly_roots_bits(field, coeffs)
+    roots = _poly_roots_bits(field, 1 << _ring(field).width * d | beta)
     if len(roots) != d:  # pragma: no cover
         raise InvariantViolationError("wrong number of roots of x^d - beta")
     return {field.element(r) for r in roots}

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output documents, exit codes, and the
 curve report against the scan oracles."""
 
+import gc
 import hashlib
 import json
 import math
@@ -417,6 +418,22 @@ def test_bluher_output_is_unchanged(capsys):
         code, out, err = invoke(["bluher"] + args.split(), capsys)
         assert (code, err) == (EXIT_OK, ""), args
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+def test_main_leaves_the_callers_freeze_alone(capsys):
+    """main freezes the collector's view for one command only when nothing
+    is frozen, so what a caller froze is still frozen when it returns."""
+    argv = ["bluher", "--degree", "3", "--k", "2"]
+    assert main(argv) == EXIT_OK and gc.get_freeze_count() == 0
+    capsys.readouterr()
+    gc.collect()  # what is frozen is then alive, and outlives the call
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert main(argv) == EXIT_OK and gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+        capsys.readouterr()
 
 
 def test_bluher_is_sized_and_reaches_wide_fields(capsys):

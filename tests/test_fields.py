@@ -807,6 +807,62 @@ def root_search_cases(field, rng):
                      for _ in range(rng.randrange(2, 9))]
 
 
+def ref_search_form(ring, coeffs):
+    """The search form read off a coefficient list: trailing zeros dropped,
+    the factors x shifted off, the reciprocal taken when its tail is
+    shorter, and every coefficient divided by the lead."""
+    c = list(coeffs)
+    while c and not c[-1]:
+        c.pop()
+    if not c:
+        raise ValueError("the zero polynomial has every root")
+    v = next(i for i, x in enumerate(c) if x)
+    c = c[v:]
+    d = len(c) - 1
+    reverse = False
+    if d > 0:
+        tail = next(i for i in range(d - 1, -1, -1) if c[i])
+        reverse = d - next(i for i in range(1, d + 1) if c[i]) < tail
+        if reverse:
+            c.reverse()
+    if c[-1] != 1:
+        field = ring.field
+        inv = field.inv(c[-1])
+        c = [field.mul(x, inv) if x else 0 for x in c]
+    return v > 0, ring.pack(c), reverse
+
+
+def test_packed_search_form_matches_the_list_reference():
+    """The search form built on the packed int is the one read off the
+    coefficient list: the same zero-root flag, g and reverse flag."""
+    rng = random.Random(23)
+    for field in ROOT_SEARCH_FIELDS:
+        ring = fields._ring(field)
+
+        def el():
+            return rng.randrange(1, field.order)
+        cases = [c for _, c in root_search_cases(field, rng)]
+        cases += [[el()], [1], [el(), 0, 0], [1, 0]]            # constants
+        cases += [[0] * v + [el(), el(), 0, el()]               # X^v, v <= 3
+                  for v in range(1, 4)]
+        cases += [[0] * v + [el()] for v in range(1, 4)]        # c * X^v
+        cases += [[el(), el(), el()], [1, 0, 0, 0, el()],       # leads != 1
+                  [el(), 0, el(), el(), el()]]
+        for q in (4, 8, 16):  # a + b*X^q + X^(q+1), and with lead b
+            a, b = el(), el()
+            cases += [[a] + [0] * (q - 1) + [b, 1],
+                      [1, a] + [0] * (q - 1) + [b]]
+        cases += [[rng.randrange(field.order)
+                   for _ in range(rng.randrange(1, 12))] for _ in range(20)]
+        for coeffs in cases:
+            if not any(coeffs):
+                continue
+            assert fields._search_form(ring, ring.pack(coeffs)) \
+                == ref_search_form(ring, coeffs), (field, coeffs)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        fields._search_form(fields._ring(BinaryField(4)), 0)
+
+
 def test_packed_root_search_matches_reference():
     rng = random.Random(17)
     for field in ROOT_SEARCH_FIELDS:
@@ -815,13 +871,14 @@ def test_packed_root_search_matches_reference():
             if not any(coeffs[1:]):
                 continue
             case = (field, path, coeffs)
-            zero_root, g, reverse = fields._search_form(ring, coeffs)
+            zero_root, g, reverse = fields._search_form(ring,
+                                                        ring.pack(coeffs))
             assert zero_root == (coeffs[0] == 0), case
             if path is not None:
                 assert reverse == (path == "reciprocal"), case
                 kind = "divide" if path == "divide" else "fold"
                 assert ring.reducer(g).__name__ == kind, case
-            assert fields._poly_roots_bits(field, coeffs) \
+            assert fields._poly_roots_bits(field, ring.pack(coeffs)) \
                 == ref_poly_roots(field, coeffs), case
             counter = ExtensionRootCounter([field.element(c) for c in coeffs])
             for r in (1, 2, 3, 1):
@@ -952,12 +1009,12 @@ def test_subfield_roots_stop_at_their_period():
             for listed in (roots, roots + roots[:1]):
                 coeffs = poly_from_roots(field, listed)
                 case = (field, e, listed)
-                _, g, _ = fields._search_form(ring, coeffs)
+                _, g, _ = fields._search_form(ring, ring.pack(coeffs))
                 splitter = fields._Splitter(ring, g)
                 assert len(splitter._powers) == e, case
                 assert (splitter.H == g) == (listed is roots), case
-                assert fields._poly_roots_bits(field, coeffs) == roots \
-                    == ref_poly_roots(field, coeffs), case
+                found = fields._poly_roots_bits(field, ring.pack(coeffs))
+                assert found == roots == ref_poly_roots(field, coeffs), case
                 assert_root_traces(splitter, splitter.H)
 
 
@@ -1001,5 +1058,5 @@ def test_binary_modulus_traces_are_xors_of_weights(monkeypatch):
     field = BinaryField(8)
     ring = fields._ring(field)
     coeffs = poly_from_roots(field, [3, 5, 7])
-    _, g, _ = fields._search_form(ring, coeffs)
+    _, g, _ = fields._search_form(ring, ring.pack(coeffs))
     assert fields._Splitter(ring, g)._slots is None

@@ -3,6 +3,8 @@ holds every name the benchmark jobs and the README example reach."""
 
 import ast
 import re
+import sys
+from collections import defaultdict
 from pathlib import Path
 
 import f2dyn
@@ -37,3 +39,20 @@ def test_readme_example_imports_only_the_surface():
     imports = re.findall(r"^from f2dyn import \(([^)]*)\)", readme, re.M)
     names = {name.strip() for block in imports for name in block.split(",")}
     assert names and not names - set(f2dyn.__all__), names
+
+
+def test_readme_example_prints_its_comments():
+    """Each `print(...)  # text` line of the README's example prints text."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    expected = {i: m.group(1)
+                for i, line in enumerate(block.splitlines(), 1)
+                if (m := re.match(r"\s*print\(.*\)\s+# (.*)$", line))}
+    printed = defaultdict(list)  # line number -> the lines it printed
+
+    def record(*args):
+        printed[sys._getframe(1).f_lineno].append(" ".join(map(str, args)))
+    exec(compile(block, "README.md", "exec"), {"print": record})
+    assert len(expected) == 4
+    for i, text in expected.items():
+        assert printed[i] == [text], (i, printed[i])
