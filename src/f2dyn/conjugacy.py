@@ -165,12 +165,13 @@ def kernel_c2_candidates(ext: BinaryField, s: int,
     That dimension means psi's twist-free power N' is I (see _root_counts).
     Every fixed line of psi then holds a w with M*sigma^s(w) = w (Hilbert
     90: the line's eigenvalue has norm 1 down to F_{2^g}), and those w are
-    (x^q, x) for x in ker v.  So psi's fixed points 1/c2 are the x^q/x, one
-    per line of ker v over F_{2^g} (plane_lines, which refuses past
-    POINT_LIMIT), and c2 = x/x^q.
+    (x^q, x) for x in ker v.  So psi's fixed points 1/c2 are the points
+    (x^q : x), one per line of ker v over F_{2^g}, and the c2 are the
+    points (x : x^q) of the swapped plane (plane_lines, which refuses past
+    POINT_LIMIT).
     """
-    return [ext.mul(x, ext.inv(xq)) for xq, x in plane_lines(
-        ext, gcd(s, ext.degree), lambda: [(ext.frob(x, s), x) for x in kernel])]
+    return plane_lines(ext, gcd(s, ext.degree),
+                       lambda: [(x, ext.frob(x, s)) for x in kernel])
 
 
 def solve_conjugation(map: MapSpec, max_relative_degree: int = 24) -> ConjugacyData:

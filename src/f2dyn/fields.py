@@ -245,12 +245,7 @@ class BinaryField:
             images = [_through_windows(
                 half, half[j >> 3][(j >> 2) & 1][1 << (j & 3)])
                 for j in range(n)]
-        tables = []
-        for w in range(0, self.degree, 4):
-            table = [0]
-            for image in images[w:w + 4]:
-                table += [t ^ image for t in table]
-            tables.append(table)
+        tables = [xor_span(images[w:w + 4]) for w in range(0, n, 4)]
         if len(tables) & 1:
             tables.append([0])  # the high half of a last, half-filled byte
         windows = list(zip(tables[::2], tables[1::2]))
@@ -301,15 +296,17 @@ class BinaryField:
     def _trace_mask(self) -> int:
         """The basis elements x^i of trace 1, as a bit mask."""
         return sum(1 << i for i in range(self.degree)
-                   if self._trace_slow(1 << i))
+                   if self.trace_sum(1 << i, self.degree))
 
-    def _trace_slow(self, a: int) -> int:
+    def trace_sum(self, a: int, d: int) -> int:
+        """a + a^2 + ... + a^(2^(d-1)), d squarings: for a in the subfield
+        F_{2^d} (d dividing the degree) this is Tr_{F_{2^d}/F_2}(a), 0 or 1,
+        and at d = degree the absolute trace of any a."""
         acc = 0
-        t = a
-        for _ in range(self.degree):
-            acc ^= t
-            t = self.sqr(t)
-        return acc & 1  # the sum lies in GF(2)
+        for _ in range(d):
+            acc ^= a
+            a = self.sqr(a)
+        return acc
 
     def artin_schreier(self, w: int) -> int | None:
         """The least z with z^2 + z = w, or None when the trace of w is 1;
@@ -361,11 +358,8 @@ class BinaryField:
         log = [-1] * self.order
         # cur*g from the products of its low and high byte with g; each
         # table is the XOR span of the products of its bits
-        lo, hi = [0], [0]
-        for j in range(self.degree):
-            image = self._reduce(gf2x.mul(1 << j, g))
-            table = lo if j < 8 else hi
-            table += [t ^ image for t in table]
+        images = [self._reduce(g << j) for j in range(self.degree)]
+        lo, hi = xor_span(images[:8]), xor_span(images[8:])
         cur = 1
         for i in range(M):
             exp[i] = exp[i + M] = cur
@@ -458,6 +452,16 @@ class FieldElement:
 
 
 # -- GF(2)-linear algebra on packed columns ----------------------------------
+
+def xor_span(vectors: Sequence[int]) -> list[int]:
+    """All 2^len(vectors) XORs of subsets of vectors: entry i is the XOR
+    of the vectors at the set bits of i, so a linear map's basis images
+    give the table of its values."""
+    span = [0]
+    for v in vectors:
+        span += [u ^ v for u in span]
+    return span
+
 
 class SubsetXorSolver:
     """Echelonizes a list of GF(2) columns once, then answers XOR-combination

@@ -13,6 +13,7 @@ at fields of 2^16 elements.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 from math import gcd
 
 from .fields import (
@@ -25,6 +26,7 @@ from .fields import (
     SubsetXorSolver,
     extension_of,
     nth_roots,
+    xor_span,
 )
 
 
@@ -166,8 +168,9 @@ class Semilinear:
         nonscalar N has one eigenline per eigenvalue lam: sqrt(det) if tr = 0
         (one fixed point), else tr*z, tr*(z + 1) with z^2 + z = det/tr^2,
         solved in F_{2^n} (two).  A nonzero row (alpha, beta) of N + lam*I
-        gives the line (beta : alpha).  Lines that do not come out as
-        exactly that many fixed points raise InvariantViolationError.
+        gives the point (beta : alpha), read by line_point.  Lines that do
+        not come out as exactly that many fixed points raise
+        InvariantViolationError.
 
         When N = c*I, lam0 = sqrt(det M) has norm c down to F_{2^g}, as
         Norm(det M) = det N = c^2, and every fixed line holds a w with
@@ -184,13 +187,13 @@ class Semilinear:
             (p, q), (r, t) = nm
             tr, det = p ^ t, mul(p, t) ^ mul(q, r)
             lams = [field.sqrt(det)] if count == 1 else []
-            if count == 2 and tr:
+            if count == 2:  # tr != 0 here: tr = 0 gives a count of 1
                 z = field.artin_schreier(mul(det, field.inv(mul(tr, tr))))
                 lams = [] if z is None else [mul(tr, z), mul(tr, z ^ 1)]
             points = set()
             for lam in lams:
                 alpha, beta = (p ^ lam, q) if p ^ lam or q else (r, t ^ lam)
-                points.add(order if alpha == 0 else mul(beta, field.inv(alpha)))
+                points.add(line_point(field, beta, alpha))
             if len(points) != count or any(self.eval_int(x) != x
                                             for x in points):
                 raise InvariantViolationError(
@@ -209,8 +212,7 @@ class Semilinear:
                 [x | y << n for x, y in zip(px + qy, rx + ty)]).kernel_masks
             return [(w & (order - 1), w >> n) for w in kernel]
 
-        return sorted(order if y == 0 else mul(x, field.inv(y))
-                      for x, y in plane_lines(field, g, plane))
+        return sorted(plane_lines(field, g, plane))
 
     def rank_permutation(self) -> list[int]:
         """The map on ranks (g^i is i, zero N = 2^n - 1, infinity N + 1):
@@ -218,19 +220,23 @@ class Semilinear:
         the zero of the numerator sent to N and that of the denominator to
         N + 1.  Refuses, through the field's tables, above 2^16 elements.
 
-        The image is built untwisted, with y = g^i, and then twisted: i goes
-        to 2^s*i mod N, and the i with floor(2^s*i / N) = j read the untwisted
-        row at 2^s*i - j*N, one stride-2^s slice per j < 2^s."""
+        Every pair takes one formula: a row whose leading entry is 0
+        (theta's denominator, psi's numerator) reads as the constant log of
+        its other entry, and over theta's denominator (0, 1) the image is
+        the numerator's logs.  The image is built untwisted, with y = g^i,
+        and then twisted: i goes to 2^s*i mod N, and the i with
+        floor(2^s*i / N) = j read the untwisted row at 2^s*i - j*N, one
+        stride-2^s slice per j < 2^s."""
         field = self.field
         exp, log = field.tables()
         n, N, s = field.degree, field.mult_order, self.s
         (p, q), (r, t) = self.m
-        mod = N.__rmod__
 
-        def logs(c: int, d: int) -> list[int] | None:
-            # log(c*g^i + d) for every i < N (log 0 reads -1), None when c = 0
+        def logs(c: int, d: int) -> list[int] | repeat:
+            # log(c*g^i + d) for every i < N (log 0 reads -1): N copies of
+            # log d when c = 0
             if c == 0:
-                return None
+                return repeat(log[d], N)
             lc = log[c]
             return list(map(log.__getitem__, map(d.__xor__, exp[lc:lc + N])))
 
@@ -246,13 +252,8 @@ class Semilinear:
             return N if u == 0 else (log[u] - log[v]) % N
 
         num, den = logs(p, q), logs(r, t)
-        if den is None:  # theta: the denominator is the unit t
-            lt = log[t]
-            image = num if lt == 0 else list(map(mod, map((-lt).__add__, num)))
-        elif num is None:  # psi: the numerator is the unit q
-            image = list(map(mod, map(log[q].__sub__, den)))
-        else:
-            image = list(map(mod, map(int.__sub__, num, den)))
+        image = num if (r, t) == (0, 1) else list(
+            map(N.__rmod__, map(int.__sub__, num, den)))
         if s:
             step, row, image = 1 << s, image, []
             for j in range(step):
@@ -312,18 +313,21 @@ def fixed_line_count(field: BinaryField, m, g: int) -> int:
     if tr == 0:
         return 1
     d = gcd(field.degree, g)
-    w = mul(det, field.inv(mul(tr, tr)))
-    trace = 0
-    for _ in range(d):
-        trace ^= w
-        w = field.sqr(w)
+    trace = field.trace_sum(mul(det, field.inv(mul(tr, tr))), d)
     return 0 if (g // d) * trace % 2 else 2
 
 
-def plane_lines(field: BinaryField, g: int, plane) -> list[tuple[int, int]]:
-    """One vector on each of the 2^g + 1 lines of a plane W over F_{2^g}
-    inside field^2 (g dividing the field's degree): w2, and w1 + mu*w2 for
-    mu in F_{2^g}, with w1, w2 not proportional.  plane() returns a GF(2)
+def line_point(field: BinaryField, x: int, y: int) -> int:
+    """The encoding of the point (x : y) of the line, (x, y) != (0, 0):
+    x/y, or the field order (infinity) when y = 0."""
+    return field.order if y == 0 else field.mul(x, field.inv(y))
+
+
+def plane_lines(field: BinaryField, g: int, plane) -> list[int]:
+    """The 2^g + 1 lines of a plane W over F_{2^g} inside field^2 (g
+    dividing the field's degree), each as the encoding of the point (x : y)
+    it spans (line_point): the lines of w2 and of w1 + mu*w2 for mu in
+    F_{2^g}, with w1, w2 not proportional.  plane() returns a GF(2)
     basis of W (2g vectors (x, y)); it is called only once the lines are
     within budget, so past POINT_LIMIT the listing is refused before W is
     solved for.  The lines of a twist-free power's fixed plane are the
@@ -339,12 +343,11 @@ def plane_lines(field: BinaryField, g: int, plane) -> list[tuple[int, int]]:
             f"fixed plane of GF(2)-dimension {len(ws)}, not {2 * g}")
     x2, y2 = ws[0]
     x1, y1 = next((x, y) for x, y in ws if mul(x, y2) != mul(x2, y))
-    subfield = [0]
-    for e in SubsetXorSolver(
-            field.basis_images([(1, g), (1, 0)])).kernel_masks:
-        subfield += [u ^ e for u in subfield]
-    return [(x2, y2)] + [(x1 ^ mul(mu, x2), y1 ^ mul(mu, y2))
-                         for mu in subfield]
+    subfield = xor_span(SubsetXorSolver(
+        field.basis_images([(1, g), (1, 0)])).kernel_masks)
+    return [line_point(field, x2, y2)] + [
+        line_point(field, x1 ^ mul(mu, x2), y1 ^ mul(mu, y2))
+        for mu in subfield]
 
 
 class MapSpec(namedtuple("MapSpec", "kind a b k")):

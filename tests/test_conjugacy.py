@@ -112,6 +112,10 @@ def test_perturbed_constant_fails_the_system():
                          c2=G ** 3, c3=G ** 30)
     assert not data.system_holds()
     assert not verify_conjugation(data) and not ref_verify_conjugation(data)
+    # c3 = c1*c2: tau's determinant c3 + c1*c2 is 0
+    flat = ConjugacyData(map=PSI, embedding=emb, c=G ** 12, c1=G,
+                         c2=G ** 3, c3=G ** 4)
+    assert not flat.system_holds() and not verify_conjugation(flat)
 
 
 def test_conjugacy_data_validation():

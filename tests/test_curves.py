@@ -183,6 +183,7 @@ def test_curve_records_compare_hash_and_stay_frozen():
     q = CurvePoint(curve=same, x=p.x, y=p.y)
     assert p == q and hash(p) == hash(q) and len({p, q, -p}) == 2
     assert curve.identity == CurvePoint(same, None, None)
+    assert -curve.identity == curve.identity
     assert repr(p) == f"CurvePoint({p.x.hex}, {p.y.hex})"
     assert repr(curve.identity) == "CurvePoint(identity)"
     gs = group_structure(curve)

@@ -454,6 +454,9 @@ def test_log_and_pow_agree():
         e = f.element(bits)
         assert g ** e.log() == e
     assert (g ** 5) ** -1 == (g ** 5).inv()
+    assert f.pow(0, 0) == 1 and f.pow(0, 5) == 0
+    with pytest.raises(ZeroDivisionError):
+        f.pow(0, -1)
     with pytest.raises(ZeroDivisionError):
         f.zero.log()
 
@@ -708,6 +711,7 @@ def test_extension_embedding_is_a_homomorphism():
         emb = extension_of(base, r)
         assert emb.relative_degree == r
         assert emb.ext.degree == 4 * r
+        assert repr(emb) == f"ExtensionEmbedding(F_2^4 -> F_2^{4 * r})"
         # the image of the base generator is a root of the base modulus
         img = emb(base.gen)
         acc = emb.ext.zero

@@ -3,11 +3,13 @@ holds every name the benchmark jobs and the README example reach."""
 
 import ast
 import re
+import shlex
 import sys
 from collections import defaultdict
 from pathlib import Path
 
 import f2dyn
+from f2dyn import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,3 +58,27 @@ def test_readme_example_prints_its_comments():
     assert len(expected) == 4
     for i, text in expected.items():
         assert printed[i] == [text], (i, printed[i])
+
+
+def transcript_pattern(lines: list[str]) -> re.Pattern:
+    """The whole output a transcript allows: its lines in order, where a
+    line that is just `...` stands for any run of lines and `...` inside a
+    line for any text."""
+    return re.compile("".join(
+        r"(?:.*\n)*" if line.strip() == "..."
+        else ".*".join(map(re.escape, line.split("..."))) + r"\n"
+        for line in lines))
+
+
+def test_readme_transcripts_print_what_the_commands_print(capsys):
+    """Each README block that starts `$ f2dyn ...` shows what that command
+    prints."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = [block.splitlines() for block in
+              re.findall(r"^```\n(\$ f2dyn .*?)^```", readme, re.M | re.S)]
+    assert len(blocks) == 4
+    for command, *lines in blocks:
+        code = cli.main(shlex.split(command)[2:])
+        out = capsys.readouterr().out
+        assert code == 0, command
+        assert transcript_pattern(lines).fullmatch(out), (command, out)
